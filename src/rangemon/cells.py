@@ -1,5 +1,6 @@
 """Per-cell state: the object registry, the standing-query lists, and the
-lazily built spatial tree.
+lazily built spatial tree; and :class:`CellStore`, the on-demand cells of
+one owner, which the single-owner engine and every index worker build on.
 
 A cell answers partial-cover queries by scanning its object map until the
 object count first reaches the split threshold; from then on a tree (plus
@@ -11,11 +12,11 @@ which is the only currency the result-holding side ever sees.
 from __future__ import annotations
 
 import enum
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .errors import InconsistentUpdateError, StateMismatchError
 from .geometry import Circle, Coverage, Point, Rect, contains
-from .grid import CellId
+from .grid import CellId, GridIndex
 from .mtree import MTree, SearchStats, SplitConfig, SubtreeCache
 
 
@@ -96,8 +97,8 @@ class Cell:
         return self._scan(circle, stats)
 
     def search_oneshot(self, circle: Circle, stats: SearchStats | None = None) -> set[int]:
-        """Search without touching query-to-node cache bindings (used for
-        transient lookups such as a moved query's previous circle)."""
+        """Search without the subtree cache (used for transient lookups
+        such as a moved query's previous circle)."""
         if self.tree is not None:
             return self.tree.search(circle, stats)
         return self._scan(circle, stats)
@@ -165,6 +166,39 @@ class Cell:
     def register_query(self, q_id: int, cov: Coverage, circle: Circle) -> None:
         self.apply_query_transition(q_id, Coverage.DISJOINT, cov, circle)
 
+    def register(self, q_id: int, cov: Coverage, circle: Circle,
+                 stats: SearchStats | None = None) -> set[int]:
+        """Register q_id with coverage cov (FULL or PARTIAL); returns the
+        ids this cell contributes to its result."""
+        if cov is Coverage.FULL:
+            self.register_query(q_id, cov, circle)
+            return self.object_ids()
+        return self.register_partial_and_search(q_id, circle, stats)
+
+    def move_query(self, q_id: int, old_cov: Coverage, new_cov: Coverage, circle: Circle,
+                   stats: SearchStats | None = None) -> tuple[set[int], set[int]]:
+        """Move q_id from old_cov to new_cov under its new circle; returns
+        the (entered, left) ids of this cell.  Membership under the old
+        circle is recomputed from the cell's own state, so the caller need
+        not keep the query's previous contribution."""
+        if old_cov is Coverage.FULL and new_cov is Coverage.FULL:
+            self.apply_query_transition(q_id, old_cov, new_cov, circle)
+            return set(), set()
+        if old_cov is Coverage.FULL:
+            old_in = self.object_ids()
+        elif old_cov is Coverage.PARTIAL:
+            old_in = self.search_oneshot(self.circles[q_id], stats)
+        else:
+            old_in = set()
+        self.apply_query_transition(q_id, old_cov, new_cov, circle)
+        if new_cov is Coverage.FULL:
+            new_in = self.object_ids()
+        elif new_cov is Coverage.PARTIAL:
+            new_in = self.search(q_id, circle, stats)
+        else:
+            new_in = set()
+        return new_in - old_in, old_in - new_in
+
     def unregister_query(self, q_id: int) -> None:
         if q_id in self.full_queries:
             self.apply_query_transition(q_id, Coverage.FULL, Coverage.DISJOINT, self.circles[q_id])
@@ -189,8 +223,6 @@ class Cell:
             self.tree.remove_query(q_id)
         if new_cov is Coverage.DISJOINT:
             self.circles.pop(q_id, None)
-            if self.cache is not None:
-                self.cache.forget_query(q_id)
             return
         self.circles[q_id] = circle
         if new_cov is Coverage.FULL:
@@ -199,3 +231,36 @@ class Cell:
             self.partial_queries.add(q_id)
             if self.tree is not None:
                 self.tree.insert_query(q_id, circle)
+
+
+class CellStore:
+    """The cells one owner holds, created on first touch, and the split of
+    an object report into per-cell updates."""
+
+    def __init__(self, grid: GridIndex, cfg: SplitConfig):
+        self.grid = grid
+        self.cfg = cfg
+        self.cells: dict[CellId, Cell] = {}
+
+    def cell(self, cell_id: CellId) -> Cell:
+        cell = self.cells.get(cell_id)
+        if cell is None:
+            cell = Cell(cell_id, self.grid.cell_bounds(cell_id), self.cfg)
+            self.cells[cell_id] = cell
+        return cell
+
+    def move_object(self, obj_id: int, old: Point | None,
+                    new: Point | None) -> Iterator[tuple[CellId, ObjectDelta]]:
+        """Apply one (old, new) report and yield each touched cell's delta.
+        A move across cells is a removal from the old cell followed by an
+        insertion into the new one.  Deltas are yielded lazily, so the old
+        cell's delta reaches the caller even if the insertion then fails."""
+        old_cell = self.grid.locate(old) if old is not None else None
+        new_cell = self.grid.locate(new) if new is not None else None
+        if old_cell is not None and old_cell == new_cell:
+            yield old_cell, self.cell(old_cell).apply_object_update(obj_id, old, new)
+            return
+        if old_cell is not None:
+            yield old_cell, self.cell(old_cell).apply_object_update(obj_id, old, None)
+        if new_cell is not None:
+            yield new_cell, self.cell(new_cell).apply_object_update(obj_id, None, new)

@@ -22,7 +22,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .baselines import ns_search
-from .cells import Cell, Change
+from .cells import CellStore, Change
 from .engine import QueryState
 from .errors import (
     DuplicatePartialError,
@@ -299,26 +299,17 @@ class EntranceWorker(Node):
             ))
 
 
-class IndexWorker(Node):
+class IndexWorker(Node, CellStore):
     def __init__(self, node_id: int, grid: GridIndex, cfg: SplitConfig, mode: str, qw_ids: list[int]):
-        super().__init__(node_id)
-        self.grid = grid
-        self.cfg = cfg
+        Node.__init__(self, node_id)
+        CellStore.__init__(self, grid, cfg)
         self.mode = mode
         self.qw_ids = qw_ids
-        self.cells: dict[CellId, Cell] = {}
         self.replica: dict[int, Point] = {}  # ns mode only
         self.stats = SearchStats()
         self.objects_processed = 0
         self.query_worker_of: dict[int, int] = {}
         self.cells_of: dict[int, set[CellId]] = {}
-
-    def cell(self, cell_id: CellId) -> Cell:
-        cell = self.cells.get(cell_id)
-        if cell is None:
-            cell = Cell(cell_id, self.grid.cell_bounds(cell_id), self.cfg)
-            self.cells[cell_id] = cell
-        return cell
 
     def handle(self, msg: Message) -> None:
         body = msg.body
@@ -343,15 +334,8 @@ class IndexWorker(Node):
             else:
                 self.replica[body.obj_id] = body.new
             return
-        old_cell = self.grid.locate(body.old) if body.old is not None else None
-        new_cell = self.grid.locate(body.new) if body.new is not None else None
-        if old_cell is not None and old_cell == new_cell:
-            self._emit_deltas(old_cell, self.cell(old_cell).apply_object_update(body.obj_id, body.old, body.new))
-            return
-        if old_cell is not None:
-            self._emit_deltas(old_cell, self.cell(old_cell).apply_object_update(body.obj_id, body.old, None))
-        if new_cell is not None:
-            self._emit_deltas(new_cell, self.cell(new_cell).apply_object_update(body.obj_id, None, body.new))
+        for cell_id, delta in self.move_object(body.obj_id, body.old, body.new):
+            self._emit_deltas(cell_id, delta)
 
     def _emit_deltas(self, cell_id: CellId, delta) -> None:
         if not delta:
@@ -381,11 +365,7 @@ class IndexWorker(Node):
                     cell.unregister_query(body.q_id)  # re-registration replaces
                 self.query_worker_of[body.q_id] = body.query_worker
                 self.cells_of.setdefault(body.q_id, set()).add(cell_id)
-                if cov is Coverage.FULL:
-                    cell.register_query(body.q_id, cov, body.circle)
-                    ids = cell.object_ids()
-                else:
-                    ids = cell.register_partial_and_search(body.q_id, body.circle, self.stats)
+                ids = cell.register(body.q_id, cov, body.circle, self.stats)
             elif cov is Coverage.FULL:
                 ids = cell.object_ids()
             else:
@@ -399,42 +379,16 @@ class IndexWorker(Node):
         self.query_worker_of[q_id] = body.query_worker
         owned = self.cells_of.setdefault(q_id, set())
         for cell_id, old_val, new_val in body.transitions:
-            old_cov, new_cov = Coverage(old_val), Coverage(new_val)
-            cell = self.cell(cell_id)
-            add: set[int] = set()
-            remove: set[int] = set()
+            new_cov = Coverage(new_val)
+            add, remove = self.cell(cell_id).move_query(
+                q_id, Coverage(old_val), new_cov, body.circle, self.stats,
+            )
             if new_cov is Coverage.DISJOINT:
                 # the cell's owner ends the delta stream with the removals,
                 # so the query worker sees one consistently ordered history
-                if old_cov is Coverage.FULL:
-                    remove = cell.object_ids()
-                else:
-                    remove = cell.search_oneshot(cell.circles[q_id], self.stats)
-                cell.apply_query_transition(q_id, old_cov, new_cov, body.circle)
                 owned.discard(cell_id)
-                if remove:
-                    self.send(body.query_worker, ResultDelta(q_id, cell_id, (), tuple(sorted(remove))))
-                continue
-            if old_cov is Coverage.DISJOINT:
-                cell.apply_query_transition(q_id, old_cov, new_cov, body.circle)
-                add = cell.object_ids() if new_cov is Coverage.FULL else cell.search(q_id, body.circle, self.stats)
-            elif old_cov is Coverage.FULL and new_cov is Coverage.FULL:
-                cell.apply_query_transition(q_id, old_cov, new_cov, body.circle)
-            elif old_cov is Coverage.PARTIAL and new_cov is Coverage.FULL:
-                old_in = cell.search_oneshot(cell.circles[q_id], self.stats)
-                cell.apply_query_transition(q_id, old_cov, new_cov, body.circle)
-                add = cell.object_ids() - old_in
-            elif old_cov is Coverage.FULL and new_cov is Coverage.PARTIAL:
-                cell.apply_query_transition(q_id, old_cov, new_cov, body.circle)
-                keep = cell.search(q_id, body.circle, self.stats)
-                remove = cell.object_ids() - keep
-            else:  # partial -> partial
-                old_in = cell.search_oneshot(cell.circles[q_id], self.stats)
-                cell.apply_query_transition(q_id, old_cov, new_cov, body.circle)
-                new_in = cell.search(q_id, body.circle, self.stats)
-                add = new_in - old_in
-                remove = old_in - new_in
-            owned.add(cell_id)
+            else:
+                owned.add(cell_id)
             if add or remove:
                 self.send(body.query_worker, ResultDelta(
                     q_id, cell_id, tuple(sorted(add)), tuple(sorted(remove)),
@@ -521,10 +475,7 @@ class QueryWorker(Node):
                 return  # superseded by a newer registration wave
             self.collect_partial(state, body.key, body.ids)
         else:
-            for obj_id in body.add:
-                state.apply(body.cell, obj_id, Change.ENTER)
-            for obj_id in body.remove:
-                state.apply(body.cell, obj_id, Change.LEAVE)
+            state.apply_delta(body.cell, body.add, body.remove)
 
     @staticmethod
     def collect_partial(state: QueryState, key: CellId, ids: tuple[int, ...]) -> set[int] | None:

@@ -1,17 +1,23 @@
 """Query lifecycle orchestration over the grid of cells.
 
-Each active query keeps its result partitioned by contributing cell; the
-partition is what makes a moved query's removals exact (a cell dropped
-from the candidate set removes precisely the ids that cell contributed)
-and makes cross-cell object moves order-independent within a tick.
+The cell maintenance itself (creating cells, splitting a cross-cell object
+move, registering a query, moving a query between coverage classes) lives
+in :mod:`.cells` and is shared with the cluster's index workers; this
+module holds the query states that fold its deltas into results.
+
+Each active query keeps its result partitioned by contributing cell, so
+cross-cell object moves are order-independent within a tick.  A query
+move is patched cell by cell: each cell diffs the old and new circle over
+its own objects and reports the ids that entered and left.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
-from .cells import Cell, Change, DeltaEntry
+from .cells import CellStore, Change
 from .geometry import Circle, Coverage, Point
 from .grid import CandidateCells, CellId, GridIndex
 from .mtree import SearchStats, SplitConfig
@@ -50,9 +56,6 @@ class QueryState:
         else:
             self.by_cell.pop(cell_id, None)
 
-    def drop_cell(self, cell_id: CellId) -> set[int]:
-        return self.by_cell.pop(cell_id, set())
-
     def apply(self, cell_id: CellId, obj_id: int, change: Change) -> None:
         if change is Change.ENTER:
             self.by_cell.setdefault(cell_id, set()).add(obj_id)
@@ -62,6 +65,13 @@ class QueryState:
                 ids.discard(obj_id)
                 if not ids:
                     del self.by_cell[cell_id]
+
+    def apply_delta(self, cell_id: CellId, add: Iterable[int], remove: Iterable[int]) -> None:
+        """Fold one cell's entered and left ids into the result."""
+        for obj_id in add:
+            self.apply(cell_id, obj_id, Change.ENTER)
+        for obj_id in remove:
+            self.apply(cell_id, obj_id, Change.LEAVE)
 
 
 @dataclass
@@ -73,23 +83,13 @@ class QueryMoveDelta:
     additions: set[int] = field(default_factory=set)
 
 
-class Engine:
-    """Single-owner engine: cells are created on demand, queries are
-    registered into cell lists and trees, and updates are translated into
-    result deltas incrementally."""
+class Engine(CellStore):
+    """Single-owner engine: all cells in one :class:`CellStore`, plus the
+    query states that fold the cells' deltas into results."""
 
     def __init__(self, grid: GridIndex, cfg: SplitConfig):
-        self.grid = grid
-        self.cfg = cfg
-        self.cells: dict[CellId, Cell] = {}
+        super().__init__(grid, cfg)
         self.queries: dict[int, QueryState] = {}
-
-    def cell(self, cell_id: CellId) -> Cell:
-        cell = self.cells.get(cell_id)
-        if cell is None:
-            cell = Cell(cell_id, self.grid.cell_bounds(cell_id), self.cfg)
-            self.cells[cell_id] = cell
-        return cell
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -106,16 +106,11 @@ class Engine:
         gr = self.grid.candidate_cells(circle)
         state = QueryState(q_id, circle, t_start, t_end, gr)
         out: set[int] = set()
-        for cell_id in sorted(gr.full):
-            cell = self.cell(cell_id)
-            cell.register_query(q_id, Coverage.FULL, circle)
-            ids = cell.object_ids()
-            state.set_cell(cell_id, ids)
-            out |= ids
-        for cell_id in sorted(gr.partial):
-            ids = self.cell(cell_id).register_partial_and_search(q_id, circle, stats)
-            state.set_cell(cell_id, ids)
-            out |= ids
+        for cov, cell_ids in ((Coverage.FULL, gr.full), (Coverage.PARTIAL, gr.partial)):
+            for cell_id in sorted(cell_ids):
+                ids = self.cell(cell_id).register(q_id, cov, circle, stats)
+                state.set_cell(cell_id, ids)
+                out |= ids
         self.queries[q_id] = state
         return out
 
@@ -147,25 +142,12 @@ class Engine:
         errors: list[tuple[int, Exception]] = []
         for obj_id, old, new in updates:
             try:
-                self._apply_one_move(obj_id, old, new)
+                for cell_id, delta in self.move_object(obj_id, old, new):
+                    for q_id, moved_id, change in delta:
+                        self.queries[q_id].apply(cell_id, moved_id, change)
             except Exception as exc:  # noqa: BLE001 - per-item isolation is the contract
                 errors.append((obj_id, exc))
         return errors
-
-    def _apply_one_move(self, obj_id: int, old: Point | None, new: Point | None) -> None:
-        old_cell = self.grid.locate(old) if old is not None else None
-        new_cell = self.grid.locate(new) if new is not None else None
-        if old_cell is not None and old_cell == new_cell:
-            self._route_delta(old_cell, self.cell(old_cell).apply_object_update(obj_id, old, new))
-            return
-        if old_cell is not None:
-            self._route_delta(old_cell, self.cell(old_cell).apply_object_update(obj_id, old, None))
-        if new_cell is not None:
-            self._route_delta(new_cell, self.cell(new_cell).apply_object_update(obj_id, None, new))
-
-    def _route_delta(self, cell_id: CellId, delta: list[DeltaEntry]) -> None:
-        for q_id, obj_id, change in delta:
-            self.queries[q_id].apply(cell_id, obj_id, change)
 
     # -- query movement ----------------------------------------------------------
 
@@ -176,34 +158,12 @@ class Engine:
         gr_new = self.grid.candidate_cells(new_circle)
         delta = QueryMoveDelta()
         for cell_id in sorted(state.gr.all_cells() | gr_new.all_cells()):
-            old_cov = state.gr.coverage_of(cell_id)
-            new_cov = gr_new.coverage_of(cell_id)
-            cell = self.cell(cell_id)
-            if new_cov is Coverage.DISJOINT:
-                delta.removals |= state.drop_cell(cell_id)
-                cell.apply_query_transition(q_id, old_cov, new_cov, new_circle)
-            elif old_cov is Coverage.DISJOINT:
-                cell.apply_query_transition(q_id, old_cov, new_cov, new_circle)
-                ids = cell.object_ids() if new_cov is Coverage.FULL else cell.search(q_id, new_circle, stats)
-                delta.additions |= ids
-                state.set_cell(cell_id, ids)
-            elif old_cov is Coverage.FULL and new_cov is Coverage.FULL:
-                cell.apply_query_transition(q_id, old_cov, new_cov, new_circle)
-            elif old_cov is Coverage.PARTIAL and new_cov is Coverage.FULL:
-                had = state.by_cell.get(cell_id, set())
-                all_ids = cell.object_ids()
-                delta.additions |= all_ids - had
-                state.set_cell(cell_id, all_ids)
-                cell.apply_query_transition(q_id, old_cov, new_cov, new_circle)
-            else:
-                # full->partial and partial->partial: re-search under the new
-                # circle and diff against this cell's previous contribution
-                cell.apply_query_transition(q_id, old_cov, new_cov, new_circle)
-                now_in = cell.search(q_id, new_circle, stats)
-                had = state.by_cell.get(cell_id, set())
-                delta.removals |= had - now_in
-                delta.additions |= now_in - had
-                state.set_cell(cell_id, now_in)
+            entered, left = self.cell(cell_id).move_query(
+                q_id, state.gr.coverage_of(cell_id), gr_new.coverage_of(cell_id), new_circle, stats,
+            )
+            state.apply_delta(cell_id, entered, left)
+            delta.additions |= entered
+            delta.removals |= left
         state.circle = new_circle
         state.gr = gr_new
         return delta

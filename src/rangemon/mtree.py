@@ -90,31 +90,16 @@ class MTreeNode:
 
 
 class SubtreeCache:
-    """Shared cache linking queries to the fully-covered nodes they rest on
-    and those nodes' materialized object sets.
+    """Materialized object sets of fully covered nodes, shared by every
+    query that searches the tree.
 
-    ``sets`` keeps at most one entry per node id; a lookup only succeeds if
-    the stored version matches the node's current version, so sets cached
+    ``sets`` keeps at most one entry per node id; an entry is used only if
+    its stored version matches the node's current version, so sets cached
     before a mutation under that node are treated as absent.
     """
 
     def __init__(self) -> None:
-        self.queries: set[int] = set()
-        self.bindings: dict[int, set[tuple[int, int]]] = {}  # query id -> {(node id, version)}
         self.sets: dict[int, tuple[int, frozenset[int]]] = {}  # node id -> (version, objects)
-
-    def lookup(self, node: MTreeNode) -> frozenset[int] | None:
-        entry = self.sets.get(node.id)
-        if entry is not None and entry[0] == node.version:
-            return entry[1]
-        return None
-
-    def store(self, node: MTreeNode, ids: frozenset[int]) -> None:
-        self.sets[node.id] = (node.version, ids)
-
-    def forget_query(self, q_id: int) -> None:
-        self.queries.discard(q_id)
-        self.bindings.pop(q_id, None)
 
 
 class MTree:
@@ -310,7 +295,41 @@ class MTree:
     def search(self, circle: Circle, stats: SearchStats | None = None) -> set[int]:
         """Objects within the circle.  Fully covered branches contribute
         without per-object tests; only partially intersected leaves are
-        filtered point by point.
+        filtered point by point."""
+        return self._search(circle, None, stats)
+
+    def search_shared(
+        self,
+        q_id: int,
+        circle: Circle,
+        cache: SubtreeCache,
+        stats: SearchStats | None = None,
+        register: bool = False,
+    ) -> set[int]:
+        """Same result as :meth:`search`, but fully-covered subtrees are
+        materialized at most once per version and reused across queries.
+
+        With ``register=True`` the pass doubles as query insertion: the
+        query lands on exactly the nodes this traversal stops at (covered
+        nodes and partially cut leaves), saving a second walk.
+        """
+        if not register:
+            return self._search(circle, cache.sets, stats)
+        self.query_circles[q_id] = circle
+        return self._search(circle, cache.sets, stats, q_id, self.query_nodes.setdefault(q_id, set()))
+
+    def _search(
+        self,
+        circle: Circle,
+        sets: dict[int, tuple[int, frozenset[int]]] | None,
+        stats: SearchStats | None,
+        q_id: int = -1,
+        placements: set[MTreeNode] | None = None,
+    ) -> set[int]:
+        """The one search loop.  ``sets`` is a subtree cache's store (None:
+        materialize every covered node afresh).  With ``placements`` given,
+        q_id is recorded on the nodes the pass stops at and they are added
+        to ``placements``.
 
         The coverage math is inlined (identical to :func:`classify`): node
         visits dominate search cost, so the per-call overhead matters.
@@ -333,62 +352,12 @@ class MTree:
             fx = max(cx - x_lo, x_hi - cx)
             fy = max(cy - y_lo, y_hi - cy)
             if fx * fx + fy * fy <= rr:
-                self._collect(node, out, stats)
-            elif node.children:
-                stack.extend(node.children)
-            else:
-                for obj_id in node.objects:
-                    if stats is not None:
-                        stats.objects_examined += 1
-                    px, py = pos[obj_id]
-                    ex = px - cx
-                    ey = py - cy
-                    if ex * ex + ey * ey <= rr:
-                        out.add(obj_id)
-        return out
-
-    def search_shared(
-        self,
-        q_id: int,
-        circle: Circle,
-        cache: SubtreeCache,
-        stats: SearchStats | None = None,
-        register: bool = False,
-    ) -> set[int]:
-        """Same result as :meth:`search`, but fully-covered subtrees are
-        materialized at most once per version and reused across queries.
-
-        With ``register=True`` the pass doubles as query insertion: the
-        query lands on exactly the nodes this traversal stops at (covered
-        nodes and partially cut leaves), saving a second walk.
-        """
-        if register:
-            self.query_circles[q_id] = circle
-            placements = self.query_nodes.setdefault(q_id, set())
-        cache.queries.add(q_id)
-        binding: set[tuple[int, int]] = set()
-        (cx, cy), radius = circle
-        rr = radius * radius
-        pos = self.positions
-        sets = cache.sets
-        out: set[int] = set()
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if stats is not None:
-                stats.nodes_visited += 1
-            b = node.bounds
-            x_lo, y_lo, x_hi, y_hi = b.x_lo, b.y_lo, b.x_hi, b.y_hi
-            dx = x_lo - cx if cx < x_lo else (cx - x_hi if cx > x_hi else 0.0)
-            dy = y_lo - cy if cy < y_lo else (cy - y_hi if cy > y_hi else 0.0)
-            if dx * dx + dy * dy > rr:
-                continue
-            fx = max(cx - x_lo, x_hi - cx)
-            fy = max(cy - y_lo, y_hi - cy)
-            if fx * fx + fy * fy <= rr:
-                if register:
+                if placements is not None:
                     node.queries.add(q_id)
                     placements.add(node)
+                if sets is None:
+                    self._collect(node, out, stats)
+                    continue
                 entry = sets.get(node.id)
                 if entry is not None and entry[0] == node.version:
                     ids = entry[1]
@@ -400,11 +369,10 @@ class MTree:
                     ids = frozenset(collected)
                     sets[node.id] = (node.version, ids)
                 out |= ids
-                binding.add((node.id, node.version))
             elif node.children:
                 stack.extend(node.children)
             else:
-                if register:
+                if placements is not None:
                     node.queries.add(q_id)
                     placements.add(node)
                 for obj_id in node.objects:
@@ -415,7 +383,6 @@ class MTree:
                     ey = py - cy
                     if ex * ex + ey * ey <= rr:
                         out.add(obj_id)
-        cache.bindings[q_id] = binding
         return out
 
     # -- introspection -------------------------------------------------------

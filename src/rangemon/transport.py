@@ -2,10 +2,11 @@
 
 Both implementations honor the same delivery contract: reliable, FIFO per
 (sender, receiver) edge, no duplication.  The in-process loopback is
-single-threaded and fully deterministic (with an optional seeded-random
-delivery order for schedule-shaking tests); the socket transport runs one
-thread per endpoint and routes length-prefixed binary frames through a
-local hub, exercising the real wire format.
+single-threaded and fully deterministic: its "fifo" policy is one global
+queue in send order, and an optional seeded-random policy shuffles the
+interleaving of edges for schedule-shaking tests.  The socket transport
+runs one thread per endpoint and routes length-prefixed binary frames
+through a local hub, exercising the real wire format.
 """
 
 from __future__ import annotations
@@ -23,11 +24,12 @@ Handler = Callable[[Message], None]
 
 
 class LoopbackTransport:
-    """Per-edge FIFO queues drained by an explicit pump.
+    """In-process queues drained by an explicit pump.
 
-    policy "fifo" delivers in global send order (deterministic);
-    policy "random" picks a random nonempty edge each step, which keeps
-    per-edge FIFO but shuffles cross-edge interleaving.
+    policy "fifo" keeps one global queue and delivers in global send order
+    (deterministic); policy "random" keeps one FIFO queue per edge and
+    picks a random nonempty edge each step, which keeps per-edge FIFO but
+    shuffles cross-edge interleaving.
     """
 
     def __init__(self, policy: str = "fifo", seed: int = 0):
@@ -35,10 +37,10 @@ class LoopbackTransport:
             raise ValueError(f"unknown pump policy {policy!r}")
         self.policy = policy
         self._rng = random.Random(seed)
-        self._edges: dict[tuple[int, int], deque[tuple[int, Message]]] = {}
+        self._queue: deque[Message] = deque()  # fifo
+        self._edges: dict[tuple[int, int], deque[Message]] = {}  # random
         self._seqs: dict[tuple[int, int], int] = {}
         self._handlers: dict[int, Handler] = {}
-        self._counter = 0
         self.trace: list[Message] | None = None
 
     def register(self, node_id: int, handler: Handler) -> None:
@@ -51,29 +53,26 @@ class LoopbackTransport:
         seq = self._seqs.get(edge, 0) + 1
         self._seqs[edge] = seq
         msg = Message(sender, receiver, seq, body)
-        self._edges.setdefault(edge, deque()).append((self._counter, msg))
-        self._counter += 1
+        if self.policy == "fifo":
+            self._queue.append(msg)
+        else:
+            self._edges.setdefault(edge, deque()).append(msg)
         if self.trace is not None:
             self.trace.append(msg)
 
-    def _pick_edge(self) -> tuple[int, int] | None:
-        nonempty = [e for e, q in self._edges.items() if q]
-        if not nonempty:
-            return None
+    def _next(self) -> Message | None:
         if self.policy == "fifo":
-            return min(nonempty, key=lambda e: self._edges[e][0][0])
-        return self._rng.choice(sorted(nonempty))
+            return self._queue.popleft() if self._queue else None
+        nonempty = sorted(e for e, q in self._edges.items() if q)
+        return self._edges[self._rng.choice(nonempty)].popleft() if nonempty else None
 
     def pump(self) -> int:
         """Deliver until quiescent; returns the number of deliveries."""
         delivered = 0
-        while True:
-            edge = self._pick_edge()
-            if edge is None:
-                return delivered
-            _, msg = self._edges[edge].popleft()
+        while (msg := self._next()) is not None:
             self._handlers[msg.receiver](msg)
             delivered += 1
+        return delivered
 
     def close(self) -> None:
         pass

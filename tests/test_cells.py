@@ -8,7 +8,7 @@ from rangemon.geometry import Circle, Coverage, Point, Rect, classify, contains
 from rangemon.grid import CellId
 from rangemon.mtree import SplitConfig
 
-from conftest import brute_filter
+from conftest import brute_filter, check_tree_invariants
 
 BOUNDS = Rect(0.5, 0.5, 0.51, 0.51)
 
@@ -156,31 +156,40 @@ def test_partial_transition_rebuilds_tree_lists():
 
 
 def test_list_class_coherence_under_random_transitions():
-    # drive one query's circle on a random walk; after every transition the
-    # full/partial lists must match a fresh classify of the live circle
-    rng = random.Random(6)
-    cell = make_cell(alpha=6, m=6)
-    for i in range(40):
-        cell.apply_object_update(i, None, pt(rng))
-    center = Point(0.505, 0.505)
-    circle = Circle(center, 0.004)
-    cov = Coverage.DISJOINT
-    for _ in range(200):
-        center = Point(
-            min(max(center.x + rng.uniform(-0.01, 0.01), 0.48), 0.53),
-            min(max(center.y + rng.uniform(-0.01, 0.01), 0.48), 0.53),
-        )
-        new_circle = Circle(center, rng.choice([0.002, 0.006, 0.02]))
-        new_cov = classify(new_circle, BOUNDS)
-        cell.apply_query_transition(1, cov, new_cov, new_circle)
-        circle, cov = new_circle, new_cov
-        assert (1 in cell.full_queries) == (classify(circle, BOUNDS) is Coverage.FULL)
-        assert (1 in cell.partial_queries) == (classify(circle, BOUNDS) is Coverage.PARTIAL)
-        if cell.tree is not None:
-            for node in cell.tree.nodes():
-                if 1 in node.queries:
-                    node_cov = classify(circle, node.bounds)
-                    assert node_cov is not Coverage.DISJOINT
+    # drive one query's circle on a random walk through Cell.move_query;
+    # after every move the full/partial lists must match a fresh classify
+    # of the live circle, and (entered, left) must be the brute-force
+    # membership difference between the old and the new circle
+    for count in (4, 40):  # below alpha (scan path) and above it (tree)
+        rng = random.Random(6)
+        cell = make_cell(alpha=6, m=6)
+        positions = {}
+        for i in range(count):
+            positions[i] = pt(rng)
+            cell.apply_object_update(i, None, positions[i])
+        assert (cell.tree is None) == (count < cell.cfg.alpha)
+        center = Point(0.505, 0.505)
+        cov = Coverage.DISJOINT
+        members: set[int] = set()
+        for _ in range(200):
+            center = Point(
+                min(max(center.x + rng.uniform(-0.01, 0.01), 0.48), 0.53),
+                min(max(center.y + rng.uniform(-0.01, 0.01), 0.48), 0.53),
+            )
+            circle = Circle(center, rng.choice([0.002, 0.006, 0.02]))
+            new_cov = classify(circle, BOUNDS)
+            entered, left = cell.move_query(1, cov, new_cov, circle)
+            now_in = brute_filter(positions, circle)
+            assert entered == now_in - members
+            assert left == members - now_in
+            members, cov = now_in, new_cov
+            assert (1 in cell.full_queries) == (cov is Coverage.FULL)
+            assert (1 in cell.partial_queries) == (cov is Coverage.PARTIAL)
+            if cell.tree is not None:
+                check_tree_invariants(cell.tree)
+                for node in cell.tree.nodes():
+                    if 1 in node.queries:
+                        assert classify(circle, node.bounds) is not Coverage.DISJOINT
 
 
 def test_search_matches_scan_and_tree_paths():

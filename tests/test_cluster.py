@@ -15,7 +15,8 @@ from rangemon.errors import DuplicatePartialError, UnexpectedCellError
 from rangemon.geometry import Circle, Point
 from rangemon.grid import CandidateCells, CellId
 from rangemon.cluster import QueryWorker
-from rangemon.wire import ObjectUpdate, QueryExpire, QueryMove, QueryRegister
+from rangemon.transport import LoopbackTransport
+from rangemon.wire import ObjectUpdate, QueryExpire, QueryMove, QueryRegister, TickBarrier
 
 
 def gr_of(*cells):
@@ -292,6 +293,50 @@ def test_seq_numbers_strictly_increase():
         edge = (msg.sender, msg.receiver)
         assert msg.seq > last.get(edge, 0)
         last[edge] = msg.seq
+
+
+def relay_run(policy, seed=0):
+    """Nodes 1-3 on one loopback record every delivery; node 2 answers each
+    message below tick 100 from inside its handler with tick+100 to node 3
+    and tick+200 to node 1.  Returns (messages in send order, deliveries)."""
+    transport = LoopbackTransport(policy=policy, seed=seed)
+    transport.trace = []
+    delivered = []
+
+    def handler(node):
+        def handle(msg):
+            delivered.append(msg)
+            if node == 2 and msg.body.tick < 100:
+                transport.send(2, 3, TickBarrier(msg.body.tick + 100))
+                transport.send(2, 1, TickBarrier(msg.body.tick + 200))
+        return handle
+
+    for node in (1, 2, 3):
+        transport.register(node, handler(node))
+    for tick, (sender, receiver) in enumerate([(1, 2), (3, 2), (1, 3), (1, 2), (3, 1), (3, 2)], 1):
+        transport.send(sender, receiver, TickBarrier(tick))
+    assert transport.pump() == len(delivered)
+    return transport.trace, delivered
+
+
+def test_fifo_delivers_in_global_send_order():
+    sent, delivered = relay_run("fifo")
+    assert delivered == sent
+    # draining one edge at a time would deliver tick 4 (edge 1->2) before
+    # tick 2 (edge 3->2); replies sent inside handlers queue behind both
+    assert [m.body.tick for m in delivered] == [1, 2, 3, 4, 5, 6, 101, 201, 102, 202, 104, 204, 106, 206]
+
+
+def test_random_policy_keeps_per_edge_fifo_at_delivery():
+    orders = set()
+    for seed in range(20):
+        sent, delivered = relay_run("random", seed)
+        assert len(delivered) == len(sent) == 14
+        for edge in {(m.sender, m.receiver) for m in sent}:
+            on_edge = [m for m in sent if (m.sender, m.receiver) == edge]
+            assert [m for m in delivered if (m.sender, m.receiver) == edge] == on_edge
+        orders.add(tuple(m.body.tick for m in delivered))
+    assert len(orders) > 1  # the interleaving of edges does vary
 
 
 def test_gi_and_ns_modes_match_oracle():

@@ -219,7 +219,6 @@ def test_search_shared_matches_and_caches():
     assert r2 == r1
     assert s2.leaf_descents == 0  # every full subtree came from the cache
     assert s2.cache_hits > 0
-    assert cache.queries == {1, 2}
 
 
 def test_search_shared_version_guard():
