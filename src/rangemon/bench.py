@@ -24,7 +24,7 @@ from .config import Config
 from .engine import Engine
 from .geometry import Circle, Point
 from .grid import GridIndex
-from .mtree import SplitConfig
+from .mtree import SearchStats, SplitConfig
 from .workload import Workload, WorkloadSpec, read_events
 from .wire import ObjectUpdate, QueryExpire, QueryMove, QueryRegister
 
@@ -311,21 +311,22 @@ class _QueryFeed:
         return self.n, self.circles[self.n % len(self.circles)]
 
 
-def _make_query_processor(engine_kind: str, wl: WorkloadSpec, cl: ClusterSpec):
+def _make_query_processor(engine_kind: str, wl: WorkloadSpec, cl: ClusterSpec,
+                          stats: SearchStats | None = None):
     objects = Workload(wl).objects
     if engine_kind == "ns":
-        return lambda item: ns_search(objects, item[1])
+        return lambda item: ns_search(objects, item[1], stats)
     if engine_kind == "gi":
         store = GridStore(GridIndex(cl.grid_n))
         for o, p in objects.items():
             store.insert(o, p)
-        return lambda item: gi_search(store, item[1])
+        return lambda item: gi_search(store, item[1], stats)
     engine = Engine(GridIndex(cl.grid_n), SplitConfig(alpha=cl.alpha, m=cl.m))
     engine.on_objects_moved([(o, None, p) for o, p in objects.items()])
 
     def process(item):
         q_id, circle = item
-        engine.submit_query(q_id, circle)
+        engine.submit_query(q_id, circle, stats=stats)
         engine.remove_query(q_id)  # steady state; the subtree cache persists
 
     return process

@@ -51,8 +51,8 @@ class Cell:
     def _ensure_tree(self) -> None:
         if self.tree is not None or len(self.objects) < self.cfg.alpha:
             return
-        self.tree = MTree(self.bounds, self.cfg)
         self.cache = SubtreeCache()
+        self.tree = MTree(self.bounds, self.cfg, self.cache)
         for obj_id, p in self.objects.items():
             self.tree.insert(obj_id, p)
         for q_id in self.partial_queries:

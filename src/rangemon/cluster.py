@@ -9,8 +9,9 @@ tick report is computed the same way on both transports.
 
 Three engine modes share the scaffolding so that their message and work
 counts are comparable: "drqa" (trees, standing registrations, incremental
-deltas), "gi" (grid only, every query re-searched each tick), and "ns"
-(every index worker keeps a full replica and scans it per query).
+deltas), "gi" (grid only: one :class:`GridStore` per index worker), and
+"ns" (every index worker keeps a full replica and scans it per query).
+The baselines search each query at most once per tick, in the barrier wave.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 
-from .baselines import ns_search
+from .baselines import GridStore, ns_search
 from .cells import CellStore, Change
 from .engine import QueryState
 from .errors import (
@@ -156,6 +157,7 @@ class EntranceWorker(Node):
         self.registry: dict[int, tuple[Circle, CandidateCells, int]] = {}
         self._epochs: dict[int, int] = {}
         self._tick_had_updates = False
+        self._moved: set[int] = set()  # gi/ns queries moved this tick
         self._tick = 0
         self._pending_acks: set[int] = set()
         self._totals = [0, 0, 0, 0]  # messages, objects, ready, examined
@@ -219,10 +221,7 @@ class EntranceWorker(Node):
         epoch = self._epochs.get(body.q_id, 0) + 1
         self._epochs[body.q_id] = epoch
         keys = self._search_fanout(body.q_id, body.circle, gr, qw, epoch)
-        self.send(qw, QueryRegister(
-            body.q_id, body.circle, body.t_start, body.t_end,
-            tuple(sorted(gr.full)), tuple(sorted(gr.partial)), tuple(keys), epoch,
-        ))
+        self.send(qw, QueryRegister(body.q_id, body.circle, body.t_start, body.t_end, tuple(keys), epoch))
 
     def _dispatch_register(self, body: QueryRegister) -> None:
         gr = self.grid.candidate_cells(body.circle)
@@ -235,21 +234,15 @@ class EntranceWorker(Node):
         gr_new = self.grid.candidate_cells(body.circle)
         self.registry[body.q_id] = (body.circle, gr_new, qw)
         if self.mode != "drqa":
-            # grid-only and replicated baselines treat a moved query as new
-            reg = QueryRegister(body.q_id, body.circle, 0, 2**62)
-            self._register_message(reg, gr_new, qw)
+            self._moved.add(body.q_id)  # re-searched in the barrier wave
             return
-        self.send(qw, QueryMove(
-            body.q_id, body.circle,
-            tuple(sorted(gr_new.full)), tuple(sorted(gr_new.partial)), (), qw,
-        ))
         by_owner: dict[int, list[tuple[CellId, int, int]]] = {}
         for cell in sorted(gr_old.all_cells() | gr_new.all_cells()):
             old_cov = gr_old.coverage_of(cell)
             new_cov = gr_new.coverage_of(cell)
             by_owner.setdefault(self.owner(cell), []).append((cell, old_cov.value, new_cov.value))
         for iw in sorted(by_owner):
-            self.send(iw, QueryMove(body.q_id, body.circle, (), (), tuple(by_owner[iw]), qw))
+            self.send(iw, QueryMove(body.q_id, body.circle, tuple(by_owner[iw]), qw))
 
     def _dispatch_expire(self, body: QueryExpire) -> None:
         entry = self.registry.pop(body.q_id, None)
@@ -268,13 +261,15 @@ class EntranceWorker(Node):
     def _on_barrier(self, sender: int, body: TickBarrier) -> None:
         if sender == CLIENT:
             self._tick = body.tick
-            if self.mode in ("gi", "ns") and self._tick_had_updates:
-                # every active query is re-searched against the fresh state
-                for q_id in sorted(self.registry):
+            if self.mode != "drqa":
+                # object reports may change any query's result; otherwise
+                # only the moved queries need a fresh search
+                todo = self.registry.keys() if self._tick_had_updates else self._moved & self.registry.keys()
+                for q_id in sorted(todo):
                     circle, gr, qw = self.registry[q_id]
-                    reg = QueryRegister(q_id, circle, 0, 2**62)
-                    self._register_message(reg, gr, qw)
+                    self._register_message(QueryRegister(q_id, circle, 0, 2**62), gr, qw)
             self._tick_had_updates = False
+            self._moved = set()
             self._pending_acks = set(self.iw_ids) | set(self.qw_ids)
             self._totals = [0, 0, 0, 0]
             self._digest = 0
@@ -306,6 +301,7 @@ class IndexWorker(Node, CellStore):
         self.mode = mode
         self.qw_ids = qw_ids
         self.replica: dict[int, Point] = {}  # ns mode only
+        self.store = GridStore(grid)  # gi mode only
         self.stats = SearchStats()
         self.objects_processed = 0
         self.query_worker_of: dict[int, int] = {}
@@ -328,27 +324,28 @@ class IndexWorker(Node, CellStore):
 
     def _on_object_update(self, body: ObjectUpdate) -> None:
         self.objects_processed += 1
-        if self.mode == "ns":
+        if self.mode == "drqa":
+            for cell_id, delta in self.move_object(body.obj_id, body.old, body.new):
+                if delta:
+                    self._emit_deltas(cell_id, delta)
+        elif self.mode == "gi":
             if body.new is None:
-                self.replica.pop(body.obj_id, None)
+                self.store.remove(body.obj_id)
+            elif body.old is None:
+                self.store.insert(body.obj_id, body.new)
             else:
-                self.replica[body.obj_id] = body.new
-            return
-        for cell_id, delta in self.move_object(body.obj_id, body.old, body.new):
-            self._emit_deltas(cell_id, delta)
+                self.store.move(body.obj_id, body.new)
+        elif body.new is None:
+            self.replica.pop(body.obj_id, None)
+        else:
+            self.replica[body.obj_id] = body.new
 
     def _emit_deltas(self, cell_id: CellId, delta) -> None:
-        if not delta:
-            return
-        grouped: dict[int, tuple[list[int], list[int]]] = {}
-        for q_id, obj_id, change in delta:
-            adds, removes = grouped.setdefault(q_id, ([], []))
-            (adds if change is Change.ENTER else removes).append(obj_id)
-        for q_id in sorted(grouped):
-            adds, removes = grouped[q_id]
-            self.send(self.query_worker_of[q_id], ResultDelta(
-                q_id, cell_id, tuple(sorted(adds)), tuple(sorted(removes)),
-            ))
+        # a delta comes from one object report, so each query appears in it
+        # at most once and the entries sort by query id
+        for q_id, obj_id, change in sorted(delta):
+            add, remove = ((obj_id,), ()) if change is Change.ENTER else ((), (obj_id,))
+            self.send(self.query_worker_of[q_id], ResultDelta(q_id, cell_id, add, remove))
 
     def _on_cell_search(self, body: CellSearch) -> None:
         if body.scan_all:
@@ -359,17 +356,18 @@ class IndexWorker(Node, CellStore):
             return
         for cell_id, cov_value in body.entries:
             cov = Coverage(cov_value)
-            cell = self.cell(cell_id)
-            if self.mode == "drqa":
+            if self.mode == "gi":
+                if cov is Coverage.FULL:
+                    ids = self.store.cells.get(cell_id, {}).keys()
+                else:
+                    ids = self.store.scan(cell_id, body.circle, self.stats)
+            else:
+                cell = self.cell(cell_id)
                 if body.q_id in cell.full_queries or body.q_id in cell.partial_queries:
                     cell.unregister_query(body.q_id)  # re-registration replaces
                 self.query_worker_of[body.q_id] = body.query_worker
                 self.cells_of.setdefault(body.q_id, set()).add(cell_id)
                 ids = cell.register(body.q_id, cov, body.circle, self.stats)
-            elif cov is Coverage.FULL:
-                ids = cell.object_ids()
-            else:
-                ids = cell.search_oneshot(body.circle, self.stats)
             self.send(body.query_worker, PartialResult(
                 body.q_id, cell_id, tuple(sorted(ids)), body.epoch,
             ))
@@ -424,6 +422,11 @@ class QueryWorker(Node):
     registration on the direct edge.  Early arrivals are stashed until the
     registration lands; registration epochs pair partials with the search
     wave that produced them; late traffic for expired queries is dropped.
+
+    Query moves never reach this worker: a cell the moved circle leaves
+    loses its contribution by a RESULT_DELTA from the cell's owner, never
+    locally, since a local drop could not be ordered against that owner's
+    deltas still in flight.
     """
 
     def __init__(self, node_id: int, iw_ids: list[int]):
@@ -437,23 +440,13 @@ class QueryWorker(Node):
     def handle(self, msg: Message) -> None:
         body = msg.body
         if isinstance(body, QueryRegister):
-            gr = CandidateCells(set(body.full), set(body.partial))
-            state = QueryState(
-                body.q_id, body.circle, body.t_start, body.t_end, gr,
-                pending=set(body.keys), expected=frozenset(body.keys), epoch=body.epoch,
-            )
+            state = QueryState(body.q_id, pending=set(body.keys), expected=frozenset(body.keys), epoch=body.epoch)
             self.queries[body.q_id] = state
             self._expired.discard(body.q_id)
             for stashed in self._stash.pop(body.q_id, []):
                 self._consume(stashed)
         elif isinstance(body, (PartialResult, ResultDelta)):
             self._consume(body)
-        elif isinstance(body, QueryMove):
-            state = self.queries[body.q_id]
-            state.circle = body.circle
-            state.gr = CandidateCells(set(body.full), set(body.partial))
-            # contributions of dropped cells are removed by their owners'
-            # RESULT_DELTA messages, never locally: cross-edge ordering
         elif isinstance(body, QueryExpire):
             self.queries.pop(body.q_id, None)
             self._stash.pop(body.q_id, None)
@@ -483,10 +476,9 @@ class QueryWorker(Node):
         the last awaited cell arrives."""
         if key not in state.expected:
             raise UnexpectedCellError(f"query {state.q_id}: partial for unexpected key {key}")
-        if key in state.received:
+        if key not in state.pending:
             raise DuplicatePartialError(f"query {state.q_id}: duplicate partial for {key}")
-        state.received.add(key)
-        state.pending.discard(key)
+        state.pending.remove(key)
         state.set_cell(key, set(ids))
         return state.result if state.ready() else None
 

@@ -26,17 +26,15 @@ from .mtree import SearchStats, SplitConfig
 @dataclass
 class QueryState:
     q_id: int
-    circle: Circle
-    t_start: int
-    t_end: float
-    gr: CandidateCells
+    # expiry time and candidate cells: kept by the single-owner engine only
+    t_end: float = math.inf
+    gr: CandidateCells = field(default_factory=CandidateCells)
     by_cell: dict[CellId, set[int]] = field(default_factory=dict)
     # distributed collection bookkeeping: keys still awaited, the key set
-    # promised at registration, the keys already received, and the
-    # registration generation partials must match
+    # promised at registration, and the registration generation partials
+    # must match
     pending: set = field(default_factory=set)
     expected: frozenset = frozenset()
-    received: set = field(default_factory=set)
     epoch: int = 0
 
     @property
@@ -104,7 +102,7 @@ class Engine(CellStore):
         if q_id in self.queries:
             raise ValueError(f"query {q_id} already registered")
         gr = self.grid.candidate_cells(circle)
-        state = QueryState(q_id, circle, t_start, t_end, gr)
+        state = QueryState(q_id, t_end, gr)
         out: set[int] = set()
         for cov, cell_ids in ((Coverage.FULL, gr.full), (Coverage.PARTIAL, gr.partial)):
             for cell_id in sorted(cell_ids):
@@ -164,6 +162,5 @@ class Engine(CellStore):
             state.apply_delta(cell_id, entered, left)
             delta.additions |= entered
             delta.removals |= left
-        state.circle = new_circle
         state.gr = gr_new
         return delta

@@ -95,7 +95,8 @@ class SubtreeCache:
 
     ``sets`` keeps at most one entry per node id; an entry is used only if
     its stored version matches the node's current version, so sets cached
-    before a mutation under that node are treated as absent.
+    before a mutation under that node are treated as absent.  The tree the
+    cache is attached to evicts the entries of nodes a merge removes.
     """
 
     def __init__(self) -> None:
@@ -103,8 +104,9 @@ class SubtreeCache:
 
 
 class MTree:
-    def __init__(self, bounds: Rect, cfg: SplitConfig):
+    def __init__(self, bounds: Rect, cfg: SplitConfig, cache: SubtreeCache | None = None):
         self.cfg = cfg
+        self.cache = cache
         self.positions: dict[int, Point] = {}
         self.query_circles: dict[int, Circle] = {}
         # exactly the nodes whose `queries` set holds each query; kept in
@@ -234,6 +236,8 @@ class MTree:
                     placements = self.query_nodes[q_id]
                     placements.discard(child)
                     placements.add(parent)
+                if self.cache is not None:
+                    self.cache.sets.pop(child.id, None)
             parent.children = []
             parent.xs = parent.ys = None
 

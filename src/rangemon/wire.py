@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from .geometry import Circle, Point
 from .grid import CellId
 
-WIRE_VERSION = 1
+WIRE_VERSION = 2
 
 _HEADER = struct.Struct("<BBQQQ")
 _U32 = struct.Struct("<I")
@@ -52,8 +52,6 @@ class QueryRegister:
     circle: Circle
     t_start: int
     t_end: int
-    full: tuple[CellId, ...] = ()
-    partial: tuple[CellId, ...] = ()
     keys: tuple[CellId, ...] = ()  # pending keys the query worker must collect
     epoch: int = 0  # registration generation; partials are matched against it
 
@@ -63,9 +61,7 @@ class QueryMove:
     kind = Kind.QUERY_MOVE
     q_id: int
     circle: Circle
-    full: tuple[CellId, ...] = ()
-    partial: tuple[CellId, ...] = ()
-    # per-cell (cell, old coverage, new coverage) for the index worker side
+    # per-cell (cell, old coverage, new coverage) for the owning index worker
     transitions: tuple[tuple[CellId, int, int], ...] = ()
     query_worker: int = 0
 
@@ -158,12 +154,10 @@ def _encode_body(body: Body) -> bytes:
         return (
             _U64.pack(body.q_id) + _circle(body.circle)
             + struct.pack("<qq", body.t_start, body.t_end)
-            + _cells(body.full) + _cells(body.partial) + _cells(body.keys)
-            + _U32.pack(body.epoch)
+            + _cells(body.keys) + _U32.pack(body.epoch)
         )
     if isinstance(body, QueryMove):
-        out = _U64.pack(body.q_id) + _circle(body.circle) + _cells(body.full) + _cells(body.partial)
-        out += _U32.pack(len(body.transitions))
+        out = _U64.pack(body.q_id) + _circle(body.circle) + _U32.pack(len(body.transitions))
         for cell, old_cov, new_cov in body.transitions:
             out += _CELL.pack(cell[0], cell[1]) + bytes([old_cov, new_cov])
         return out + _U64.pack(body.query_worker)
@@ -255,21 +249,19 @@ def decode_payload(payload: bytes) -> Message:
         circle = r.circle()
         t_start, t_end = struct.unpack_from("<qq", r.buf, r.off)
         r.off += 16
-        full, partial, keys = r.cells(), r.cells(), r.cells()
+        keys = r.cells()
         (epoch,) = r.unpack(_U32)
-        body = QueryRegister(q_id, circle, t_start, t_end, full, partial, keys, epoch)
+        body = QueryRegister(q_id, circle, t_start, t_end, keys, epoch)
     elif kind is Kind.QUERY_MOVE:
         (q_id,) = r.unpack(_U64)
         circle = r.circle()
-        full = r.cells()
-        partial = r.cells()
         (count,) = r.unpack(_U32)
         transitions = []
         for _ in range(count):
             cell = CellId(*r.unpack(_CELL))
             transitions.append((cell, r.u8(), r.u8()))
         (qw,) = r.unpack(_U64)
-        body = QueryMove(q_id, circle, full, partial, tuple(transitions), qw)
+        body = QueryMove(q_id, circle, tuple(transitions), qw)
     elif kind is Kind.CELL_SEARCH:
         (q_id,) = r.unpack(_U64)
         circle = r.circle()

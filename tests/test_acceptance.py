@@ -10,7 +10,14 @@ import statistics
 import time
 
 from rangemon.baselines import GridStore, gi_search, ns_search
-from rangemon.bench import ExperimentSpec, measure_throughput, result_hash, run_single
+from rangemon.bench import (
+    ExperimentSpec,
+    _make_query_processor,
+    _QueryFeed,
+    measure_throughput,
+    result_hash,
+    run_single,
+)
 from rangemon.cluster import Cluster, ClusterSpec
 from rangemon.engine import Engine
 from rangemon.geometry import Circle, Point, UNIT_SQUARE
@@ -254,7 +261,10 @@ def test_5_pruning_trend():
         assert med["drqa"] < med["gi"] < med["ns"], f"median times out of order: {med}"
 
 
-def _timed_build_and_query(wl: Workload, alpha: int, m: int) -> tuple[float, float]:
+def _timed_build_and_query(wl: Workload, alpha: int, m: int,
+                           work: SearchStats | None = None) -> tuple[float, float]:
+    """Build and query times; with `work` given, one more untimed query pass
+    adds its deterministic work counters to it."""
     engine = Engine(GridIndex(100), SplitConfig(alpha=alpha, m=m))
     inserts = [(o, None, p) for o, p in sorted(wl.objects.items())]
     t0 = time.perf_counter()
@@ -265,7 +275,16 @@ def _timed_build_and_query(wl: Workload, alpha: int, m: int) -> tuple[float, flo
         engine.submit_query(q_id, circle)
         engine.remove_query(q_id)
     query = time.perf_counter() - t0
+    if work is not None:
+        for q_id, circle, _, _ in wl.queries:
+            engine.submit_query(q_id, circle, stats=work)
+            engine.remove_query(q_id)
     return build, query
+
+
+def _work_line(work: list[SearchStats]) -> str:
+    return (f"examined {[s.objects_examined for s in work]}, "
+            f"visited {[s.nodes_visited for s in work]}")
 
 
 def test_6_parameter_sweep_shape():
@@ -278,24 +297,28 @@ def test_6_parameter_sweep_shape():
         wl = Workload(spec)
 
         def median_curve(points, fixed_alpha=None, fixed_m=None):
-            build_curve, query_curve = [], []
+            build_curve, query_curve, work_curve = [], [], []
             for v in points:
                 alpha = fixed_alpha if fixed_alpha is not None else v
                 m = fixed_m if fixed_m is not None else v
-                samples = [_timed_build_and_query(wl, alpha, m) for _ in range(3)]
+                work = SearchStats()
+                samples = [_timed_build_and_query(wl, alpha, m, work if i == 0 else None) for i in range(3)]
                 build_curve.append(statistics.median(s[0] for s in samples))
                 query_curve.append(statistics.median(s[1] for s in samples))
-            return build_curve, query_curve
+                work_curve.append(work)
+            return build_curve, query_curve, work_curve
 
         m_points = [2, 4, 6, 9, 16, 25]
-        build_m, query_m = median_curve(m_points, fixed_alpha=20)
+        build_m, query_m, work_m = median_curve(m_points, fixed_alpha=20)
         alpha_points = [5, 10, 20, 40, 80]
-        build_a, query_a = median_curve(alpha_points, fixed_m=6)
+        build_a, query_a, work_a = median_curve(alpha_points, fixed_m=6)
 
         print(f"\n[acceptance 6] build(m):  {[f'{t:.3f}' for t in build_m]} over m={m_points}")
         print(f"[acceptance 6] query(m):  {[f'{t:.3f}' for t in query_m]}")
+        print(f"[acceptance 6] work(m):   {_work_line(work_m)}")
         print(f"[acceptance 6] build(a):  {[f'{t:.3f}' for t in build_a]} over alpha={alpha_points}")
         print(f"[acceptance 6] query(a):  {[f'{t:.3f}' for t in query_a]}")
+        print(f"[acceptance 6] work(a):   {_work_line(work_a)}")
         print(f"[acceptance 6] observed optima: m={m_points[query_m.index(min(query_m))]} "
               f"alpha={alpha_points[query_a.index(min(query_a))]}")
 
@@ -320,8 +343,16 @@ def test_7_throughput_ordering():
                 cluster=ClusterSpec(grid_n=100, engine=engine_kind),
             )
             rates[engine_kind] = measure_throughput(exp)
+        work = {}
+        for engine_kind in rates:  # untimed, after every probe: the probed processor, once over its pool
+            work[engine_kind] = SearchStats()
+            process = _make_query_processor(engine_kind, spec, ClusterSpec(grid_n=100), work[engine_kind])
+            for item in enumerate(_QueryFeed(spec).circles):
+                process(item)
         print(f"\n[acceptance 7] saturation events/s: drqa={rates['drqa']:.0f} "
               f"gi={rates['gi']:.0f} ns={rates['ns']:.0f}")
+        print("[acceptance 7] work per pass over the probe's query pool: " + "; ".join(
+            f"{k} examined={s.objects_examined} visited={s.nodes_visited}" for k, s in work.items()))
         assert rates["drqa"] >= rates["gi"] >= rates["ns"], f"saturation out of order: {rates}"
 
 

@@ -1,7 +1,10 @@
 import random
 
+import pytest
+
 from rangemon.baselines import GridStore, gi_search, ns_search
 from rangemon.engine import Engine
+from rangemon.errors import InconsistentUpdateError
 from rangemon.geometry import Circle, Point, contains
 from rangemon.grid import GridIndex
 from rangemon.mtree import SearchStats, SplitConfig
@@ -43,6 +46,19 @@ def test_gi_store_moves():
     assert gi_search(store, Circle(Point(0.05, 0.05), 0.05)) == set()
     store.remove(1)
     assert gi_search(store, Circle(Point(0.95, 0.95), 0.05)) == set()
+
+
+def test_gi_store_rejects_inconsistent_updates():
+    store = GridStore(GridIndex(10))
+    store.insert(1, Point(0.05, 0.05))
+    with pytest.raises(InconsistentUpdateError):
+        store.insert(1, Point(0.95, 0.95))  # duplicate into another cell
+    with pytest.raises(InconsistentUpdateError):
+        store.remove(2)
+    with pytest.raises(InconsistentUpdateError):
+        store.move(2, Point(0.5, 0.5))
+    # the rejected insert left no stale entry behind
+    assert store.cells == {store.grid.locate(Point(0.05, 0.05)): {1: Point(0.05, 0.05)}}
 
 
 def test_three_engines_agree():

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rangemon.cells import Cell, Change, DeltaEntry
 from rangemon.errors import InconsistentUpdateError, StateMismatchError
@@ -205,3 +206,28 @@ def test_search_matches_scan_and_tree_paths():
             c = Circle(pt(rng), rng.uniform(0.001, 0.01))
             assert cell.search(99, c) == brute_filter(positions, c)
             assert cell.search_oneshot(c) == brute_filter(positions, c)
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_cache_keeps_only_live_nodes(seed):
+    # merges drop child nodes; their cached sets must go with them
+    rng = random.Random(seed)
+    cell = make_cell(alpha=4, m=4)
+    circle = Circle(Point(0.505, 0.505), 0.004)
+    cell.register_query(1, Coverage.PARTIAL, circle)
+    positions = {}
+    next_id = 0
+    for _ in range(300):
+        if positions and rng.random() < 0.5:
+            obj_id = rng.choice(sorted(positions))
+            cell.apply_object_update(obj_id, positions.pop(obj_id), None)
+        else:
+            positions[next_id] = pt(rng)
+            cell.apply_object_update(next_id, None, positions[next_id])
+            next_id += 1
+        if rng.random() < 0.3:
+            assert cell.search(1, circle) == brute_filter(positions, circle)
+        if cell.tree is not None:
+            live = {node.id for node in cell.tree.nodes()}
+            assert set(cell.cache.sets) <= live

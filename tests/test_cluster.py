@@ -4,6 +4,7 @@ import pytest
 
 from rangemon.baselines import ns_search
 from rangemon.cluster import (
+    ENTRANCE,
     Cluster,
     ClusterSpec,
     EntranceWorker,
@@ -16,7 +17,7 @@ from rangemon.geometry import Circle, Point
 from rangemon.grid import CandidateCells, CellId
 from rangemon.cluster import QueryWorker
 from rangemon.transport import LoopbackTransport
-from rangemon.wire import ObjectUpdate, QueryExpire, QueryMove, QueryRegister, TickBarrier
+from rangemon.wire import Message, ObjectUpdate, QueryExpire, QueryMove, QueryRegister, TickBarrier
 
 
 def gr_of(*cells):
@@ -54,8 +55,7 @@ def test_routing_no_workers():
 def test_collect_partial_protocol():
     gr = CandidateCells(set(), {CellId(0, 0), CellId(0, 1), CellId(0, 2)})
     keys = tuple(sorted(gr.partial))
-    state = QueryState(1, Circle(Point(0.5, 0.5), 0.1), 0, 10, gr,
-                       pending=set(keys), expected=frozenset(keys))
+    state = QueryState(1, pending=set(keys), expected=frozenset(keys))
     assert QueryWorker.collect_partial(state, keys[0], (1, 2)) is None
     assert QueryWorker.collect_partial(state, keys[1], (3,)) is None
     with pytest.raises(DuplicatePartialError):
@@ -364,3 +364,75 @@ def test_gi_and_ns_modes_match_oracle():
         circles[0] = moved
         cluster.run_tick([QueryMove(0, moved)])
         assert cluster.query_result(0) == ns_search(positions, moved)
+
+
+def test_drqa_query_move_reaches_only_cell_owners():
+    rng = random.Random(11)
+    cluster = make_cluster(index_workers=5)
+    positions, events = seed_events(rng, 800)
+    cluster.run_tick(events)
+    old = Circle(Point(0.3, 0.3), 0.15)
+    cluster.run_tick([QueryRegister(1, old, 0, 100)])
+    trace = []
+    cluster._transport.trace = trace
+    new = Circle(Point(0.6, 0.6), 0.15)
+    cluster.run_tick([QueryMove(1, new)])
+    touched = cluster.grid.candidate_cells(old).all_cells() | cluster.grid.candidate_cells(new).all_cells()
+    receivers = [m.receiver for m in trace if isinstance(m.body, QueryMove) and m.sender == ENTRANCE]
+    assert sorted(receivers) == sorted({cluster.entrance.owner(c) for c in touched})
+    assert cluster.query_result(1) == ns_search(positions, new)
+    qw = cluster.query_workers[0]
+    with pytest.raises(ValueError):
+        qw.handle(Message(ENTRANCE, qw.id, 0, QueryMove(1, new)))
+
+
+def entrance_searches(trace):
+    """Query ids of the registrations the entrance sent, in send order."""
+    return [m.body.q_id for m in trace if isinstance(m.body, QueryRegister) and m.sender == ENTRANCE]
+
+
+def test_baselines_search_each_query_at_most_once_per_tick():
+    for mode in ("gi", "ns"):
+        rng = random.Random(12)
+        cluster = make_cluster(engine=mode)
+        positions, events = seed_events(rng, 600)
+        cluster.run_tick(events)
+        circles = {q: Circle(Point(rng.random(), rng.random()), 0.1) for q in range(4)}
+        cluster.run_tick([QueryRegister(q, c, 0, 100) for q, c in circles.items()])
+        trace = []
+        cluster._transport.trace = trace
+        cluster.run_tick([])
+        assert entrance_searches(trace) == [], mode
+        # query moves alone: only the moved queries are searched
+        circles[2] = Circle(Point(0.5, 0.5), 0.1)
+        cluster.run_tick([QueryMove(2, circles[2])])
+        assert entrance_searches(trace) == [2], mode
+        # object reports and moves together: every query exactly once
+        del trace[:]
+        circles[0] = Circle(Point(0.2, 0.7), 0.1)
+        new = Point(rng.random(), rng.random())
+        events = [ObjectUpdate(5, positions[5], new), QueryMove(0, circles[0]), QueryMove(0, circles[0])]
+        positions[5] = new
+        cluster.run_tick(events)
+        assert entrance_searches(trace) == [0, 1, 2, 3], mode
+        for q, c in circles.items():
+            assert cluster.query_result(q) == ns_search(positions, c), (mode, q)
+
+
+def test_gi_index_workers_hold_no_cells():
+    rng = random.Random(13)
+    cluster = make_cluster(engine="gi", alpha=4)
+    positions, events = seed_events(rng, 2000)
+    cluster.run_tick(events)
+    circle = Circle(Point(0.5, 0.5), 0.2)
+    cluster.run_tick([QueryRegister(1, circle, 0, 100)])
+    updates = []
+    for obj in rng.sample(sorted(positions), 500):
+        new = Point(rng.random(), rng.random())
+        updates.append(ObjectUpdate(obj, positions[obj], new))
+        positions[obj] = new
+    cluster.run_tick(updates)
+    assert cluster.query_result(1) == ns_search(positions, circle)
+    for iw in cluster.index_workers:
+        assert iw.cells == {}
+    assert sum(len(iw.store.locations) for iw in cluster.index_workers) == len(positions)

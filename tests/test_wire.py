@@ -1,4 +1,6 @@
 import random
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +20,7 @@ from rangemon.wire import (
     QueryRegister,
     ResultDelta,
     TickBarrier,
+    WIRE_VERSION,
     decode_message,
     encode_message,
     peek_receiver,
@@ -28,9 +31,8 @@ BODIES = [
     ObjectUpdate(8, None, Point(0.3, 0.4)),
     ObjectUpdate(9, Point(0.1, 0.2), None),
     QueryRegister(3, Circle(Point(0.5, 0.5), 0.05), 0, 100,
-                  (CellId(1, 2),), (CellId(3, 4), CellId(5, 6)),
                   (CellId(1, 2), CellId(3, 4), CellId(5, 6)), 2),
-    QueryMove(3, Circle(Point(0.6, 0.5), 0.05), (CellId(0, 0),), (),
+    QueryMove(3, Circle(Point(0.6, 0.5), 0.05),
               ((CellId(4, 4), 1, 2), (CellId(4, 5), 2, 0)), 6),
     CellSearch(3, Circle(Point(0.5, 0.5), 0.05), ((CellId(1, 2), 2),), 6, False, 2),
     CellSearch(4, Circle(Point(0.5, 0.5), 0.05), (), 6, True, 1),
@@ -60,13 +62,61 @@ def test_frame_layout_golden():
     frame = encode_message(msg)
     assert frame[:4] == (len(frame) - 4).to_bytes(4, "big")
     payload = frame[4:]
-    assert payload[0] == 1                      # wire version
+    assert payload[0] == 2                      # wire version
     assert payload[1] == int(Kind.QUERY_EXPIRE)  # kind tag
     assert payload[2:10] == (3).to_bytes(8, "little")   # seq
     assert payload[10:18] == (1).to_bytes(8, "little")  # sender
     assert payload[18:26] == (2).to_bytes(8, "little")  # receiver
     assert payload[26:34] == (0x0A).to_bytes(8, "little")  # q_id
     assert len(payload) == 34
+
+
+# shared by the golden frames below: header with seq 3, sender 1,
+# receiver 6, then q_id 3 and the circle ((0.5, 0.5), 0.25)
+_GOLDEN_HEAD = (
+    "0300000000000000" "0100000000000000" "0600000000000000"  # seq, sender, receiver
+    "0300000000000000"                                        # q_id
+    "000000000000e03f" "000000000000e03f" "000000000000d03f"  # cx, cy, r
+)
+
+
+def test_query_register_golden_v2():
+    body = QueryRegister(3, Circle(Point(0.5, 0.5), 0.25), 0, 100, (CellId(1, 2),), 2)
+    expected = bytes.fromhex(
+        "00000062" "02" "02" + _GOLDEN_HEAD                     # length, version 2, kind 2
+        + "0000000000000000" "6400000000000000"                 # t_start 0, t_end 100
+        + "01000000" "0100000000000000" "0200000000000000"      # keys: one cell (1, 2)
+        + "02000000"                                            # epoch
+    )
+    assert encode_message(Message(1, 6, 3, body)) == expected
+
+
+def test_query_move_golden_v2():
+    body = QueryMove(3, Circle(Point(0.5, 0.5), 0.25), ((CellId(1, 2), 1, 2),), 6)
+    expected = bytes.fromhex(
+        "00000058" "02" "03" + _GOLDEN_HEAD                     # length, version 2, kind 3
+        + "01000000" "0100000000000000" "0200000000000000"      # one transition: cell (1, 2)
+        + "01" "02"                                             # partial -> full
+        + "0600000000000000"                                    # query worker
+    )
+    assert encode_message(Message(1, 6, 3, body)) == expected
+
+
+def test_positional_forms_of_query_events():
+    # clients build these with the circle alone; routing fields default
+    c = Circle(Point(0.5, 0.5), 0.1)
+    assert QueryRegister(1, c, 0, 9) == QueryRegister(1, c, 0, 9, (), 0)
+    assert QueryMove(1, c) == QueryMove(1, c, (), 0)
+
+
+def test_wire_doc_matches_code():
+    doc = (Path(__file__).resolve().parent.parent / "docs" / "wire-format.md").read_text()
+    version = re.search(r"^\| 0 +\| 1 +\| version +\| currently `(\d+)`", doc, re.M)
+    assert version is not None, "version row not found in docs/wire-format.md"
+    assert int(version.group(1)) == WIRE_VERSION
+    kinds = re.search(r"^## Kinds\n(.*?)(?=^## )", doc, re.M | re.S).group(1)
+    rows = re.findall(r"^\| *(\d+) *\| *([A-Z_]+) *\|", kinds, re.M)
+    assert [(int(tag), name) for tag, name in rows] == [(k.value, k.name) for k in Kind]
 
 
 def test_coordinates_are_f64_le():
