@@ -4,9 +4,11 @@ one owner, which the single-owner engine and every index worker build on.
 
 A cell answers partial-cover queries by scanning its object map until the
 object count first reaches the split threshold; from then on a tree (plus
-its shared subtree cache) takes over.  Every object mutation is translated
-into an :data:`ObjectDelta`: (query id, object id, ENTER|LEAVE) triples,
-which is the only currency the result-holding side ever sees.
+its shared subtree cache) takes over, and the cell's object map is the
+tree's position map, which only the tree writes.  Every object mutation
+is translated into an :data:`ObjectDelta`: (query id, object id,
+ENTER|LEAVE) triples, which is the only currency the result-holding side
+ever sees.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import enum
 from typing import Iterator, NamedTuple
 
+from .baselines import ns_search
 from .errors import InconsistentUpdateError, StateMismatchError
 from .geometry import Circle, Coverage, Point, Rect, contains
 from .grid import CellId, GridIndex
@@ -48,27 +51,26 @@ class Cell:
 
     # -- objects -----------------------------------------------------------
 
-    def _ensure_tree(self) -> None:
-        if self.tree is not None or len(self.objects) < self.cfg.alpha:
-            return
-        self.cache = SubtreeCache()
-        self.tree = MTree(self.bounds, self.cfg, self.cache)
-        for obj_id, p in self.objects.items():
-            self.tree.insert(obj_id, p)
-        for q_id in self.partial_queries:
-            self.tree.insert_query(q_id, self.circles[q_id])
-
     def _insert_object(self, obj_id: int, p: Point) -> None:
-        self.objects[obj_id] = p
         if self.tree is not None:
             self.tree.insert(obj_id, p)
-        else:
-            self._ensure_tree()
+            return
+        self.objects[obj_id] = p
+        if len(self.objects) >= self.cfg.alpha:
+            self.cache = SubtreeCache()
+            self.tree = MTree(self.bounds, self.cfg, self.cache)
+            for other, pos in self.objects.items():
+                self.tree.insert(other, pos)
+            for q_id in self.partial_queries:
+                self.tree.insert_query(q_id, self.circles[q_id])
+            # from here on the tree is the only writer of the registry
+            self.objects = self.tree.positions
 
     def _remove_object(self, obj_id: int) -> None:
-        del self.objects[obj_id]
         if self.tree is not None:
             self.tree.remove(obj_id)
+        else:
+            del self.objects[obj_id]
 
     def object_ids(self) -> set[int]:
         return set(self.objects)
@@ -81,7 +83,7 @@ class Cell:
         if self.tree is not None:
             assert self.cache is not None
             return self.tree.search_shared(q_id, circle, self.cache, stats)
-        return self._scan(circle, stats)
+        return ns_search(self.objects, circle, stats)
 
     def register_partial_and_search(self, q_id: int, circle: Circle,
                                     stats: SearchStats | None = None) -> set[int]:
@@ -94,19 +96,14 @@ class Cell:
         if self.tree is not None:
             assert self.cache is not None
             return self.tree.search_shared(q_id, circle, self.cache, stats, register=True)
-        return self._scan(circle, stats)
+        return ns_search(self.objects, circle, stats)
 
     def search_oneshot(self, circle: Circle, stats: SearchStats | None = None) -> set[int]:
         """Search without the subtree cache (used for transient lookups
         such as a moved query's previous circle)."""
         if self.tree is not None:
             return self.tree.search(circle, stats)
-        return self._scan(circle, stats)
-
-    def _scan(self, circle: Circle, stats: SearchStats | None) -> set[int]:
-        if stats is not None:
-            stats.objects_examined += len(self.objects)
-        return {o for o, p in self.objects.items() if contains(circle, p)}
+        return ns_search(self.objects, circle, stats)
 
     # -- object updates -------------------------------------------------------
 
@@ -116,7 +113,8 @@ class Cell:
         Queries fully covering the cell see membership change only on
         entry/exit; partially covering ones are re-tested against their
         circle.  For within-cell moves under a tree, the candidate queries
-        are narrowed to those recorded along the two root-to-leaf paths.
+        are narrowed to those recorded along the two root-to-leaf paths,
+        which :meth:`MTree.move` collects while it walks them.
         """
         if old is None and new is None:
             raise InconsistentUpdateError("update with neither old nor new position")
@@ -146,11 +144,10 @@ class Cell:
                 raise InconsistentUpdateError(f"object {obj_id} not in cell {self.id}")
             old_pos = self.objects[obj_id]
             if self.tree is not None:
-                candidates = self.tree.queries_on_path(old_pos) | self.tree.queries_on_path(new)
-                self.tree.move(obj_id, new)
+                candidates = self.tree.move(obj_id, new)
             else:
                 candidates = self.partial_queries
-            self.objects[obj_id] = new
+                self.objects[obj_id] = new
             for q_id in candidates:
                 circle = self.circles[q_id]
                 was_in = contains(circle, old_pos)

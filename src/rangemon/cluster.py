@@ -53,16 +53,6 @@ ENTRANCE = 1
 ENGINE_MODES = ("drqa", "gi", "ns")
 
 
-def jaccard(a: CandidateCells | frozenset, b: CandidateCells | frozenset) -> float:
-    """|A n B| / |A u B| over candidate cell sets; 0 when both are empty."""
-    sa = a if isinstance(a, frozenset) else frozenset(a.all_cells())
-    sb = b if isinstance(b, frozenset) else frozenset(b.all_cells())
-    union = len(sa | sb)
-    if union == 0:
-        return 0.0
-    return len(sa & sb) / union
-
-
 class RoutingTable:
     """Similar queries (candidate-set jaccard >= threshold against a recent
     window) land on the worker already holding the most similar one; others

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 
 class Point(NamedTuple):
@@ -64,6 +64,26 @@ class Rect:
 
 
 UNIT_SQUARE = Rect(0.0, 0.0, 1.0, 1.0)
+
+
+def slot(edges: Sequence[float], v: float) -> int:
+    """Index j of the slot ``edges[j] <= v < edges[j + 1]`` among the
+    ``len(edges) - 1`` slots the sorted edges bound, clamped to the first
+    and last slot; the last edge belongs to the last slot.  The grid and
+    every tree node bucket points with this one rule."""
+    n = len(edges) - 1
+    lo = edges[0]
+    j = int((v - lo) / (edges[-1] - lo) * n)
+    if j < 0:
+        j = 0
+    elif j > n - 1:
+        j = n - 1
+    # float division can land one off; the edge array is the truth
+    while j < n - 1 and edges[j + 1] <= v:
+        j += 1
+    while j > 0 and edges[j] > v:
+        j -= 1
+    return j
 
 
 def contains(c: Circle, p: Point) -> bool:

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import OutOfDomainError
-from .geometry import Circle, Coverage, Point, Rect, UNIT_SQUARE, classify
+from .geometry import Circle, Coverage, Point, Rect, UNIT_SQUARE, classify, slot
 
 
 class CellId(NamedTuple):
@@ -61,27 +61,12 @@ class GridIndex:
             self._bounds[cell] = rect
         return rect
 
-    def _axis_index(self, edges: list[float], v: float) -> int:
-        n = self.n
-        lo = edges[0]
-        j = int((v - lo) / (edges[-1] - lo) * n)
-        if j < 0:
-            j = 0
-        elif j > n - 1:
-            j = n - 1
-        # float division can land one off; the edge arrays are the truth
-        while j < n - 1 and edges[j + 1] <= v:
-            j += 1
-        while j > 0 and edges[j] > v:
-            j -= 1
-        return j
-
     def locate(self, p: Point) -> CellId:
         """Cell owning p; the domain's maximum edges belong to the last
         row/column."""
         if not (self.domain.x_lo <= p.x <= self.domain.x_hi and self.domain.y_lo <= p.y <= self.domain.y_hi):
             raise OutOfDomainError(f"point {p} outside domain {self.domain}")
-        return CellId(self._axis_index(self._ys, p.y), self._axis_index(self._xs, p.x))
+        return CellId(slot(self._ys, p.y), slot(self._xs, p.x))
 
     def candidate_cells(self, c: Circle) -> CandidateCells:
         """Classify every cell whose closed bounds overlap the circle's
@@ -93,10 +78,10 @@ class GridIndex:
         cx, cy = c.center
         r = c.radius
         out = CandidateCells()
-        col_lo = max(0, self._axis_index(self._xs, max(cx - r, self.domain.x_lo)) - 1)
-        col_hi = min(self.n - 1, self._axis_index(self._xs, min(cx + r, self.domain.x_hi)) + 1)
-        row_lo = max(0, self._axis_index(self._ys, max(cy - r, self.domain.y_lo)) - 1)
-        row_hi = min(self.n - 1, self._axis_index(self._ys, min(cy + r, self.domain.y_hi)) + 1)
+        col_lo = max(0, slot(self._xs, max(cx - r, self.domain.x_lo)) - 1)
+        col_hi = min(self.n - 1, slot(self._xs, min(cx + r, self.domain.x_hi)) + 1)
+        row_lo = max(0, slot(self._ys, max(cy - r, self.domain.y_lo)) - 1)
+        row_hi = min(self.n - 1, slot(self._ys, min(cy + r, self.domain.y_hi)) + 1)
         for row in range(row_lo, row_hi + 1):
             if self._ys[row] > cy + r or self._ys[row + 1] < cy - r:
                 continue

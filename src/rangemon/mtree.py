@@ -9,6 +9,10 @@ highest fully-covered node (descent stops there) and on every partially
 intersected leaf, so both searches and per-object membership updates only
 ever touch the region a circle actually overlaps.
 
+The tree owns the position map of its objects (a cell's registry, once
+the cell has a tree).  A move walks the old and the new root-to-leaf path
+once each and returns the queries recorded on them.
+
 Subtree materializations for fully-covered nodes are memoized in a
 :class:`SubtreeCache` keyed by (node id, node version); any object
 mutation bumps versions along its root-to-leaf path, which invalidates
@@ -25,7 +29,7 @@ from .errors import (
     ObjectNotFoundError,
     OutOfDomainError,
 )
-from .geometry import Circle, Coverage, Point, Rect, classify
+from .geometry import Circle, Coverage, Point, Rect, classify, slot
 
 # Co-located objects can exceed alpha in a single leaf; without a depth cap
 # they would split forever.  At the cap a leaf is allowed to grow past alpha.
@@ -122,41 +126,58 @@ class MTree:
 
     # -- descent ---------------------------------------------------------
 
-    def _child_of(self, node: MTreeNode, x: float, y: float) -> MTreeNode:
-        assert node.xs is not None and node.ys is not None
-        cols, rows = self.cfg.cols, self.cfg.rows
-        j = int((x - node.bounds.x_lo) / node.bounds.width * cols)
-        j = min(max(j, 0), cols - 1)
-        while j < cols - 1 and node.xs[j + 1] <= x:
-            j += 1
-        while j > 0 and node.xs[j] > x:
-            j -= 1
-        i = int((y - node.bounds.y_lo) / node.bounds.height * rows)
-        i = min(max(i, 0), rows - 1)
-        while i < rows - 1 and node.ys[i + 1] <= y:
-            i += 1
-        while i > 0 and node.ys[i] > y:
-            i -= 1
-        return node.children[i * cols + j]
-
     def _path_to_leaf(self, p: Point) -> list[MTreeNode]:
         node = self.root
         path = [node]
+        cols = self.cfg.cols
         while node.children:
-            node = self._child_of(node, p.x, p.y)
+            node = node.children[slot(node.ys, p.y) * cols + slot(node.xs, p.x)]
             path.append(node)
         return path
+
+    def _check_domain(self, p: Point) -> None:
+        b = self.root.bounds
+        if not (b.x_lo <= p.x <= b.x_hi and b.y_lo <= p.y <= b.y_hi):
+            raise OutOfDomainError(f"point {p} outside tree bounds {b}")
 
     # -- object mutations --------------------------------------------------
 
     def insert(self, obj_id: int, p: Point) -> None:
         if obj_id in self.positions:
             raise DuplicateObjectError(f"object {obj_id} already present")
-        b = self.root.bounds
-        if not (b.x_lo <= p.x <= b.x_hi and b.y_lo <= p.y <= b.y_hi):
-            raise OutOfDomainError(f"point {p} outside tree bounds {b}")
+        self._check_domain(p)
+        self._insert_along(obj_id, p, self._path_to_leaf(p))
+
+    def remove(self, obj_id: int) -> None:
+        if obj_id not in self.positions:
+            raise ObjectNotFoundError(f"object {obj_id} not present")
+        self._remove_along(obj_id, self._path_to_leaf(self.positions[obj_id]))
+
+    def move(self, obj_id: int, p_new: Point) -> set[int]:
+        """Relocate an object; returns the queries recorded along its old
+        and new root-to-leaf paths, the only ones whose membership can
+        change.  Each path is walked once, before anything changes.  A move
+        within its current leaf touches no structure and no versions (the
+        per-node object sets are unchanged); otherwise it is a removal along
+        the old path followed by an insertion along the new one."""
+        if obj_id not in self.positions:
+            raise ObjectNotFoundError(f"object {obj_id} not present")
+        old_path = self._path_to_leaf(self.positions[obj_id])
+        self._check_domain(p_new)
+        new_path = self._path_to_leaf(p_new)
+        candidates = set().union(*[n.queries for n in old_path + new_path])
+        if new_path[-1] is old_path[-1]:
+            self.positions[obj_id] = p_new
+            return candidates
+        merged = self._remove_along(obj_id, old_path)
+        if merged in new_path:
+            # the merge made a node of the new path a leaf: it ends there
+            del new_path[new_path.index(merged) + 1:]
+        self._insert_along(obj_id, p_new, new_path)
+        return candidates
+
+    def _insert_along(self, obj_id: int, p: Point, path: list[MTreeNode]) -> None:
         self.positions[obj_id] = p
-        path = self._path_to_leaf(p)
         for node in path:
             node.version += 1
         leaf = path[-1]
@@ -164,30 +185,12 @@ class MTree:
         if len(leaf.objects) >= self.cfg.alpha:
             self._split(leaf)
 
-    def remove(self, obj_id: int) -> None:
-        if obj_id not in self.positions:
-            raise ObjectNotFoundError(f"object {obj_id} not present")
-        p = self.positions.pop(obj_id)
-        path = self._path_to_leaf(p)
+    def _remove_along(self, obj_id: int, path: list[MTreeNode]) -> MTreeNode | None:
+        del self.positions[obj_id]
         for node in path:
             node.version += 1
         path[-1].objects.remove(obj_id)
-        self._merge_up(path)
-
-    def move(self, obj_id: int, p_new: Point) -> None:
-        """Relocate an object; a move within its current leaf touches no
-        structure and no versions (the per-node object sets are unchanged)."""
-        if obj_id not in self.positions:
-            raise ObjectNotFoundError(f"object {obj_id} not present")
-        old_leaf = self._path_to_leaf(self.positions[obj_id])[-1]
-        b = self.root.bounds
-        if not (b.x_lo <= p_new.x <= b.x_hi and b.y_lo <= p_new.y <= b.y_hi):
-            raise OutOfDomainError(f"point {p_new} outside tree bounds {b}")
-        if self._path_to_leaf(p_new)[-1] is old_leaf:
-            self.positions[obj_id] = p_new
-            return
-        self.remove(obj_id)
-        self.insert(obj_id, p_new)
+        return self._merge_up(path)
 
     def _split(self, node: MTreeNode) -> None:
         if node.depth >= MAX_DEPTH:
@@ -203,7 +206,7 @@ class MTree:
         ]
         for obj_id in node.objects:
             p = self.positions[obj_id]
-            self._child_of(node, p.x, p.y).objects.add(obj_id)
+            node.children[slot(node.ys, p.y) * cols + slot(node.xs, p.x)].objects.add(obj_id)
         node.objects = set()
         # queries that only partially intersect this node may no longer sit
         # on an interior node; push them down to the children
@@ -221,14 +224,17 @@ class MTree:
             if len(child.objects) >= self.cfg.alpha:
                 self._split(child)
 
-    def _merge_up(self, path: list[MTreeNode]) -> None:
+    def _merge_up(self, path: list[MTreeNode]) -> MTreeNode | None:
+        """Let ancestors on ``path`` absorb all-leaf child groups that fell
+        below alpha/m; returns the highest node that absorbed one, if any."""
+        merged = None
         for i in range(len(path) - 2, -1, -1):
             parent = path[i]
             if any(not c.is_leaf() for c in parent.children):
-                return
+                break
             total = sum(len(c.objects) for c in parent.children)
             if not self.cfg.should_merge(total):
-                return
+                break
             for child in parent.children:
                 parent.objects |= child.objects
                 parent.queries |= child.queries
@@ -240,6 +246,8 @@ class MTree:
                     self.cache.sets.pop(child.id, None)
             parent.children = []
             parent.xs = parent.ys = None
+            merged = parent
+        return merged
 
     # -- query registration ------------------------------------------------
 
@@ -272,13 +280,7 @@ class MTree:
     def queries_on_path(self, p: Point) -> set[int]:
         """Union of query lists along the root-to-leaf path of p: exactly the
         queries whose circle could contain p."""
-        out: set[int] = set()
-        node = self.root
-        while True:
-            out |= node.queries
-            if node.is_leaf():
-                return out
-            node = self._child_of(node, p.x, p.y)
+        return set().union(*[n.queries for n in self._path_to_leaf(p)])
 
     # -- search --------------------------------------------------------------
 
@@ -292,9 +294,6 @@ class MTree:
                 out |= node.objects
             else:
                 stack.extend(node.children)
-
-    def collect_all(self) -> set[int]:
-        return set(self.positions)
 
     def search(self, circle: Circle, stats: SearchStats | None = None) -> set[int]:
         """Objects within the circle.  Fully covered branches contribute

@@ -30,7 +30,9 @@ def test_tree_is_lazy():
     assert cell.tree is None
     cell.apply_object_update(4, None, pt(rng))
     assert cell.tree is not None
-    assert cell.tree.collect_all() == set(range(5))
+    assert set(cell.tree.positions) == set(range(5))
+    # one registry: the cell reads the map the tree writes
+    assert cell.objects is cell.tree.positions
 
 
 def test_tree_inherits_partial_queries():
@@ -80,6 +82,24 @@ def test_inconsistent_updates():
     cell.apply_object_update(1, None, Point(0.505, 0.505))
     with pytest.raises(InconsistentUpdateError):
         cell.apply_object_update(1, None, Point(0.506, 0.506))  # double insert
+
+
+def test_inconsistent_updates_with_tree():
+    cell = make_cell(alpha=5)
+    rng = random.Random(4)
+    for i in range(8):
+        cell.apply_object_update(i, None, pt(rng))
+    assert cell.tree is not None
+    with pytest.raises(InconsistentUpdateError):
+        cell.apply_object_update(3, None, pt(rng))  # double insert
+    with pytest.raises(InconsistentUpdateError):
+        cell.apply_object_update(99, pt(rng), None)  # remove of an unknown id
+    with pytest.raises(InconsistentUpdateError):
+        cell.apply_object_update(99, pt(rng), pt(rng))  # move of an unknown id
+    with pytest.raises(InconsistentUpdateError):
+        cell.apply_object_update(3, None, None)
+    assert set(cell.objects) == set(range(8))
+    check_tree_invariants(cell.tree)
 
 
 def test_within_move_deltas_match_oracle_with_tree():

@@ -9,7 +9,6 @@ from rangemon.cluster import (
     ClusterSpec,
     EntranceWorker,
     RoutingTable,
-    jaccard,
 )
 from rangemon.engine import QueryState
 from rangemon.errors import DuplicatePartialError, UnexpectedCellError
@@ -24,13 +23,14 @@ def gr_of(*cells):
     return CandidateCells(set(), {CellId(*c) for c in cells})
 
 
-def test_jaccard_basics():
+def test_routing_threshold_at_jaccard_one_third():
+    # |{01} | / |{00, 01, 02}| = 1/3: similar enough at 0.3, not at 0.4
     a = gr_of((0, 0), (0, 1))
     b = gr_of((0, 1), (0, 2))
-    assert jaccard(a, b) == pytest.approx(1 / 3)
-    assert jaccard(a, a) == 1.0
-    assert jaccard(a, gr_of((5, 5))) == 0.0
-    assert jaccard(gr_of(), gr_of()) == 0.0
+    for threshold, expected in ((0.3, 10), (0.4, 11)):
+        rt = RoutingTable([10, 11], threshold=threshold)
+        assert rt.route(1, a) == 10
+        assert rt.route(2, b) == expected
 
 
 def test_routing_similarity_and_load():

@@ -190,7 +190,7 @@ def test_search_empty_and_full():
     for i in range(25):
         t.insert(i, Point(rng.random(), rng.random()))
     assert t.search(Circle(Point(0.5, 0.5), 1.5)) == set(range(25))
-    assert t.collect_all() == set(range(25))
+    assert set(t.positions) == set(range(25))
 
 
 def test_search_matches_brute_force():
@@ -244,7 +244,8 @@ def test_collect_all_equals_leaf_walk():
     walked = set()
     for node in t.nodes():
         walked |= node.objects
-    assert t.collect_all() == walked == set(range(300))
+    assert set(t.positions) == walked == set(range(300))
+    check_tree_invariants(t)
 
 
 def test_move_same_leaf_keeps_versions():
@@ -298,3 +299,78 @@ def test_queries_survive_splits_and_merges():
             alive.add(next_id)
             next_id += 1
     check_tree_invariants(t)  # includes exact query-placement comparison
+
+
+def test_queries_on_path_are_the_queries_touching_the_leaf():
+    rng = random.Random(14)
+    t = make_tree(alpha=5, m=6)
+    circles = {q: Circle(Point(rng.random(), rng.random()), rng.uniform(0.05, 0.3)) for q in range(10)}
+    for q, c in circles.items():
+        t.insert_query(q, c)
+    for i in range(200):
+        t.insert(i, Point(rng.random(), rng.random()))
+    leaves = [n for n in t.nodes() if n.is_leaf()]
+    for _ in range(100):
+        p = Point(rng.random(), rng.random())
+        leaf = next(n for n in leaves if n.bounds.contains(p.x, p.y))
+        touching = {q for q, c in circles.items() if classify(c, leaf.bounds) is not Coverage.DISJOINT}
+        assert t.queries_on_path(p) == touching
+
+
+def reference_move(t, obj_id, p):
+    """Move by the older rule: rewrite the position within the leaf, or
+    remove and insert again through the public methods."""
+    if t._path_to_leaf(t.positions[obj_id])[-1] is t._path_to_leaf(p)[-1]:
+        t.positions[obj_id] = p
+    else:
+        t.remove(obj_id)
+        t.insert(obj_id, p)
+
+
+def assert_same_tree(a, b):
+    assert a.positions == b.positions
+    stack = [(a.root, b.root)]
+    while stack:
+        x, y = stack.pop()
+        assert (x.id, x.depth, x.version, x.objects, x.queries, len(x.children)) == (
+            y.id, y.depth, y.version, y.objects, y.queries, len(y.children))
+        stack.extend(zip(x.children, y.children))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from([2, 4, 6, 9]))
+def test_move_matches_remove_then_insert(seed, m):
+    """`move` walks each endpoint once and cuts the new path where a merge
+    made it end early; node ids, versions, splits and merges must come out
+    exactly as a removal followed by an insertion would leave them."""
+    rng = random.Random(seed)
+    cfg = SplitConfig(alpha=rng.choice([4, 5, 8]), m=m)
+    moved, reference = MTree(UNIT_SQUARE, cfg), MTree(UNIT_SQUARE, cfg)
+    for q in range(4):
+        c = Circle(Point(rng.random(), rng.random()), rng.uniform(0.05, 0.3))
+        moved.insert_query(q, c)
+        reference.insert_query(q, c)
+    alive: list[int] = []
+    next_id = 0
+    for _ in range(300):
+        r = rng.random()
+        if len(alive) < 4 or r < 0.2:
+            p = Point(rng.random(), rng.random())
+            moved.insert(next_id, p)
+            reference.insert(next_id, p)
+            alive.append(next_id)
+            next_id += 1
+        elif r < 0.35:
+            obj = alive.pop(rng.randrange(len(alive)))
+            moved.remove(obj)
+            reference.remove(obj)
+        else:
+            obj = rng.choice(alive)
+            old = moved.positions[obj]
+            p = Point(min(max(old.x + rng.uniform(-0.05, 0.05), 0.0), 1.0),
+                      min(max(old.y + rng.uniform(-0.05, 0.05), 0.0), 1.0))
+            expected = reference.queries_on_path(old) | reference.queries_on_path(p)
+            assert moved.move(obj, p) == expected
+            reference_move(reference, obj, p)
+        assert_same_tree(moved, reference)
+        check_tree_invariants(moved)
