@@ -2,13 +2,24 @@
 lazily built spatial tree; and :class:`CellStore`, the on-demand cells of
 one owner, which the single-owner engine and every index worker build on.
 
-A cell answers partial-cover queries by scanning its object map until the
-object count first reaches the split threshold; from then on a tree (plus
-its shared subtree cache) takes over, and the cell's object map is the
-tree's position map, which only the tree writes.  Every object mutation
-is translated into an :data:`ObjectDelta`: (query id, object id,
-ENTER|LEAVE) triples, which is the only currency the result-holding side
-ever sees.
+A cell keeps fully covering queries as a set of ids and partially covering
+ones as one map from query id to circle.  It answers partial-cover queries
+by scanning its object map until the object count first reaches the split
+threshold; from then on a tree (plus its shared subtree cache) takes over,
+and the cell's object map and partial-query map are the tree's position
+and query-circle maps, which only the tree writes.  A partial placement
+always goes through :meth:`Cell.register_partial_and_search`, one walk
+that both places and answers the query; a query move is an unregistration
+followed by such a registration.
+
+The tree stays lazy because most cells of a sparse workload never need
+one: building it in every cell cost +21% peak RSS, +35% ``tick_p50_s`` and
++46% ``setup_s`` on the benchmark's ``uniform-sparse`` workload (3
+alternating pairs of 10 s runs, 2 cores).
+
+Every object mutation is translated into an :data:`ObjectDelta`: (query
+id, object id, ENTER|LEAVE) triples, which is the only currency the
+result-holding side ever sees.
 """
 
 from __future__ import annotations
@@ -43,9 +54,9 @@ class Cell:
         self.bounds = bounds
         self.cfg = cfg
         self.objects: dict[int, Point] = {}
-        self.full_queries: set[int] = set()     # circle fully covers the cell
-        self.partial_queries: set[int] = set()  # circle partially overlaps it
-        self.circles: dict[int, Circle] = {}
+        self.full_queries: set[int] = set()  # circle fully covers the cell
+        # circle partially overlaps the cell: query id -> circle
+        self.partial_queries: dict[int, Circle] = {}
         self.tree: MTree | None = None
         self.cache: SubtreeCache | None = None
 
@@ -61,10 +72,12 @@ class Cell:
             self.tree = MTree(self.bounds, self.cfg, self.cache)
             for other, pos in self.objects.items():
                 self.tree.insert(other, pos)
-            for q_id in self.partial_queries:
-                self.tree.insert_query(q_id, self.circles[q_id])
+            for q_id, circle in self.partial_queries.items():
+                self.tree.insert_query(q_id, circle)
             # from here on the tree is the only writer of the registry
+            # and of the partial-query map
             self.objects = self.tree.positions
+            self.partial_queries = self.tree.query_circles
 
     def _remove_object(self, obj_id: int) -> None:
         if self.tree is not None:
@@ -91,16 +104,16 @@ class Cell:
         initial search: one traversal both places the query and answers it."""
         if q_id in self.full_queries or q_id in self.partial_queries:
             raise StateMismatchError(f"query {q_id} already registered in cell {self.id}")
-        self.circles[q_id] = circle
-        self.partial_queries.add(q_id)
         if self.tree is not None:
             assert self.cache is not None
             return self.tree.search_shared(q_id, circle, self.cache, stats, register=True)
+        self.partial_queries[q_id] = circle
         return ns_search(self.objects, circle, stats)
 
     def search_oneshot(self, circle: Circle, stats: SearchStats | None = None) -> set[int]:
-        """Search without the subtree cache (used for transient lookups
-        such as a moved query's previous circle)."""
+        """Search without the subtree cache.  Nothing in the package calls
+        it; it stays as the cache-free reference path that the benchmark's
+        tracer hooks by name."""
         if self.tree is not None:
             return self.tree.search(circle, stats)
         return ns_search(self.objects, circle, stats)
@@ -126,8 +139,8 @@ class Cell:
             self._insert_object(obj_id, new)
             for q_id in self.full_queries:
                 delta.append(DeltaEntry(q_id, obj_id, Change.ENTER))
-            for q_id in self.partial_queries:
-                if contains(self.circles[q_id], new):
+            for q_id, circle in self.partial_queries.items():
+                if contains(circle, new):
                     delta.append(DeltaEntry(q_id, obj_id, Change.ENTER))
         elif new is None:
             if obj_id not in self.objects:
@@ -136,8 +149,8 @@ class Cell:
             self._remove_object(obj_id)
             for q_id in self.full_queries:
                 delta.append(DeltaEntry(q_id, obj_id, Change.LEAVE))
-            for q_id in self.partial_queries:
-                if contains(self.circles[q_id], old_pos):
+            for q_id, circle in self.partial_queries.items():
+                if contains(circle, old_pos):
                     delta.append(DeltaEntry(q_id, obj_id, Change.LEAVE))
         else:
             if obj_id not in self.objects:
@@ -149,7 +162,7 @@ class Cell:
                 candidates = self.partial_queries
                 self.objects[obj_id] = new
             for q_id in candidates:
-                circle = self.circles[q_id]
+                circle = self.partial_queries[q_id]
                 was_in = contains(circle, old_pos)
                 is_in = contains(circle, new)
                 if was_in and not is_in:
@@ -160,52 +173,48 @@ class Cell:
 
     # -- query bookkeeping ---------------------------------------------------
 
-    def register_query(self, q_id: int, cov: Coverage, circle: Circle) -> None:
-        self.apply_query_transition(q_id, Coverage.DISJOINT, cov, circle)
-
     def register(self, q_id: int, cov: Coverage, circle: Circle,
                  stats: SearchStats | None = None) -> set[int]:
         """Register q_id with coverage cov (FULL or PARTIAL); returns the
         ids this cell contributes to its result."""
         if cov is Coverage.FULL:
-            self.register_query(q_id, cov, circle)
+            self.apply_query_transition(q_id, Coverage.DISJOINT, Coverage.FULL)
             return self.object_ids()
         return self.register_partial_and_search(q_id, circle, stats)
 
     def move_query(self, q_id: int, old_cov: Coverage, new_cov: Coverage, circle: Circle,
                    stats: SearchStats | None = None) -> tuple[set[int], set[int]]:
         """Move q_id from old_cov to new_cov under its new circle; returns
-        the (entered, left) ids of this cell.  Membership under the old
-        circle is recomputed from the cell's own state, so the caller need
-        not keep the query's previous contribution."""
+        the (entered, left) ids of this cell.  The move is an unregistration
+        followed by a fresh registration; membership under the old circle is
+        recomputed from the cell's own state, so the caller need not keep the
+        query's previous contribution."""
         if old_cov is Coverage.FULL and new_cov is Coverage.FULL:
-            self.apply_query_transition(q_id, old_cov, new_cov, circle)
+            self.apply_query_transition(q_id, old_cov, new_cov)  # class check only
             return set(), set()
+        old_circle = self.partial_queries.get(q_id)
+        self.apply_query_transition(q_id, old_cov, Coverage.DISJOINT)
         if old_cov is Coverage.FULL:
             old_in = self.object_ids()
         elif old_cov is Coverage.PARTIAL:
-            old_in = self.search_oneshot(self.circles[q_id], stats)
+            old_in = self.search(q_id, old_circle, stats)
         else:
             old_in = set()
-        self.apply_query_transition(q_id, old_cov, new_cov, circle)
-        if new_cov is Coverage.FULL:
-            new_in = self.object_ids()
-        elif new_cov is Coverage.PARTIAL:
-            new_in = self.search(q_id, circle, stats)
-        else:
-            new_in = set()
+        new_in = set() if new_cov is Coverage.DISJOINT else self.register(q_id, new_cov, circle, stats)
         return new_in - old_in, old_in - new_in
 
     def unregister_query(self, q_id: int) -> None:
         if q_id in self.full_queries:
-            self.apply_query_transition(q_id, Coverage.FULL, Coverage.DISJOINT, self.circles[q_id])
+            self.apply_query_transition(q_id, Coverage.FULL, Coverage.DISJOINT)
         elif q_id in self.partial_queries:
-            self.apply_query_transition(q_id, Coverage.PARTIAL, Coverage.DISJOINT, self.circles[q_id])
+            self.apply_query_transition(q_id, Coverage.PARTIAL, Coverage.DISJOINT)
 
-    def apply_query_transition(self, q_id: int, old_cov: Coverage, new_cov: Coverage, circle: Circle) -> None:
-        """Move q_id between the full/partial lists according to its old and
-        new coverage of this cell, and rebuild its tree registration whenever
-        the new class is partial."""
+    def apply_query_transition(self, q_id: int, old_cov: Coverage, new_cov: Coverage) -> None:
+        """Move q_id from its recorded class old_cov to FULL or DISJOINT.
+        A partial placement needs a search pass and goes through
+        :meth:`register_partial_and_search` only."""
+        if new_cov is Coverage.PARTIAL:
+            raise ValueError("partial placement goes through register_partial_and_search")
         in_full = q_id in self.full_queries
         in_partial = q_id in self.partial_queries
         expected = (old_cov is Coverage.FULL, old_cov is Coverage.PARTIAL)
@@ -214,20 +223,15 @@ class Cell:
                 f"query {q_id} in cell {self.id}: recorded (full={in_full}, partial={in_partial}) "
                 f"but transition claims {old_cov.name}"
             )
-        self.full_queries.discard(q_id)
-        self.partial_queries.discard(q_id)
-        if self.tree is not None and old_cov is Coverage.PARTIAL:
-            self.tree.remove_query(q_id)
-        if new_cov is Coverage.DISJOINT:
-            self.circles.pop(q_id, None)
-            return
-        self.circles[q_id] = circle
+        if old_cov is Coverage.FULL:
+            self.full_queries.remove(q_id)
+        elif old_cov is Coverage.PARTIAL:
+            if self.tree is not None:
+                self.tree.remove_query(q_id)
+            else:
+                del self.partial_queries[q_id]
         if new_cov is Coverage.FULL:
             self.full_queries.add(q_id)
-        else:
-            self.partial_queries.add(q_id)
-            if self.tree is not None:
-                self.tree.insert_query(q_id, circle)
 
 
 class CellStore:

@@ -10,7 +10,8 @@ tick report is computed the same way on both transports.
 Three engine modes share the scaffolding so that their message and work
 counts are comparable: "drqa" (trees, standing registrations, incremental
 deltas), "gi" (grid only: one :class:`GridStore` per index worker), and
-"ns" (every index worker keeps a full replica and scans it per query).
+"ns" (each index worker keeps the objects of its own cells in one map and
+scans all of it per query).
 The baselines search each query at most once per tick, in the barrier wave.
 """
 
@@ -63,14 +64,14 @@ class RoutingTable:
         self.threshold = threshold
         self.assigned: dict[int, int] = {}
         self.load: dict[int, int] = {w: 0 for w in self.query_workers}
-        self.recent: deque[tuple[int, frozenset, int]] = deque(maxlen=window)
+        self.recent: deque[tuple[frozenset, int]] = deque(maxlen=window)
 
     def route(self, q_id: int, gr: CandidateCells) -> int:
         if not self.query_workers:
             raise ValueError("no query workers")
         cells = frozenset(gr.all_cells())
         best: tuple[float, int] | None = None
-        for _, other, worker in self.recent:
+        for other, worker in self.recent:
             union = len(cells | other)
             sim = len(cells & other) / union if union else 0.0
             if sim < self.threshold:
@@ -83,7 +84,7 @@ class RoutingTable:
             worker = min(self.query_workers, key=lambda w: (self.load[w], w))
         self.assigned[q_id] = worker
         self.load[worker] += 1
-        self.recent.append((q_id, cells, worker))
+        self.recent.append((cells, worker))
         return worker
 
     def release(self, q_id: int) -> None:
@@ -175,10 +176,6 @@ class EntranceWorker(Node):
 
     def _dispatch_object(self, body: ObjectUpdate) -> None:
         self._tick_had_updates = True
-        if self.mode == "ns":
-            for iw in self.iw_ids:
-                self.send(iw, body)
-            return
         old_owner = self.owner(self.grid.locate(body.old)) if body.old is not None else None
         new_owner = self.owner(self.grid.locate(body.new)) if body.new is not None else None
         if old_owner is not None and old_owner == new_owner:
@@ -290,7 +287,7 @@ class IndexWorker(Node, CellStore):
         CellStore.__init__(self, grid, cfg)
         self.mode = mode
         self.qw_ids = qw_ids
-        self.replica: dict[int, Point] = {}  # ns mode only
+        self.owned: dict[int, Point] = {}  # ns mode only: objects in this worker's cells
         self.store = GridStore(grid)  # gi mode only
         self.stats = SearchStats()
         self.objects_processed = 0
@@ -326,9 +323,9 @@ class IndexWorker(Node, CellStore):
             else:
                 self.store.move(body.obj_id, body.new)
         elif body.new is None:
-            self.replica.pop(body.obj_id, None)
+            self.owned.pop(body.obj_id, None)
         else:
-            self.replica[body.obj_id] = body.new
+            self.owned[body.obj_id] = body.new
 
     def _emit_deltas(self, cell_id: CellId, delta) -> None:
         # a delta comes from one object report, so each query appears in it
@@ -339,7 +336,7 @@ class IndexWorker(Node, CellStore):
 
     def _on_cell_search(self, body: CellSearch) -> None:
         if body.scan_all:
-            ids = ns_search(self.replica, body.circle, self.stats)
+            ids = ns_search(self.owned, body.circle, self.stats)
             self.send(body.query_worker, PartialResult(
                 body.q_id, CellId(-1, self.id), tuple(sorted(ids)), body.epoch,
             ))
@@ -353,8 +350,7 @@ class IndexWorker(Node, CellStore):
                     ids = self.store.scan(cell_id, body.circle, self.stats)
             else:
                 cell = self.cell(cell_id)
-                if body.q_id in cell.full_queries or body.q_id in cell.partial_queries:
-                    cell.unregister_query(body.q_id)  # re-registration replaces
+                cell.unregister_query(body.q_id)  # re-registration replaces
                 self.query_worker_of[body.q_id] = body.query_worker
                 self.cells_of.setdefault(body.q_id, set()).add(cell_id)
                 ids = cell.register(body.q_id, cov, body.circle, self.stats)

@@ -95,7 +95,6 @@ class Engine(CellStore):
         self,
         q_id: int,
         circle: Circle,
-        t_start: int = 0,
         t_end: float = math.inf,
         stats: SearchStats | None = None,
     ) -> set[int]:

@@ -73,7 +73,7 @@ class CellSearch:
     circle: Circle
     entries: tuple[tuple[CellId, int], ...]  # (cell, coverage class)
     query_worker: int
-    scan_all: bool = False  # replicated-store mode: ignore entries, scan everything
+    scan_all: bool = False  # ns mode: ignore entries, scan every object the worker holds
     epoch: int = 0
 
 
@@ -81,7 +81,7 @@ class CellSearch:
 class PartialResult:
     kind = Kind.PARTIAL_RESULT
     q_id: int
-    key: CellId  # the searched cell, or (-1, worker) for replicated scans
+    key: CellId  # the searched cell, or (-1, worker) for whole-worker scans
     ids: tuple[int, ...]
     epoch: int = 0
 

@@ -89,7 +89,7 @@ def test_2_incremental_equivalence():
             nonlocal next_q
             c = Circle(Point(rng.random(), rng.random()), rng.uniform(0.01, 0.08))
             circles[next_q] = c
-            engine.submit_query(next_q, c, t_start=now, t_end=now + rng.randint(50, 400))
+            engine.submit_query(next_q, c, t_end=now + rng.randint(50, 400))
             next_q += 1
 
         for _ in range(100):

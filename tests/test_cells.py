@@ -39,17 +39,19 @@ def test_tree_inherits_partial_queries():
     cell = make_cell(alpha=5)
     rng = random.Random(2)
     circle = Circle(Point(0.505, 0.505), 0.003)
-    cell.register_query(9, Coverage.PARTIAL, circle)
+    cell.register(9, Coverage.PARTIAL, circle)
     assert cell.tree is None
     for i in range(5):
         cell.apply_object_update(i, None, pt(rng))
     assert cell.tree is not None
-    assert 9 in cell.tree.query_circles
+    assert cell.tree.query_circles == {9: circle}
+    # one partial-query map: the cell reads the map the tree writes
+    assert cell.partial_queries is cell.tree.query_circles
 
 
 def test_delta_enter_full_cover():
     cell = make_cell()
-    cell.register_query(1, Coverage.FULL, Circle(Point(0.505, 0.505), 0.02))
+    cell.register(1, Coverage.FULL, Circle(Point(0.505, 0.505), 0.02))
     delta = cell.apply_object_update(7, None, Point(0.5001, 0.5001))
     assert delta == [DeltaEntry(1, 7, Change.ENTER)]
 
@@ -57,7 +59,7 @@ def test_delta_enter_full_cover():
 def test_delta_partial_tested_by_distance():
     cell = make_cell()
     circle = Circle(Point(0.505, 0.505), 0.002)
-    cell.register_query(1, Coverage.PARTIAL, circle)
+    cell.register(1, Coverage.PARTIAL, circle)
     inside = Point(0.505, 0.5055)
     outside = Point(0.5001, 0.5001)
     assert cell.apply_object_update(7, None, inside) == [DeltaEntry(1, 7, Change.ENTER)]
@@ -112,7 +114,7 @@ def test_within_move_deltas_match_oracle_with_tree():
         cell.apply_object_update(i, None, p)
     circles = {q: Circle(pt(rng), rng.uniform(0.001, 0.006)) for q in range(5)}
     for q, c in circles.items():
-        cell.register_query(q, Coverage.PARTIAL, c)
+        cell.register(q, Coverage.PARTIAL, c)
     results = {q: brute_filter(positions, c) for q, c in circles.items()}
     for step in range(300):
         obj = rng.randrange(60)
@@ -135,30 +137,42 @@ def test_transitions_six_rules():
     circle = Circle(Point(0.505, 0.505), 0.02)
     cell = make_cell()
     # disjoint -> full
-    cell.apply_query_transition(1, Coverage.DISJOINT, Coverage.FULL, circle)
+    cell.move_query(1, Coverage.DISJOINT, Coverage.FULL, circle)
     assert 1 in cell.full_queries and 1 not in cell.partial_queries
     # full -> partial
-    cell.apply_query_transition(1, Coverage.FULL, Coverage.PARTIAL, circle)
-    assert 1 in cell.partial_queries and 1 not in cell.full_queries
+    cell.move_query(1, Coverage.FULL, Coverage.PARTIAL, circle)
+    assert cell.partial_queries == {1: circle} and 1 not in cell.full_queries
     # partial -> full
-    cell.apply_query_transition(1, Coverage.PARTIAL, Coverage.FULL, circle)
-    assert 1 in cell.full_queries
+    cell.move_query(1, Coverage.PARTIAL, Coverage.FULL, circle)
+    assert 1 in cell.full_queries and not cell.partial_queries
     # full -> disjoint
-    cell.apply_query_transition(1, Coverage.FULL, Coverage.DISJOINT, circle)
+    cell.move_query(1, Coverage.FULL, Coverage.DISJOINT, circle)
     assert 1 not in cell.full_queries and 1 not in cell.partial_queries
     # disjoint -> partial
-    cell.apply_query_transition(1, Coverage.DISJOINT, Coverage.PARTIAL, circle)
-    assert 1 in cell.partial_queries
+    cell.move_query(1, Coverage.DISJOINT, Coverage.PARTIAL, circle)
+    assert cell.partial_queries == {1: circle}
     # partial -> disjoint
-    cell.apply_query_transition(1, Coverage.PARTIAL, Coverage.DISJOINT, circle)
-    assert 1 not in cell.partial_queries
-    assert 1 not in cell.circles
+    cell.move_query(1, Coverage.PARTIAL, Coverage.DISJOINT, circle)
+    assert not cell.partial_queries and not cell.full_queries
 
 
 def test_transition_state_mismatch():
     cell = make_cell()
+    circle = Circle(Point(0.505, 0.505), 0.01)
     with pytest.raises(StateMismatchError):
-        cell.apply_query_transition(1, Coverage.FULL, Coverage.PARTIAL, Circle(Point(0.505, 0.505), 0.01))
+        cell.apply_query_transition(1, Coverage.FULL, Coverage.DISJOINT)
+    with pytest.raises(StateMismatchError):
+        cell.move_query(1, Coverage.FULL, Coverage.PARTIAL, circle)
+    cell.register(1, Coverage.PARTIAL, circle)
+    with pytest.raises(StateMismatchError):
+        cell.move_query(1, Coverage.FULL, Coverage.FULL, circle)
+    with pytest.raises(StateMismatchError):
+        cell.move_query(1, Coverage.DISJOINT, Coverage.PARTIAL, circle)
+    # a failed move leaves the registration as it was
+    assert cell.partial_queries == {1: circle} and not cell.full_queries
+    # partial placement has one path: registration with its search
+    with pytest.raises(ValueError):
+        cell.apply_query_transition(1, Coverage.PARTIAL, Coverage.PARTIAL)
 
 
 def test_partial_transition_rebuilds_tree_lists():
@@ -167,27 +181,33 @@ def test_partial_transition_rebuilds_tree_lists():
     for i in range(30):
         cell.apply_object_update(i, None, pt(rng))
     c1 = Circle(Point(0.502, 0.502), 0.002)
-    cell.register_query(1, Coverage.PARTIAL, c1)
+    cell.register(1, Coverage.PARTIAL, c1)
     placed1 = {n.id for n in cell.tree.nodes() if 1 in n.queries}
     c2 = Circle(Point(0.508, 0.508), 0.002)
-    cell.apply_query_transition(1, Coverage.PARTIAL, Coverage.PARTIAL, c2)
+    cell.move_query(1, Coverage.PARTIAL, Coverage.PARTIAL, c2)
     placed2 = {n.id for n in cell.tree.nodes() if 1 in n.queries}
     assert placed1 != placed2
     assert cell.tree.query_circles[1] == c2
+    assert {n.id for n in cell.tree.query_nodes[1]} == placed2
 
 
 def test_list_class_coherence_under_random_transitions():
     # drive one query's circle on a random walk through Cell.move_query;
     # after every move the full/partial lists must match a fresh classify
-    # of the live circle, and (entered, left) must be the brute-force
-    # membership difference between the old and the new circle
+    # of the live circle, (entered, left) must be the brute-force
+    # membership difference between the old and the new circle, and under
+    # a tree the query must sit on exactly the nodes a fresh registration
+    # of the same circle would choose
+    def filled_cell(count):
+        cell = make_cell(alpha=6, m=6)
+        for i in range(count):
+            cell.apply_object_update(i, None, positions[i])
+        return cell
+
     for count in (4, 40):  # below alpha (scan path) and above it (tree)
         rng = random.Random(6)
-        cell = make_cell(alpha=6, m=6)
-        positions = {}
-        for i in range(count):
-            positions[i] = pt(rng)
-            cell.apply_object_update(i, None, positions[i])
+        positions = {i: pt(rng) for i in range(count)}
+        cell = filled_cell(count)
         assert (cell.tree is None) == (count < cell.cfg.alpha)
         center = Point(0.505, 0.505)
         cov = Coverage.DISJOINT
@@ -205,9 +225,15 @@ def test_list_class_coherence_under_random_transitions():
             assert left == members - now_in
             members, cov = now_in, new_cov
             assert (1 in cell.full_queries) == (cov is Coverage.FULL)
-            assert (1 in cell.partial_queries) == (cov is Coverage.PARTIAL)
+            assert cell.partial_queries == ({1: circle} if cov is Coverage.PARTIAL else {})
             if cell.tree is not None:
                 check_tree_invariants(cell.tree)
+                assert cell.partial_queries is cell.tree.query_circles
+                twin = filled_cell(count)
+                if cov is not Coverage.DISJOINT:
+                    twin.register(1, cov, circle)
+                placed = {n.id for n in cell.tree.nodes() if 1 in n.queries}
+                assert placed == {n.id for n in twin.tree.nodes() if 1 in n.queries}
                 for node in cell.tree.nodes():
                     if 1 in node.queries:
                         assert classify(circle, node.bounds) is not Coverage.DISJOINT
@@ -235,7 +261,7 @@ def test_cache_keeps_only_live_nodes(seed):
     rng = random.Random(seed)
     cell = make_cell(alpha=4, m=4)
     circle = Circle(Point(0.505, 0.505), 0.004)
-    cell.register_query(1, Coverage.PARTIAL, circle)
+    cell.register(1, Coverage.PARTIAL, circle)
     positions = {}
     next_id = 0
     for _ in range(300):

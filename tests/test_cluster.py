@@ -436,3 +436,35 @@ def test_gi_index_workers_hold_no_cells():
     for iw in cluster.index_workers:
         assert iw.cells == {}
     assert sum(len(iw.store.locations) for iw in cluster.index_workers) == len(positions)
+
+
+def test_ns_index_workers_hold_only_their_objects():
+    # each report goes to the owner of the object's cell, as in the other
+    # modes, so a whole-worker scan examines every object exactly once
+    rng = random.Random(14)
+    cluster = make_cluster(engine="ns", index_workers=4)
+    positions, events = seed_events(rng, 2000)
+    circle = Circle(Point(0.5, 0.5), 0.2)
+
+    def check_ownership():
+        held = [obj for iw in cluster.index_workers for obj in iw.owned]
+        assert sorted(held) == sorted(positions)
+        for iw in cluster.index_workers:
+            for obj, p in iw.owned.items():
+                assert p == positions[obj]
+                assert cluster.entrance.owner(cluster.grid.locate(p)) == iw.id
+
+    cluster.run_tick(events)
+    check_ownership()
+    report = cluster.run_tick([QueryRegister(1, circle, 0, 100)])
+    assert report.objects_examined == len(positions)
+    assert cluster.query_result(1) == ns_search(positions, circle)
+    updates = []
+    for obj in rng.sample(sorted(positions), 500):
+        new = Point(rng.random(), rng.random())
+        updates.append(ObjectUpdate(obj, positions[obj], new))
+        positions[obj] = new
+    report = cluster.run_tick(updates)
+    check_ownership()
+    assert report.objects_examined == len(positions)  # the barrier wave's one re-search
+    assert cluster.query_result(1) == ns_search(positions, circle)

@@ -163,8 +163,8 @@ def test_expiry_removes_all_registrations():
     rng = random.Random(8)
     engine = make_engine()
     seed_objects(engine, rng, 3000)
-    engine.submit_query(1, Circle(Point(0.5, 0.5), 0.1), t_start=0, t_end=5)
-    engine.submit_query(2, Circle(Point(0.3, 0.3), 0.1), t_start=0, t_end=50)
+    engine.submit_query(1, Circle(Point(0.5, 0.5), 0.1), t_end=5)
+    engine.submit_query(2, Circle(Point(0.3, 0.3), 0.1), t_end=50)
     assert engine.expire_queries(3) == []
     assert engine.expire_queries(5) == [1]
     assert engine.expire_queries(5) == []  # idempotent
@@ -202,7 +202,7 @@ def test_mixed_stream_incremental_equals_scratch():
         if next_q < 30 and tick % 2 == 0:
             c = Circle(Point(rng.random(), rng.random()), rng.uniform(0.03, 0.12))
             circles[next_q] = c
-            engine.submit_query(next_q, c, t_start=tick, t_end=tick + rng.randrange(5, 40))
+            engine.submit_query(next_q, c, t_end=tick + rng.randrange(5, 40))
             next_q += 1
         # move some objects
         updates = []
