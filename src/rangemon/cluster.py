@@ -20,12 +20,11 @@ from __future__ import annotations
 import hashlib
 import queue as queue_mod
 import time
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 
 from .baselines import GridStore, ns_search
-from .cells import CellStore, Change
-from .engine import QueryState
+from .cells import CellStore, Change, ObjectDelta
 from .errors import (
     DuplicatePartialError,
     TransportError,
@@ -146,6 +145,8 @@ class EntranceWorker(Node):
         self.routing = routing
         self.mode = mode
         self.registry: dict[int, tuple[Circle, CandidateCells, int]] = {}
+        # registration generation per query id; kept across expiry, so a
+        # re-registration's traffic is never mistaken for its predecessor's
         self._epochs: dict[int, int] = {}
         self._tick_had_updates = False
         self._moved: set[int] = set()  # gi/ns queries moved this tick
@@ -211,6 +212,11 @@ class EntranceWorker(Node):
         self.send(qw, QueryRegister(body.q_id, body.circle, body.t_start, body.t_end, tuple(keys), epoch))
 
     def _dispatch_register(self, body: QueryRegister) -> None:
+        if body.q_id in self.registry:
+            # a registration of a live query replaces it: expire it first,
+            # so the old circle's cells drop their registrations before the
+            # new fan-out and the routing table counts the query once
+            self._dispatch_expire(QueryExpire(body.q_id))
         gr = self.grid.candidate_cells(body.circle)
         qw = self.routing.route(body.q_id, gr)
         self.registry[body.q_id] = (body.circle, gr, qw)
@@ -229,14 +235,13 @@ class EntranceWorker(Node):
             new_cov = gr_new.coverage_of(cell)
             by_owner.setdefault(self.owner(cell), []).append((cell, old_cov.value, new_cov.value))
         for iw in sorted(by_owner):
-            self.send(iw, QueryMove(body.q_id, body.circle, tuple(by_owner[iw]), qw))
+            self.send(iw, QueryMove(body.q_id, body.circle, tuple(by_owner[iw]), qw, self._epochs[body.q_id]))
 
     def _dispatch_expire(self, body: QueryExpire) -> None:
         entry = self.registry.pop(body.q_id, None)
         if entry is None:
             return
         _, gr, qw = entry
-        self._epochs.pop(body.q_id, None)
         self.routing.release(body.q_id)
         self.send(qw, body)
         if self.mode == "drqa":
@@ -291,7 +296,8 @@ class IndexWorker(Node, CellStore):
         self.store = GridStore(grid)  # gi mode only
         self.stats = SearchStats()
         self.objects_processed = 0
-        self.query_worker_of: dict[int, int] = {}
+        # drqa: query id -> (its query worker, its registration epoch)
+        self.route_of: dict[int, tuple[int, int]] = {}
         self.cells_of: dict[int, set[CellId]] = {}
 
     def handle(self, msg: Message) -> None:
@@ -312,9 +318,22 @@ class IndexWorker(Node, CellStore):
     def _on_object_update(self, body: ObjectUpdate) -> None:
         self.objects_processed += 1
         if self.mode == "drqa":
-            for cell_id, delta in self.move_object(body.obj_id, body.old, body.new):
-                if delta:
-                    self._emit_deltas(cell_id, delta)
+            net: ObjectDelta = []
+            try:
+                for _, delta in self.move_object(body.obj_id, body.old, body.new):
+                    if not delta:
+                        continue
+                    if net:
+                        # the old cell's LEAVEs, then the new cell's ENTERs:
+                        # a query in both keeps the object in its result
+                        both = {entry.q_id for entry in net} & {entry.q_id for entry in delta}
+                        net = [entry for entry in net + delta if entry.q_id not in both]
+                    else:
+                        net = delta
+            finally:
+                # if the insertion raised, the removal's LEAVEs still go out
+                if net:
+                    self._emit_deltas(net)
         elif self.mode == "gi":
             if body.new is None:
                 self.store.remove(body.obj_id)
@@ -327,12 +346,13 @@ class IndexWorker(Node, CellStore):
         else:
             self.owned[body.obj_id] = body.new
 
-    def _emit_deltas(self, cell_id: CellId, delta) -> None:
-        # a delta comes from one object report, so each query appears in it
-        # at most once and the entries sort by query id
+    def _emit_deltas(self, delta: ObjectDelta) -> None:
+        # a netted delta of one object report holds each query at most
+        # once, so the entries sort by query id
         for q_id, obj_id, change in sorted(delta):
             add, remove = ((obj_id,), ()) if change is Change.ENTER else ((), (obj_id,))
-            self.send(self.query_worker_of[q_id], ResultDelta(q_id, cell_id, add, remove))
+            qw, epoch = self.route_of[q_id]
+            self.send(qw, ResultDelta(q_id, add, remove, epoch))
 
     def _on_cell_search(self, body: CellSearch) -> None:
         if body.scan_all:
@@ -351,7 +371,7 @@ class IndexWorker(Node, CellStore):
             else:
                 cell = self.cell(cell_id)
                 cell.unregister_query(body.q_id)  # re-registration replaces
-                self.query_worker_of[body.q_id] = body.query_worker
+                self.route_of[body.q_id] = (body.query_worker, body.epoch)
                 self.cells_of.setdefault(body.q_id, set()).add(cell_id)
                 ids = cell.register(body.q_id, cov, body.circle, self.stats)
             self.send(body.query_worker, PartialResult(
@@ -360,31 +380,34 @@ class IndexWorker(Node, CellStore):
 
     def _on_query_move(self, body: QueryMove) -> None:
         q_id = body.q_id
-        self.query_worker_of[q_id] = body.query_worker
+        self.route_of[q_id] = (body.query_worker, body.epoch)
         owned = self.cells_of.setdefault(q_id, set())
+        # cells hold disjoint objects, so the per-cell changes never cancel
+        entered: set[int] = set()
+        left: set[int] = set()
         for cell_id, old_val, new_val in body.transitions:
             new_cov = Coverage(new_val)
             add, remove = self.cell(cell_id).move_query(
                 q_id, Coverage(old_val), new_cov, body.circle, self.stats,
             )
+            entered |= add
+            left |= remove
             if new_cov is Coverage.DISJOINT:
-                # the cell's owner ends the delta stream with the removals,
-                # so the query worker sees one consistently ordered history
                 owned.discard(cell_id)
             else:
                 owned.add(cell_id)
-            if add or remove:
-                self.send(body.query_worker, ResultDelta(
-                    q_id, cell_id, tuple(sorted(add)), tuple(sorted(remove)),
-                ))
+        if entered or left:
+            self.send(body.query_worker, ResultDelta(
+                q_id, tuple(sorted(entered)), tuple(sorted(left)), body.epoch,
+            ))
         if not owned:
             self.cells_of.pop(q_id, None)
-            self.query_worker_of.pop(q_id, None)
+            self.route_of.pop(q_id, None)
 
     def _on_expire(self, body: QueryExpire) -> None:
         for cell_id in sorted(self.cells_of.pop(body.q_id, set())):
             self.cells[cell_id].unregister_query(body.q_id)
-        self.query_worker_of.pop(body.q_id, None)
+        self.route_of.pop(body.q_id, None)
 
     def _on_barrier(self, body: TickBarrier) -> None:
         for qw in self.qw_ids:
@@ -400,64 +423,132 @@ class IndexWorker(Node, CellStore):
         self.stats = SearchStats()
 
 
+class QueryCounts:
+    """One query's result on its query worker: for each object id, the
+    number of cells currently reporting it.  An id is in the result while
+    its count is positive; zero counts are deleted, so the result is the
+    key set.  Also the collection bookkeeping of the registration: keys
+    still awaited, the key set promised, and the epoch partials must match.
+
+    Two counters check the invariant that, once a tick's traffic has
+    drained, every count is exactly 1: LEAVEs that found no count, and
+    the ids whose count is now 2 or more.  Either makes the query unready.
+    """
+
+    __slots__ = ("q_id", "counts", "pending", "expected", "epoch", "stray_leaves", "duplicates")
+
+    def __init__(self, q_id: int, keys: tuple = (), epoch: int = 0):
+        self.q_id = q_id
+        self.counts: Counter[int] = Counter()
+        self.pending = set(keys)
+        self.expected = frozenset(keys)
+        self.epoch = epoch
+        self.stray_leaves = 0
+        self.duplicates = 0
+
+    @property
+    def result(self) -> set[int]:
+        return set(self.counts)
+
+    def ready(self) -> bool:
+        return not (self.pending or self.stray_leaves or self.duplicates)
+
+    def add_ids(self, ids: tuple[int, ...]) -> None:
+        """Count one cell's sub-result (distinct ids) in one C-level pass.
+        Ids new to the query, the common case, each add one key."""
+        counts = self.counts
+        before = len(counts)
+        counts.update(ids)
+        if len(counts) - before != len(ids):
+            # some ids were counted already: those now at 2 were at 1
+            self.duplicates += sum(1 for obj_id in ids if counts[obj_id] == 2)
+
+    def apply_delta(self, add: tuple[int, ...], remove: tuple[int, ...]) -> None:
+        counts = self.counts
+        for obj_id in add:
+            n = counts.get(obj_id, 0) + 1
+            counts[obj_id] = n
+            if n == 2:
+                self.duplicates += 1
+        for obj_id in remove:
+            n = counts.get(obj_id, 0)
+            if n == 1:
+                del counts[obj_id]
+            elif n == 0:
+                self.stray_leaves += 1
+            else:
+                counts[obj_id] = n - 1
+                if n == 2:
+                    self.duplicates -= 1
+
+
 class QueryWorker(Node):
     """Holds query states and folds partials and deltas into them.
 
+    A result is a count per object id (:class:`QueryCounts`): a partial or
+    an ENTER adds 1, a LEAVE subtracts 1.  Addition commutes, so deltas
+    from different index workers may arrive in any order: when an object
+    crosses an owner boundary, its ENTER from the new cell's owner can
+    overtake its LEAVE from the old one.  An index worker nets each object
+    report per query before sending, so a move between two cells of one
+    owner that both report to a query sends nothing.
+
     Messages travel on FIFO edges, but different edges interleave freely:
     a partial routed entrance -> index worker -> here can overtake the
-    registration on the direct edge.  Early arrivals are stashed until the
-    registration lands; registration epochs pair partials with the search
-    wave that produced them; late traffic for expired queries is dropped.
+    registration on the direct edge.  Partials and deltas carry the epoch
+    of the registration they belong to: early arrivals are stashed until
+    that registration lands, and traffic of an expired or replaced
+    registration is dropped.
 
     Query moves never reach this worker: a cell the moved circle leaves
-    loses its contribution by a RESULT_DELTA from the cell's owner, never
-    locally, since a local drop could not be ordered against that owner's
-    deltas still in flight.
+    loses its contribution by a RESULT_DELTA from the cell's owner.
     """
 
     def __init__(self, node_id: int, iw_ids: list[int]):
         super().__init__(node_id)
-        self.queries: dict[int, QueryState] = {}
+        self.queries: dict[int, QueryCounts] = {}
         self._stash: dict[int, list[Body]] = {}
-        self._expired: set[int] = set()
+        self._expired: dict[int, int] = {}  # query id -> epoch it expired at
         self._expected_barriers = {ENTRANCE} | set(iw_ids)
         self._got_barriers: set[int] = set()
 
     def handle(self, msg: Message) -> None:
         body = msg.body
         if isinstance(body, QueryRegister):
-            state = QueryState(body.q_id, pending=set(body.keys), expected=frozenset(body.keys), epoch=body.epoch)
-            self.queries[body.q_id] = state
-            self._expired.discard(body.q_id)
+            self.queries[body.q_id] = QueryCounts(body.q_id, body.keys, body.epoch)
+            self._expired.pop(body.q_id, None)
             for stashed in self._stash.pop(body.q_id, []):
                 self._consume(stashed)
         elif isinstance(body, (PartialResult, ResultDelta)):
             self._consume(body)
         elif isinstance(body, QueryExpire):
-            self.queries.pop(body.q_id, None)
-            self._stash.pop(body.q_id, None)
-            self._expired.add(body.q_id)
+            # the stash keeps only a later registration's traffic, which
+            # can overtake this expiry; that registration will replay it
+            state = self.queries.pop(body.q_id, None)
+            if state is not None:
+                self._expired[body.q_id] = state.epoch
         elif isinstance(body, TickBarrier):
             self._on_barrier(msg.sender, body)
         else:
             raise ValueError(f"query worker {self.id}: unexpected kind {body.kind!r}")
 
     def _consume(self, body: PartialResult | ResultDelta) -> None:
-        if body.q_id in self._expired:
-            return  # late traffic from the expiry tick
         state = self.queries.get(body.q_id)
-        if state is None or (isinstance(body, PartialResult) and body.epoch > state.epoch):
+        if state is None:
+            if body.epoch > self._expired.get(body.q_id, 0):
+                self._stash.setdefault(body.q_id, []).append(body)
+            return  # otherwise late traffic of an expired registration
+        if body.epoch > state.epoch:
             self._stash.setdefault(body.q_id, []).append(body)
-            return
-        if isinstance(body, PartialResult):
-            if body.epoch < state.epoch:
-                return  # superseded by a newer registration wave
+        elif body.epoch < state.epoch:
+            return  # late traffic of a replaced registration
+        elif isinstance(body, PartialResult):
             self.collect_partial(state, body.key, body.ids)
         else:
-            state.apply_delta(body.cell, body.add, body.remove)
+            state.apply_delta(body.add, body.remove)
 
     @staticmethod
-    def collect_partial(state: QueryState, key: CellId, ids: tuple[int, ...]) -> set[int] | None:
+    def collect_partial(state: QueryCounts, key: CellId, ids: tuple[int, ...]) -> set[int] | None:
         """Merge one cell's sub-result; returns the full result exactly when
         the last awaited cell arrives."""
         if key not in state.expected:
@@ -465,7 +556,7 @@ class QueryWorker(Node):
         if key not in state.pending:
             raise DuplicatePartialError(f"query {state.q_id}: duplicate partial for {key}")
         state.pending.remove(key)
-        state.set_cell(key, set(ids))
+        state.add_ids(ids)
         return state.result if state.ready() else None
 
     def _on_barrier(self, sender: int, body: TickBarrier) -> None:
@@ -476,7 +567,7 @@ class QueryWorker(Node):
         ready = sum(1 for s in self.queries.values() if s.ready())
         digest = hashlib.sha256()
         for q_id in sorted(self.queries):
-            digest.update(repr((q_id, sorted(self.queries[q_id].result))).encode())
+            digest.update(repr((q_id, sorted(self.queries[q_id].counts))).encode())
         self.send(ENTRANCE, TickBarrier(
             body.tick, messages=self.sent_messages, ready=ready,
             digest=digest.digest(),

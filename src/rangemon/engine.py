@@ -5,10 +5,24 @@ move, registering a query, moving a query between coverage classes) lives
 in :mod:`.cells` and is shared with the cluster's index workers; this
 module holds the query states that fold its deltas into results.
 
-Each active query keeps its result partitioned by contributing cell, so
-cross-cell object moves are order-independent within a tick.  A query
-move is patched cell by cell: each cell diffs the old and new circle over
-its own objects and reports the ids that entered and left.
+Each active query keeps its result partitioned by contributing cell, and
+a registration stores each cell's id set by reference.  A query move is
+patched cell by cell: each cell diffs the old and new circle over its own
+objects and reports the ids that entered and left.
+
+The cluster's query workers instead keep one count per object id (see
+:class:`.cluster.QueryCounts`), because deltas from different index
+workers arrive in any order.  The engine has one owner that applies its
+deltas in order, and both count-based designs tried for it measured worse
+on a 2-core VM:
+
+* building the counts in :meth:`Engine.submit_query` costs a pass per id
+  and turned acceptance test 5 into a coin flip (median drqa 0.0091 s
+  against gi 0.0092 s, where per-cell sets read 0.0071 s against
+  0.0092 s);
+* per-cell sets by reference plus a side table of +1/-1 changes grew the
+  benchmark's ``gauss-query-churn`` ``peak_rss_mb`` by 9% (3 alternating
+  pairs of 10 s runs), because the side table only grows.
 """
 
 from __future__ import annotations
@@ -26,16 +40,9 @@ from .mtree import SearchStats, SplitConfig
 @dataclass
 class QueryState:
     q_id: int
-    # expiry time and candidate cells: kept by the single-owner engine only
     t_end: float = math.inf
     gr: CandidateCells = field(default_factory=CandidateCells)
     by_cell: dict[CellId, set[int]] = field(default_factory=dict)
-    # distributed collection bookkeeping: keys still awaited, the key set
-    # promised at registration, and the registration generation partials
-    # must match
-    pending: set = field(default_factory=set)
-    expected: frozenset = frozenset()
-    epoch: int = 0
 
     @property
     def result(self) -> set[int]:
@@ -43,9 +50,6 @@ class QueryState:
         for ids in self.by_cell.values():
             out |= ids
         return out
-
-    def ready(self) -> bool:
-        return not self.pending
 
     def set_cell(self, cell_id: CellId, ids: set[int]) -> None:
         # takes ownership of `ids`; callers always pass a fresh set

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from .geometry import Circle, Point
 from .grid import CellId
 
-WIRE_VERSION = 2
+WIRE_VERSION = 3
 
 _HEADER = struct.Struct("<BBQQQ")
 _U32 = struct.Struct("<I")
@@ -64,6 +64,7 @@ class QueryMove:
     # per-cell (cell, old coverage, new coverage) for the owning index worker
     transitions: tuple[tuple[CellId, int, int], ...] = ()
     query_worker: int = 0
+    epoch: int = 0  # the query's registration generation, stamped on its deltas
 
 
 @dataclass(frozen=True)
@@ -88,11 +89,12 @@ class PartialResult:
 
 @dataclass(frozen=True)
 class ResultDelta:
+    # a net change of one query's result: no id is in both add and remove
     kind = Kind.RESULT_DELTA
     q_id: int
-    cell: CellId
     add: tuple[int, ...] = ()
     remove: tuple[int, ...] = ()
+    epoch: int = 0  # the registration generation the change belongs to
 
 
 @dataclass(frozen=True)
@@ -160,7 +162,7 @@ def _encode_body(body: Body) -> bytes:
         out = _U64.pack(body.q_id) + _circle(body.circle) + _U32.pack(len(body.transitions))
         for cell, old_cov, new_cov in body.transitions:
             out += _CELL.pack(cell[0], cell[1]) + bytes([old_cov, new_cov])
-        return out + _U64.pack(body.query_worker)
+        return out + _U64.pack(body.query_worker) + _U32.pack(body.epoch)
     if isinstance(body, CellSearch):
         out = _U64.pack(body.q_id) + _circle(body.circle) + _U32.pack(len(body.entries))
         for cell, cov in body.entries:
@@ -175,10 +177,7 @@ def _encode_body(body: Body) -> bytes:
             + _ids(body.ids) + _U32.pack(body.epoch)
         )
     if isinstance(body, ResultDelta):
-        return (
-            _U64.pack(body.q_id) + _CELL.pack(body.cell[0], body.cell[1])
-            + _ids(body.add) + _ids(body.remove)
-        )
+        return _U64.pack(body.q_id) + _ids(body.add) + _ids(body.remove) + _U32.pack(body.epoch)
     if isinstance(body, QueryExpire):
         return _U64.pack(body.q_id)
     if isinstance(body, TickBarrier):
@@ -261,7 +260,8 @@ def decode_payload(payload: bytes) -> Message:
             cell = CellId(*r.unpack(_CELL))
             transitions.append((cell, r.u8(), r.u8()))
         (qw,) = r.unpack(_U64)
-        body = QueryMove(q_id, circle, tuple(transitions), qw)
+        (epoch,) = r.unpack(_U32)
+        body = QueryMove(q_id, circle, tuple(transitions), qw, epoch)
     elif kind is Kind.CELL_SEARCH:
         (q_id,) = r.unpack(_U64)
         circle = r.circle()
@@ -282,8 +282,9 @@ def decode_payload(payload: bytes) -> Message:
         body = PartialResult(q_id, key, ids, epoch)
     elif kind is Kind.RESULT_DELTA:
         (q_id,) = r.unpack(_U64)
-        cell = CellId(*r.unpack(_CELL))
-        body = ResultDelta(q_id, cell, r.ids(), r.ids())
+        add, remove = r.ids(), r.ids()
+        (epoch,) = r.unpack(_U32)
+        body = ResultDelta(q_id, add, remove, epoch)
     elif kind is Kind.QUERY_EXPIRE:
         (q_id,) = r.unpack(_U64)
         body = QueryExpire(q_id)

@@ -8,15 +8,23 @@ from rangemon.cluster import (
     Cluster,
     ClusterSpec,
     EntranceWorker,
+    QueryCounts,
     RoutingTable,
 )
-from rangemon.engine import QueryState
-from rangemon.errors import DuplicatePartialError, UnexpectedCellError
+from rangemon.errors import DuplicatePartialError, InconsistentUpdateError, UnexpectedCellError
 from rangemon.geometry import Circle, Point
 from rangemon.grid import CandidateCells, CellId
 from rangemon.cluster import QueryWorker
 from rangemon.transport import LoopbackTransport
-from rangemon.wire import Message, ObjectUpdate, QueryExpire, QueryMove, QueryRegister, TickBarrier
+from rangemon.wire import (
+    Message,
+    ObjectUpdate,
+    QueryExpire,
+    QueryMove,
+    QueryRegister,
+    ResultDelta,
+    TickBarrier,
+)
 
 
 def gr_of(*cells):
@@ -55,7 +63,7 @@ def test_routing_no_workers():
 def test_collect_partial_protocol():
     gr = CandidateCells(set(), {CellId(0, 0), CellId(0, 1), CellId(0, 2)})
     keys = tuple(sorted(gr.partial))
-    state = QueryState(1, pending=set(keys), expected=frozenset(keys))
+    state = QueryCounts(1, keys)
     assert QueryWorker.collect_partial(state, keys[0], (1, 2)) is None
     assert QueryWorker.collect_partial(state, keys[1], (3,)) is None
     with pytest.raises(DuplicatePartialError):
@@ -468,3 +476,168 @@ def test_ns_index_workers_hold_only_their_objects():
     check_ownership()
     assert report.objects_examined == len(positions)  # the barrier wave's one re-search
     assert cluster.query_result(1) == ns_search(positions, circle)
+
+
+def random_moves(rng, positions, count):
+    updates = []
+    for obj in rng.sample(sorted(positions), count):
+        new = Point(rng.random(), rng.random())
+        updates.append(ObjectUpdate(obj, positions[obj], new))
+        positions[obj] = new
+    return updates
+
+
+def test_result_deltas_carry_the_net_change():
+    # one index worker owns every cell, so each report's LEAVE from the old
+    # cell and ENTER into the new cell meet on one worker and cancel there
+    rng = random.Random(15)
+    cluster = make_cluster(index_workers=1)
+    positions, events = seed_events(rng, 1500)
+    cluster.run_tick(events)
+    circles = {q: Circle(Point(rng.random(), rng.random()), rng.uniform(0.1, 0.3)) for q in range(8)}
+    cluster.run_tick([QueryRegister(q, c, 0, 100) for q, c in circles.items()])
+    trace = []
+    cluster._transport.trace = trace
+    for _ in range(4):
+        before = cluster.results()
+        del trace[:]
+        # short moves: most stay inside the circles that held them
+        updates = []
+        for obj in rng.sample(sorted(positions), 400):
+            old = positions[obj]
+            new = Point(min(max(old.x + rng.uniform(-0.08, 0.08), 0.0), 1.0),
+                        min(max(old.y + rng.uniform(-0.08, 0.08), 0.0), 1.0))
+            positions[obj] = new
+            updates.append(ObjectUpdate(obj, old, new))
+        report = cluster.run_tick(updates)
+        assert report.queries_ready == len(circles)
+        after = cluster.results()
+        carried = {q: [] for q in circles}
+        for m in trace:
+            if isinstance(m.body, ResultDelta):
+                carried[m.body.q_id] += m.body.add + m.body.remove
+        for q, c in circles.items():
+            assert after[q] == ns_search(positions, c)
+            assert sorted(carried[q]) == sorted(before[q] ^ after[q]), q
+
+
+def test_enter_may_overtake_leave_across_owners():
+    # a circle straddling the boundary between two owners' row blocks; its
+    # objects hop across that boundary, so the new owner's ENTER and the
+    # old owner's LEAVE race on different edges
+    for seed in range(20):
+        rng = random.Random(100 + seed)
+        cluster = make_cluster(index_workers=2, loopback_policy="random", seed=seed)
+        boundary = 0.5  # rows 0-4 and 5-9 of the 10x10 grid
+        circle = Circle(Point(0.5, boundary), 0.3)
+        positions, events = seed_events(rng, 600)
+        cluster.run_tick(events)
+        cluster.run_tick([QueryRegister(1, circle, 0, 100)])
+        assert cluster.query_result(1) == ns_search(positions, circle)
+        for _ in range(3):
+            updates = []
+            for obj in rng.sample(sorted(positions), 150):
+                old = positions[obj]
+                y = 2 * boundary - old.y  # mirror across the boundary
+                new = Point(old.x, min(max(y, 0.0), 0.999))
+                positions[obj] = new
+                updates.append(ObjectUpdate(obj, old, new))
+            report = cluster.run_tick(updates)
+            assert report.queries_ready == 1, seed
+            assert cluster.query_result(1) == ns_search(positions, circle), seed
+
+
+def test_failing_insert_still_sends_the_removal():
+    rng = random.Random(16)
+    cluster = make_cluster(index_workers=1)
+    positions, events = seed_events(rng, 300)
+    cluster.run_tick(events)
+    circle = Circle(Point(0.5, 0.5), 0.3)
+    cluster.run_tick([QueryRegister(1, circle, 0, 100)])
+    old = Point(0.45, 0.45)
+    new = Point(0.55, 0.55)  # another cell, same owner, same circle
+    cluster.run_tick([ObjectUpdate(999, None, old)])
+    assert 999 in cluster.query_result(1)
+    iw = cluster.index_workers[0]
+    # the new cell already claims the object, so the insertion raises
+    iw.cell(cluster.grid.locate(new)).objects[999] = new
+    with pytest.raises(InconsistentUpdateError):
+        iw.handle(Message(ENTRANCE, iw.id, 0, ObjectUpdate(999, old, new)))
+    cluster._transport.pump()
+    assert 999 not in cluster.query_result(1)
+
+
+def test_reregistration_replaces_the_old_circle():
+    rng = random.Random(17)
+    cluster = make_cluster(index_workers=4)
+    positions, events = seed_events(rng, 2000)
+    cluster.run_tick(events)
+    far = Circle(Point(0.8, 0.8), 0.15)
+    cluster.run_tick([QueryRegister(1, Circle(Point(0.2, 0.2), 0.15), 0, 100)])
+    report = cluster.run_tick([QueryRegister(1, far, 0, 100)])
+    assert report.queries_ready == 1
+    assert sum(cluster.entrance.routing.load.values()) == 1
+    new_cells = cluster.grid.candidate_cells(far).all_cells()
+    for iw in cluster.index_workers:
+        assert iw.cells_of.get(1, set()) <= new_cells
+    for _ in range(4):
+        report = cluster.run_tick(random_moves(rng, positions, 400))
+        assert report.queries_ready == 1
+        assert cluster.query_result(1) == ns_search(positions, far)
+
+
+def test_count_invariant_makes_query_unready():
+    # two partials that share an id: the fold notices the count of 2
+    state = QueryCounts(1, (CellId(0, 0), CellId(0, 1)))
+    QueryWorker.collect_partial(state, CellId(0, 0), (1, 2))
+    assert QueryWorker.collect_partial(state, CellId(0, 1), (2, 3)) is None
+    assert state.duplicates == 1
+    state.apply_delta((), (2,))
+    assert state.ready() and state.result == {1, 2, 3}
+
+    rng = random.Random(18)
+    cluster = make_cluster()
+    positions, events = seed_events(rng, 500)
+    cluster.run_tick(events)
+    circles = {q: Circle(Point(0.3 + 0.2 * q, 0.5), 0.15) for q in range(3)}
+    report = cluster.run_tick([QueryRegister(q, c, 0, 100) for q, c in circles.items()])
+    assert report.queries_ready == 3
+    member = min(cluster.query_result(0))
+    outsider = max(positions) + 1
+
+    def inject(q_id, add=(), remove=()):
+        qw = next(w for w in cluster.query_workers if q_id in w.queries)
+        epoch = qw.queries[q_id].epoch
+        qw.handle(Message(cluster.iw_ids[0], qw.id, 0, ResultDelta(q_id, add, remove, epoch)))
+
+    inject(0, add=(member,))  # a second ENTER: count 2
+    assert cluster.run_tick([]).queries_ready == 2
+    inject(0, remove=(member,))  # back to count 1
+    assert cluster.run_tick([]).queries_ready == 3
+    inject(1, remove=(outsider,))  # a LEAVE that finds no count
+    assert cluster.run_tick([]).queries_ready == 2
+    assert cluster.run_tick(random_moves(rng, positions, 100)).queries_ready == 2
+
+
+def test_reregistration_within_a_tick_of_object_reports():
+    # reports dispatched before the re-registration reach the old circle's
+    # cells, whose deltas then race the new registration's partials; the
+    # registration epoch on every delta keeps them out of the new result
+    for policy, seed in [("fifo", 0)] + [("random", s) for s in range(10)]:
+        rng = random.Random(200 + seed)
+        cluster = make_cluster(index_workers=4, query_workers=3, jaccard_threshold=0.9,
+                               loopback_policy=policy, seed=seed)
+        positions, events = seed_events(rng, 1500)
+        cluster.run_tick(events)
+        cluster.run_tick([QueryRegister(1, Circle(Point(0.3, 0.3), 0.25), 0, 100),
+                          QueryRegister(2, Circle(Point(0.7, 0.2), 0.2), 0, 100)])
+        far = Circle(Point(0.6, 0.6), 0.25)
+        moves = random_moves(rng, positions, 600)
+        report = cluster.run_tick(moves[:300] + [QueryRegister(1, far, 0, 100)] + moves[300:])
+        assert report.queries_ready == 2, (policy, seed)
+        assert sum(cluster.entrance.routing.load.values()) == 2
+        assert sum(1 for qw in cluster.query_workers if 1 in qw.queries) == 1
+        assert cluster.query_result(1) == ns_search(positions, far), (policy, seed)
+        report = cluster.run_tick(random_moves(rng, positions, 300))
+        assert report.queries_ready == 2
+        assert cluster.query_result(1) == ns_search(positions, far), (policy, seed)

@@ -33,14 +33,15 @@ BODIES = [
     QueryRegister(3, Circle(Point(0.5, 0.5), 0.05), 0, 100,
                   (CellId(1, 2), CellId(3, 4), CellId(5, 6)), 2),
     QueryMove(3, Circle(Point(0.6, 0.5), 0.05),
-              ((CellId(4, 4), 1, 2), (CellId(4, 5), 2, 0)), 6),
+              ((CellId(4, 4), 1, 2), (CellId(4, 5), 2, 0)), 6, 2),
     CellSearch(3, Circle(Point(0.5, 0.5), 0.05), ((CellId(1, 2), 2),), 6, False, 2),
     CellSearch(4, Circle(Point(0.5, 0.5), 0.05), (), 6, True, 1),
     PartialResult(3, CellId(1, 2), (10, 11, 12), 2),
     PartialResult(4, CellId(-1, 2), (), 1),
-    ResultDelta(3, CellId(4, 4), (1, 2), (3,)),
+    ResultDelta(3, (1, 2), (3,), 2),
     QueryExpire(3),
     TickBarrier(5, 100, 42, 7, 1234, b"\x01" * 32),
+    ResultDelta(4),
 ]
 
 
@@ -62,7 +63,7 @@ def test_frame_layout_golden():
     frame = encode_message(msg)
     assert frame[:4] == (len(frame) - 4).to_bytes(4, "big")
     payload = frame[4:]
-    assert payload[0] == 2                      # wire version
+    assert payload[0] == 3                      # wire version
     assert payload[1] == int(Kind.QUERY_EXPIRE)  # kind tag
     assert payload[2:10] == (3).to_bytes(8, "little")   # seq
     assert payload[10:18] == (1).to_bytes(8, "little")  # sender
@@ -80,10 +81,14 @@ _GOLDEN_HEAD = (
 )
 
 
+# kind 2 has kept its version-2 body layout; the frame carries the
+# current version byte
+
+
 def test_query_register_golden_v2():
     body = QueryRegister(3, Circle(Point(0.5, 0.5), 0.25), 0, 100, (CellId(1, 2),), 2)
     expected = bytes.fromhex(
-        "00000062" "02" "02" + _GOLDEN_HEAD                     # length, version 2, kind 2
+        "00000062" "03" "02" + _GOLDEN_HEAD                     # length, version 3, kind 2
         + "0000000000000000" "6400000000000000"                 # t_start 0, t_end 100
         + "01000000" "0100000000000000" "0200000000000000"      # keys: one cell (1, 2)
         + "02000000"                                            # epoch
@@ -91,13 +96,29 @@ def test_query_register_golden_v2():
     assert encode_message(Message(1, 6, 3, body)) == expected
 
 
-def test_query_move_golden_v2():
-    body = QueryMove(3, Circle(Point(0.5, 0.5), 0.25), ((CellId(1, 2), 1, 2),), 6)
+def test_query_move_golden_v3():
+    # version 3 appended the registration epoch
+    body = QueryMove(3, Circle(Point(0.5, 0.5), 0.25), ((CellId(1, 2), 1, 2),), 6, 2)
     expected = bytes.fromhex(
-        "00000058" "02" "03" + _GOLDEN_HEAD                     # length, version 2, kind 3
+        "0000005c" "03" "03" + _GOLDEN_HEAD                     # length, version 3, kind 3
         + "01000000" "0100000000000000" "0200000000000000"      # one transition: cell (1, 2)
         + "01" "02"                                             # partial -> full
         + "0600000000000000"                                    # query worker
+        + "02000000"                                            # epoch
+    )
+    assert encode_message(Message(1, 6, 3, body)) == expected
+
+
+def test_result_delta_golden_v3():
+    # version 3 dropped the cell and appended the registration epoch
+    body = ResultDelta(3, (10, 11), (12,), 2)
+    expected = bytes.fromhex(
+        "00000046" "03" "06"                                    # length, version 3, kind 6
+        "0300000000000000" "0100000000000000" "0600000000000000"  # seq, sender, receiver
+        "0300000000000000"                                      # q_id
+        "02000000" "0a00000000000000" "0b00000000000000"        # add: 10, 11
+        "01000000" "0c00000000000000"                           # remove: 12
+        "02000000"                                              # epoch
     )
     assert encode_message(Message(1, 6, 3, body)) == expected
 
@@ -106,7 +127,7 @@ def test_positional_forms_of_query_events():
     # clients build these with the circle alone; routing fields default
     c = Circle(Point(0.5, 0.5), 0.1)
     assert QueryRegister(1, c, 0, 9) == QueryRegister(1, c, 0, 9, (), 0)
-    assert QueryMove(1, c) == QueryMove(1, c, (), 0)
+    assert QueryMove(1, c) == QueryMove(1, c, (), 0, 0)
 
 
 def test_wire_doc_matches_code():
