@@ -1,7 +1,7 @@
 """Continuous range-query monitoring over moving objects."""
 
 from .cells import Cell, Change, DeltaEntry
-from .engine import Engine, QueryMoveDelta, QueryState
+from .engine import Engine
 from .geometry import Circle, Coverage, Point, Rect, UNIT_SQUARE, classify, contains
 from .grid import CandidateCells, CellId, GridIndex
 from .mtree import MTree, SearchStats, SplitConfig, SubtreeCache
@@ -20,8 +20,6 @@ __all__ = [
     "GridIndex",
     "MTree",
     "Point",
-    "QueryMoveDelta",
-    "QueryState",
     "Rect",
     "SearchStats",
     "SplitConfig",

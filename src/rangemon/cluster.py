@@ -145,8 +145,9 @@ class EntranceWorker(Node):
         self.routing = routing
         self.mode = mode
         self.registry: dict[int, tuple[Circle, CandidateCells, int]] = {}
-        # registration generation per query id; kept across expiry, so a
-        # re-registration's traffic is never mistaken for its predecessor's
+        # registration generation per query id; kept across expiry until
+        # the tick drains, so a re-registration's traffic is never mistaken
+        # for its predecessor's
         self._epochs: dict[int, int] = {}
         self._tick_had_updates = False
         self._moved: set[int] = set()  # gi/ns queries moved this tick
@@ -278,6 +279,10 @@ class EntranceWorker(Node):
         if body.digest:
             self._digest ^= int.from_bytes(body.digest, "big")
         if not self._pending_acks:
+            # every edge has drained: no expired registration's traffic is
+            # left in flight, so its epoch need not be remembered
+            if len(self._epochs) > len(self.registry):
+                self._epochs = {q_id: self._epochs[q_id] for q_id in self.registry}
             messages = self._totals[0] + self.sent_messages
             self.sent_messages = 0
             self.send(CLIENT, TickBarrier(
@@ -508,7 +513,7 @@ class QueryWorker(Node):
         super().__init__(node_id)
         self.queries: dict[int, QueryCounts] = {}
         self._stash: dict[int, list[Body]] = {}
-        self._expired: dict[int, int] = {}  # query id -> epoch it expired at
+        self._expired: dict[int, int] = {}  # query id -> epoch it expired at this tick
         self._expected_barriers = {ENTRANCE} | set(iw_ids)
         self._got_barriers: set[int] = set()
 
@@ -548,22 +553,22 @@ class QueryWorker(Node):
             state.apply_delta(body.add, body.remove)
 
     @staticmethod
-    def collect_partial(state: QueryCounts, key: CellId, ids: tuple[int, ...]) -> set[int] | None:
-        """Merge one cell's sub-result; returns the full result exactly when
-        the last awaited cell arrives."""
+    def collect_partial(state: QueryCounts, key: CellId, ids: tuple[int, ...]) -> None:
+        """Merge one cell's sub-result; the state is ready once the last
+        awaited cell has arrived."""
         if key not in state.expected:
             raise UnexpectedCellError(f"query {state.q_id}: partial for unexpected key {key}")
         if key not in state.pending:
             raise DuplicatePartialError(f"query {state.q_id}: duplicate partial for {key}")
         state.pending.remove(key)
         state.add_ids(ids)
-        return state.result if state.ready() else None
 
     def _on_barrier(self, sender: int, body: TickBarrier) -> None:
         self._got_barriers.add(sender)
         if self._got_barriers != self._expected_barriers:
             return
         self._got_barriers = set()
+        self._expired.clear()  # every edge has drained: no late traffic is left
         ready = sum(1 for s in self.queries.values() if s.ready())
         digest = hashlib.sha256()
         for q_id in sorted(self.queries):

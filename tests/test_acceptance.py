@@ -24,7 +24,7 @@ from rangemon.geometry import Circle, Point, UNIT_SQUARE
 from rangemon.grid import GridIndex
 from rangemon.mtree import MTree, SearchStats, SplitConfig, SubtreeCache
 from rangemon.workload import Workload, WorkloadSpec
-from rangemon.wire import ObjectUpdate, QueryRegister
+from rangemon.wire import ObjectUpdate, QueryExpire, QueryMove, QueryRegister
 
 from conftest import check_tree_invariants
 
@@ -72,65 +72,77 @@ def test_1_oracle_equivalence():
 
 
 def test_2_incremental_equivalence():
-    """500 ticks mixing moves, query moves, insertions, and expiries: every
-    active query equals a from-scratch recomputation after every tick."""
-    with _Gate("2 incremental equivalence (500 mixed ticks == from-scratch)"):
+    """500 ticks mixing moves, query moves, insertions, and expiries on the
+    cluster: every live query equals a from-scratch recomputation and is
+    ready after every tick, expired queries are gone, and a second cluster
+    on the random pump holds the same results."""
+    with _Gate("2 incremental equivalence (500 mixed cluster ticks == from-scratch)"):
         rng = random.Random(202)
         spec = WorkloadSpec(distribution="UD", n_objects=10_000, n_queries=0, seed=77)
         wl = Workload(spec)
         positions = dict(wl.objects)
-        engine = Engine(GridIndex(100), SplitConfig(alpha=20, m=6))
-        engine.on_objects_moved([(o, None, p) for o, p in positions.items()])
+        fifo = Cluster(ClusterSpec())
+        shuffled = Cluster(ClusterSpec(loopback_policy="random"))
+
+        def run_tick(events: list) -> None:
+            live = len(circles)
+            assert fifo.run_tick(events).queries_ready == live
+            assert shuffled.run_tick(events).queries_ready == live
+            results = fifo.results()
+            assert shuffled.results() == results
+            assert results.keys() == circles.keys()
+            for q, c in circles.items():
+                assert results[q] == ns_search(positions, c), (
+                    f"tick {tick}: query {q} diverged from recomputation"
+                )
 
         circles: dict[int, Circle] = {}
+        t_ends: dict[int, int] = {}
         next_q = 0
 
-        def add_query(now: int) -> None:
+        def add_query(now: int) -> QueryRegister:
             nonlocal next_q
             c = Circle(Point(rng.random(), rng.random()), rng.uniform(0.01, 0.08))
             circles[next_q] = c
-            engine.submit_query(next_q, c, t_end=now + rng.randint(50, 400))
+            t_ends[next_q] = now + rng.randint(50, 400)
             next_q += 1
+            return QueryRegister(next_q - 1, c, now, t_ends[next_q - 1])
 
-        for _ in range(100):
-            add_query(0)
-
-        for tick in range(1, 501):
-            # object moves
-            updates = []
-            for obj in rng.sample(range(10_000), 250):
-                old = positions[obj]
-                new = Point(
-                    min(max(old.x + rng.uniform(-0.02, 0.02), 0.0), 1.0),
-                    min(max(old.y + rng.uniform(-0.02, 0.02), 0.0), 1.0),
-                )
-                positions[obj] = new
-                updates.append((obj, old, new))
-            assert engine.on_objects_moved(updates) == []
-            # query moves
-            active = sorted(engine.queries)
-            for q in rng.sample(active, min(5, len(active))):
-                c = circles[q]
-                nc = Circle(
-                    Point(min(max(c.center.x + rng.uniform(-0.03, 0.03), 0.0), 1.0),
-                          min(max(c.center.y + rng.uniform(-0.03, 0.03), 0.0), 1.0)),
-                    c.radius,
-                )
-                circles[q] = nc
-                engine.on_query_moved(q, nc)
-            # expiries and fresh insertions
-            expired = engine.expire_queries(tick)
-            for q in expired:
-                del circles[q]
-            while len(engine.queries) < 100:
-                add_query(tick)
-            # exact from-scratch comparison for every active query
-            for q in engine.queries:
-                assert engine.result(q) == ns_search(positions, circles[q]), (
-                    f"tick {tick}: query {q} diverged from recomputation"
-                )
-            for q in expired:
-                assert q not in engine.queries
+        try:
+            tick = 0
+            run_tick([ObjectUpdate(o, None, p) for o, p in positions.items()])
+            run_tick([add_query(0) for _ in range(100)])
+            for tick in range(1, 501):
+                # object moves
+                events: list = []
+                for obj in rng.sample(range(10_000), 250):
+                    old = positions[obj]
+                    new = Point(
+                        min(max(old.x + rng.uniform(-0.02, 0.02), 0.0), 1.0),
+                        min(max(old.y + rng.uniform(-0.02, 0.02), 0.0), 1.0),
+                    )
+                    positions[obj] = new
+                    events.append(ObjectUpdate(obj, old, new))
+                # query moves
+                active = sorted(circles)
+                for q in rng.sample(active, min(5, len(active))):
+                    c = circles[q]
+                    circles[q] = Circle(
+                        Point(min(max(c.center.x + rng.uniform(-0.03, 0.03), 0.0), 1.0),
+                              min(max(c.center.y + rng.uniform(-0.03, 0.03), 0.0), 1.0)),
+                        c.radius,
+                    )
+                    events.append(QueryMove(q, circles[q]))
+                # expiries and fresh insertions
+                for q in sorted(q for q, t_end in t_ends.items() if t_end <= tick):
+                    del circles[q], t_ends[q]
+                    events.append(QueryExpire(q))
+                while len(circles) < 100:
+                    events.append(add_query(tick))
+                run_tick(events)
+        finally:
+            fifo.close()
+            shuffled.close()
 
 
 def test_3_structural_invariants():

@@ -64,14 +64,15 @@ def test_collect_partial_protocol():
     gr = CandidateCells(set(), {CellId(0, 0), CellId(0, 1), CellId(0, 2)})
     keys = tuple(sorted(gr.partial))
     state = QueryCounts(1, keys)
-    assert QueryWorker.collect_partial(state, keys[0], (1, 2)) is None
-    assert QueryWorker.collect_partial(state, keys[1], (3,)) is None
+    QueryWorker.collect_partial(state, keys[0], (1, 2))
+    QueryWorker.collect_partial(state, keys[1], (3,))
+    assert not state.ready()
     with pytest.raises(DuplicatePartialError):
         QueryWorker.collect_partial(state, keys[0], (1, 2))
     with pytest.raises(UnexpectedCellError):
         QueryWorker.collect_partial(state, CellId(9, 9), ())
-    final = QueryWorker.collect_partial(state, keys[2], (4,))
-    assert final == {1, 2, 3, 4}
+    QueryWorker.collect_partial(state, keys[2], (4,))
+    assert state.ready() and state.result == {1, 2, 3, 4}
 
 
 def make_cluster(**kw):
@@ -198,6 +199,8 @@ def test_expiry_stops_deltas_and_partials():
     cluster.run_tick(events)
     cluster.run_tick([QueryRegister(1, Circle(Point(0.5, 0.5), 0.2), 0, 2)])
     assert cluster.query_result(1) is not None
+    assert any(1 in node.queries for iw in cluster.index_workers for cell in iw.cells.values()
+               if cell.tree is not None for node in cell.tree.nodes())
     cluster.run_tick([QueryExpire(1)])
     assert cluster.query_result(1) is None
     trace = []
@@ -211,11 +214,45 @@ def test_expiry_stops_deltas_and_partials():
     cluster.run_tick(updates)
     from rangemon.wire import PartialResult, ResultDelta
     assert not any(isinstance(m.body, (PartialResult, ResultDelta)) for m in trace)
-    # index workers hold no leftover registrations
+    # index workers hold no leftover registrations, down to the tree nodes
     for iw in cluster.index_workers:
         assert iw.cells_of == {}
         for cell in iw.cells.values():
             assert not cell.full_queries and not cell.partial_queries
+            if cell.tree is not None:
+                assert not any(1 in node.queries for node in cell.tree.nodes())
+
+
+def test_per_query_id_state_is_bounded_by_live_queries():
+    # 200 distinct ids registered and expired over several ticks; the
+    # entrance's epochs and the query workers' expiry records keep only
+    # what the live queries need once each tick has drained
+    for mode in ("drqa", "gi"):
+        rng = random.Random(19)
+        cluster = make_cluster(engine=mode)
+        positions, events = seed_events(rng, 800)
+        cluster.run_tick(events)
+        circles = {}
+        for tick in range(5):
+            events = random_moves(rng, positions, 100)
+            for q in sorted(circles)[:20]:
+                del circles[q]
+                events.append(QueryExpire(q))
+            for q in range(40 * tick, 40 * tick + 40):
+                circles[q] = Circle(Point(rng.random(), rng.random()), 0.1)
+                events.append(QueryRegister(q, circles[q], 0, 100))
+                if q % 4 == 0:  # registered and expired within the tick
+                    del circles[q]
+                    events.append(QueryExpire(q))
+            report = cluster.run_tick(events)
+            assert report.queries_ready == len(circles), (mode, tick)
+            assert len(cluster.entrance._epochs) == len(circles), (mode, tick)
+            assert all(not qw._expired and not qw._stash for qw in cluster.query_workers), (mode, tick)
+        # an id whose epoch was forgotten registers afresh
+        circles[0] = Circle(Point(0.5, 0.5), 0.2)
+        cluster.run_tick([QueryRegister(0, circles[0], 0, 100)] + random_moves(rng, positions, 100))
+        for q, c in circles.items():
+            assert cluster.query_result(q) == ns_search(positions, c), (mode, q)
 
 
 def test_partial_results_once_per_cell_per_registration():
@@ -498,27 +535,37 @@ def test_result_deltas_carry_the_net_change():
     cluster.run_tick([QueryRegister(q, c, 0, 100) for q, c in circles.items()])
     trace = []
     cluster._transport.trace = trace
-    for _ in range(4):
+    for tick in range(5):
         before = cluster.results()
         del trace[:]
-        # short moves: most stay inside the circles that held them
-        updates = []
-        for obj in rng.sample(sorted(positions), 400):
-            old = positions[obj]
-            new = Point(min(max(old.x + rng.uniform(-0.08, 0.08), 0.0), 1.0),
-                        min(max(old.y + rng.uniform(-0.08, 0.08), 0.0), 1.0))
-            positions[obj] = new
-            updates.append(ObjectUpdate(obj, old, new))
-        report = cluster.run_tick(updates)
+        # an identity move sends nothing
+        events = [QueryMove(tick, circles[tick])]
+        if tick < 4:
+            # short moves: most stay inside the circles that held them
+            for obj in rng.sample(sorted(positions), 400):
+                old = positions[obj]
+                new = Point(min(max(old.x + rng.uniform(-0.08, 0.08), 0.0), 1.0),
+                            min(max(old.y + rng.uniform(-0.08, 0.08), 0.0), 1.0))
+                positions[obj] = new
+                events.append(ObjectUpdate(obj, old, new))
+        else:
+            # a relocation to a disjoint circle: one delta drops the whole
+            # old result and adds the whole new one
+            x, y = circles[7].center
+            circles[7] = Circle(Point(0.1 if x > 0.5 else 0.9, 0.1 if y > 0.5 else 0.9), 0.08)
+            events.append(QueryMove(7, circles[7]))
+        report = cluster.run_tick(events)
         assert report.queries_ready == len(circles)
         after = cluster.results()
         carried = {q: [] for q in circles}
         for m in trace:
             if isinstance(m.body, ResultDelta):
+                assert m.body.add or m.body.remove
                 carried[m.body.q_id] += m.body.add + m.body.remove
         for q, c in circles.items():
             assert after[q] == ns_search(positions, c)
             assert sorted(carried[q]) == sorted(before[q] ^ after[q]), q
+    assert before[7] and after[7] and not before[7] & after[7]
 
 
 def test_enter_may_overtake_leave_across_owners():
@@ -590,8 +637,8 @@ def test_count_invariant_makes_query_unready():
     # two partials that share an id: the fold notices the count of 2
     state = QueryCounts(1, (CellId(0, 0), CellId(0, 1)))
     QueryWorker.collect_partial(state, CellId(0, 0), (1, 2))
-    assert QueryWorker.collect_partial(state, CellId(0, 1), (2, 3)) is None
-    assert state.duplicates == 1
+    QueryWorker.collect_partial(state, CellId(0, 1), (2, 3))
+    assert not state.ready() and state.duplicates == 1
     state.apply_delta((), (2,))
     assert state.ready() and state.result == {1, 2, 3}
 
