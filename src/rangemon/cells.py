@@ -251,7 +251,7 @@ class CellStore:
         return cell
 
     def move_object(self, obj_id: int, old: Point | None,
-                    new: Point | None) -> Iterator[tuple[CellId, ObjectDelta]]:
+                    new: Point | None) -> Iterator[ObjectDelta]:
         """Apply one (old, new) report and yield each touched cell's delta.
         A move across cells is a removal from the old cell followed by an
         insertion into the new one.  Deltas are yielded lazily, so the old
@@ -259,9 +259,9 @@ class CellStore:
         old_cell = self.grid.locate(old) if old is not None else None
         new_cell = self.grid.locate(new) if new is not None else None
         if old_cell is not None and old_cell == new_cell:
-            yield old_cell, self.cell(old_cell).apply_object_update(obj_id, old, new)
+            yield self.cell(old_cell).apply_object_update(obj_id, old, new)
             return
         if old_cell is not None:
-            yield old_cell, self.cell(old_cell).apply_object_update(obj_id, old, None)
+            yield self.cell(old_cell).apply_object_update(obj_id, old, None)
         if new_cell is not None:
-            yield new_cell, self.cell(new_cell).apply_object_update(obj_id, None, new)
+            yield self.cell(new_cell).apply_object_update(obj_id, None, new)

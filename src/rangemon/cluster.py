@@ -13,6 +13,8 @@ deltas), "gi" (grid only: one :class:`GridStore` per index worker), and
 "ns" (each index worker keeps the objects of its own cells in one map and
 scans all of it per query).
 The baselines search each query at most once per tick, in the barrier wave.
+In every mode, an index worker answers a search with one partial result
+keyed by its own id, so a query worker awaits at most one per index worker.
 """
 
 from __future__ import annotations
@@ -21,14 +23,15 @@ import hashlib
 import queue as queue_mod
 import time
 from collections import Counter, deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .baselines import GridStore, ns_search
 from .cells import CellStore, Change, ObjectDelta
 from .errors import (
     DuplicatePartialError,
+    RangemonError,
     TransportError,
-    UnexpectedCellError,
+    UnexpectedPartialError,
 )
 from .geometry import Circle, Coverage, Point
 from .grid import CandidateCells, CellId, GridIndex
@@ -61,11 +64,10 @@ class RoutingTable:
     def __init__(self, query_workers: list[int], threshold: float, window: int = 1024):
         self.query_workers = list(query_workers)
         self.threshold = threshold
-        self.assigned: dict[int, int] = {}
         self.load: dict[int, int] = {w: 0 for w in self.query_workers}
         self.recent: deque[tuple[frozenset, int]] = deque(maxlen=window)
 
-    def route(self, q_id: int, gr: CandidateCells) -> int:
+    def route(self, gr: CandidateCells) -> int:
         if not self.query_workers:
             raise ValueError("no query workers")
         cells = frozenset(gr.all_cells())
@@ -81,15 +83,12 @@ class RoutingTable:
             worker = best[1]
         else:
             worker = min(self.query_workers, key=lambda w: (self.load[w], w))
-        self.assigned[q_id] = worker
         self.load[worker] += 1
         self.recent.append((cells, worker))
         return worker
 
-    def release(self, q_id: int) -> None:
-        worker = self.assigned.pop(q_id, None)
-        if worker is not None:
-            self.load[worker] -= 1
+    def release(self, worker: int) -> None:
+        self.load[worker] -= 1
 
 
 @dataclass
@@ -100,16 +99,10 @@ class TickReport:
     queries_ready: int
     objects_examined: int
     results_digest: str
+    errors: int  # object reports the index workers rejected
 
     def as_dict(self) -> dict:
-        return {
-            "tick": self.tick,
-            "messages": self.messages,
-            "objects_processed": self.objects_processed,
-            "queries_ready": self.queries_ready,
-            "objects_examined": self.objects_examined,
-            "results_digest": self.results_digest,
-        }
+        return asdict(self)
 
 
 class Node:
@@ -153,7 +146,7 @@ class EntranceWorker(Node):
         self._moved: set[int] = set()  # gi/ns queries moved this tick
         self._tick = 0
         self._pending_acks: set[int] = set()
-        self._totals = [0, 0, 0, 0]  # messages, objects, ready, examined
+        self._totals = [0, 0, 0, 0, 0]  # messages, objects, ready, examined, errors
         self._digest = 0
 
     def owner(self, cell: CellId) -> int:
@@ -190,21 +183,22 @@ class EntranceWorker(Node):
 
     def _search_fanout(
         self, q_id: int, circle: Circle, gr: CandidateCells, qw: int, epoch: int
-    ) -> list[CellId]:
-        """CELL_SEARCH to every index worker owning a candidate cell; returns
-        the pending keys the query worker must collect."""
-        if self.mode == "ns":
-            for iw in self.iw_ids:
-                self.send(iw, CellSearch(q_id, circle, (), qw, scan_all=True, epoch=epoch))
-            return [CellId(-1, iw) for iw in self.iw_ids]
+    ) -> list[int]:
+        """CELL_SEARCH to every index worker owning a candidate cell (under
+        ``ns``, to every index worker); returns their sorted ids, the
+        partials the query worker must collect."""
+        scan_all = self.mode == "ns"
         by_owner: dict[int, list[tuple[CellId, int]]] = {}
-        for cell in sorted(gr.full):
-            by_owner.setdefault(self.owner(cell), []).append((cell, Coverage.FULL.value))
-        for cell in sorted(gr.partial):
-            by_owner.setdefault(self.owner(cell), []).append((cell, Coverage.PARTIAL.value))
+        if scan_all:
+            by_owner = {iw: [] for iw in self.iw_ids}
+        else:
+            for cell in gr.full:
+                by_owner.setdefault(self.owner(cell), []).append((cell, Coverage.FULL.value))
+            for cell in gr.partial:
+                by_owner.setdefault(self.owner(cell), []).append((cell, Coverage.PARTIAL.value))
         for iw in sorted(by_owner):
-            self.send(iw, CellSearch(q_id, circle, tuple(sorted(by_owner[iw])), qw, epoch=epoch))
-        return sorted(gr.all_cells())
+            self.send(iw, CellSearch(q_id, circle, tuple(sorted(by_owner[iw])), qw, scan_all, epoch))
+        return sorted(by_owner)
 
     def _register_message(self, body: QueryRegister, gr: CandidateCells, qw: int) -> None:
         epoch = self._epochs.get(body.q_id, 0) + 1
@@ -219,7 +213,7 @@ class EntranceWorker(Node):
             # new fan-out and the routing table counts the query once
             self._dispatch_expire(QueryExpire(body.q_id))
         gr = self.grid.candidate_cells(body.circle)
-        qw = self.routing.route(body.q_id, gr)
+        qw = self.routing.route(gr)
         self.registry[body.q_id] = (body.circle, gr, qw)
         self._register_message(body, gr, qw)
 
@@ -243,7 +237,7 @@ class EntranceWorker(Node):
         if entry is None:
             return
         _, gr, qw = entry
-        self.routing.release(body.q_id)
+        self.routing.release(qw)
         self.send(qw, body)
         if self.mode == "drqa":
             for iw in sorted({self.owner(c) for c in gr.all_cells()}):
@@ -264,7 +258,7 @@ class EntranceWorker(Node):
             self._tick_had_updates = False
             self._moved = set()
             self._pending_acks = set(self.iw_ids) | set(self.qw_ids)
-            self._totals = [0, 0, 0, 0]
+            self._totals = [0, 0, 0, 0, 0]
             self._digest = 0
             for iw in self.iw_ids:
                 self.send(iw, TickBarrier(self._tick))
@@ -272,10 +266,8 @@ class EntranceWorker(Node):
                 self.send(qw, TickBarrier(self._tick))
             return
         self._pending_acks.discard(sender)
-        self._totals[0] += body.messages
-        self._totals[1] += body.objects
-        self._totals[2] += body.ready
-        self._totals[3] += body.examined
+        counters = (body.messages, body.objects, body.ready, body.examined, body.errors)
+        self._totals = [total + n for total, n in zip(self._totals, counters)]
         if body.digest:
             self._digest ^= int.from_bytes(body.digest, "big")
         if not self._pending_acks:
@@ -286,8 +278,7 @@ class EntranceWorker(Node):
             messages = self._totals[0] + self.sent_messages
             self.sent_messages = 0
             self.send(CLIENT, TickBarrier(
-                self._tick, messages, self._totals[1], self._totals[2], self._totals[3],
-                self._digest.to_bytes(32, "big"),
+                self._tick, messages, *self._totals[1:], self._digest.to_bytes(32, "big"),
             ))
 
 
@@ -301,6 +292,7 @@ class IndexWorker(Node, CellStore):
         self.store = GridStore(grid)  # gi mode only
         self.stats = SearchStats()
         self.objects_processed = 0
+        self.errors = 0  # object reports rejected this tick
         # drqa: query id -> (its query worker, its registration epoch)
         self.route_of: dict[int, tuple[int, int]] = {}
         self.cells_of: dict[int, set[CellId]] = {}
@@ -322,10 +314,10 @@ class IndexWorker(Node, CellStore):
 
     def _on_object_update(self, body: ObjectUpdate) -> None:
         self.objects_processed += 1
-        if self.mode == "drqa":
-            net: ObjectDelta = []
-            try:
-                for _, delta in self.move_object(body.obj_id, body.old, body.new):
+        net: ObjectDelta = []
+        try:
+            if self.mode == "drqa":
+                for delta in self.move_object(body.obj_id, body.old, body.new):
                     if not delta:
                         continue
                     if net:
@@ -335,21 +327,23 @@ class IndexWorker(Node, CellStore):
                         net = [entry for entry in net + delta if entry.q_id not in both]
                     else:
                         net = delta
-            finally:
-                # if the insertion raised, the removal's LEAVEs still go out
-                if net:
-                    self._emit_deltas(net)
-        elif self.mode == "gi":
-            if body.new is None:
-                self.store.remove(body.obj_id)
-            elif body.old is None:
-                self.store.insert(body.obj_id, body.new)
+            elif self.mode == "gi":
+                if body.new is None:
+                    self.store.remove(body.obj_id)
+                elif body.old is None:
+                    self.store.insert(body.obj_id, body.new)
+                else:
+                    self.store.move(body.obj_id, body.new)
+            elif body.new is None:
+                self.owned.pop(body.obj_id, None)
             else:
-                self.store.move(body.obj_id, body.new)
-        elif body.new is None:
-            self.owned.pop(body.obj_id, None)
-        else:
-            self.owned[body.obj_id] = body.new
+                self.owned[body.obj_id] = body.new
+        except RangemonError:
+            # a bad report is rejected alone and counted in the barrier; if
+            # its insertion raised, the removal's LEAVEs still go out
+            self.errors += 1
+        if net:
+            self._emit_deltas(net)
 
     def _emit_deltas(self, delta: ObjectDelta) -> None:
         # a netted delta of one object report holds each query at most
@@ -360,28 +354,26 @@ class IndexWorker(Node, CellStore):
             self.send(qw, ResultDelta(q_id, add, remove, epoch))
 
     def _on_cell_search(self, body: CellSearch) -> None:
+        """Search every listed cell (under ``ns``, every object this worker
+        holds) and answer with one partial keyed by this worker's id."""
+        # cells hold disjoint objects, so the ids are concatenated: an id
+        # listed twice reaches the query worker's count check
+        ids: list[int] = []
         if body.scan_all:
-            ids = ns_search(self.owned, body.circle, self.stats)
-            self.send(body.query_worker, PartialResult(
-                body.q_id, CellId(-1, self.id), tuple(sorted(ids)), body.epoch,
-            ))
-            return
-        for cell_id, cov_value in body.entries:
-            cov = Coverage(cov_value)
-            if self.mode == "gi":
-                if cov is Coverage.FULL:
-                    ids = self.store.cells.get(cell_id, {}).keys()
+            ids.extend(ns_search(self.owned, body.circle, self.stats))
+        elif self.mode == "gi":
+            for cell_id, cov_value in body.entries:
+                if cov_value == Coverage.FULL.value:
+                    ids.extend(self.store.cells.get(cell_id, {}))
                 else:
-                    ids = self.store.scan(cell_id, body.circle, self.stats)
-            else:
-                cell = self.cell(cell_id)
-                cell.unregister_query(body.q_id)  # re-registration replaces
-                self.route_of[body.q_id] = (body.query_worker, body.epoch)
-                self.cells_of.setdefault(body.q_id, set()).add(cell_id)
-                ids = cell.register(body.q_id, cov, body.circle, self.stats)
-            self.send(body.query_worker, PartialResult(
-                body.q_id, cell_id, tuple(sorted(ids)), body.epoch,
-            ))
+                    ids.extend(self.store.scan(cell_id, body.circle, self.stats))
+        else:
+            self.route_of[body.q_id] = (body.query_worker, body.epoch)
+            cells = self.cells_of.setdefault(body.q_id, set())
+            for cell_id, cov_value in body.entries:
+                cells.add(cell_id)
+                ids.extend(self.cell(cell_id).register(body.q_id, Coverage(cov_value), body.circle, self.stats))
+        self.send(body.query_worker, PartialResult(body.q_id, self.id, tuple(sorted(ids)), body.epoch))
 
     def _on_query_move(self, body: QueryMove) -> None:
         q_id = body.q_id
@@ -422,9 +414,11 @@ class IndexWorker(Node, CellStore):
             messages=self.sent_messages,
             objects=self.objects_processed,
             examined=self.stats.objects_examined,
+            errors=self.errors,
         ))
         self.sent_messages = 0
         self.objects_processed = 0
+        self.errors = 0
         self.stats = SearchStats()
 
 
@@ -432,8 +426,9 @@ class QueryCounts:
     """One query's result on its query worker: for each object id, the
     number of cells currently reporting it.  An id is in the result while
     its count is positive; zero counts are deleted, so the result is the
-    key set.  Also the collection bookkeeping of the registration: keys
-    still awaited, the key set promised, and the epoch partials must match.
+    key set.  Also the collection bookkeeping of the registration: the
+    index workers whose partials are still awaited, the set of those
+    promised, and the epoch partials must match.
 
     Two counters check the invariant that, once a tick's traffic has
     drained, every count is exactly 1: LEAVEs that found no count, and
@@ -442,7 +437,7 @@ class QueryCounts:
 
     __slots__ = ("q_id", "counts", "pending", "expected", "epoch", "stray_leaves", "duplicates")
 
-    def __init__(self, q_id: int, keys: tuple = (), epoch: int = 0):
+    def __init__(self, q_id: int, keys: tuple[int, ...] = (), epoch: int = 0):
         self.q_id = q_id
         self.counts: Counter[int] = Counter()
         self.pending = set(keys)
@@ -459,8 +454,8 @@ class QueryCounts:
         return not (self.pending or self.stray_leaves or self.duplicates)
 
     def add_ids(self, ids: tuple[int, ...]) -> None:
-        """Count one cell's sub-result (distinct ids) in one C-level pass.
-        Ids new to the query, the common case, each add one key."""
+        """Count one index worker's partial (distinct ids) in one C-level
+        pass.  Ids new to the query, the common case, each add one key."""
         counts = self.counts
         before = len(counts)
         counts.update(ids)
@@ -553,13 +548,13 @@ class QueryWorker(Node):
             state.apply_delta(body.add, body.remove)
 
     @staticmethod
-    def collect_partial(state: QueryCounts, key: CellId, ids: tuple[int, ...]) -> None:
-        """Merge one cell's sub-result; the state is ready once the last
-        awaited cell has arrived."""
+    def collect_partial(state: QueryCounts, key: int, ids: tuple[int, ...]) -> None:
+        """Merge one index worker's partial; the state is ready once the
+        last awaited worker has answered."""
         if key not in state.expected:
-            raise UnexpectedCellError(f"query {state.q_id}: partial for unexpected key {key}")
+            raise UnexpectedPartialError(f"query {state.q_id}: partial from unexpected index worker {key}")
         if key not in state.pending:
-            raise DuplicatePartialError(f"query {state.q_id}: duplicate partial for {key}")
+            raise DuplicatePartialError(f"query {state.q_id}: duplicate partial from index worker {key}")
         state.pending.remove(key)
         state.add_ids(ids)
 
@@ -676,6 +671,7 @@ class Cluster:
             queries_ready=body.ready,
             objects_examined=body.examined,
             results_digest=body.digest.hex(),
+            errors=body.errors,
         )
 
     # -- inspection (quiescent between ticks; all nodes live in-process) ----

@@ -29,12 +29,12 @@ class StateMismatchError(RangemonError):
     """A query-list transition disagrees with the recorded membership."""
 
 
-class UnexpectedCellError(RangemonError):
-    """A partial result arrived for a cell outside the query's candidate set."""
+class UnexpectedPartialError(RangemonError):
+    """A partial result arrived from an index worker the query was not sent to."""
 
 
 class DuplicatePartialError(RangemonError):
-    """A second partial result arrived for the same (query, cell) pair."""
+    """A second partial result arrived from the same index worker for a query."""
 
 
 class TransportError(RangemonError):

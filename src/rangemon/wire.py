@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from .geometry import Circle, Point
 from .grid import CellId
 
-WIRE_VERSION = 3
+WIRE_VERSION = 4
 
 _HEADER = struct.Struct("<BBQQQ")
 _U32 = struct.Struct("<I")
@@ -52,7 +52,7 @@ class QueryRegister:
     circle: Circle
     t_start: int
     t_end: int
-    keys: tuple[CellId, ...] = ()  # pending keys the query worker must collect
+    keys: tuple[int, ...] = ()  # index workers whose partials the query worker must collect
     epoch: int = 0  # registration generation; partials are matched against it
 
 
@@ -82,7 +82,7 @@ class CellSearch:
 class PartialResult:
     kind = Kind.PARTIAL_RESULT
     q_id: int
-    key: CellId  # the searched cell, or (-1, worker) for whole-worker scans
+    key: int  # the sending index worker: one partial per worker per registration
     ids: tuple[int, ...]
     epoch: int = 0
 
@@ -111,6 +111,7 @@ class TickBarrier:
     objects: int = 0
     ready: int = 0
     examined: int = 0
+    errors: int = 0  # object reports rejected by index workers
     digest: bytes = b""
 
 
@@ -129,10 +130,6 @@ class Message:
 
 
 # -- encoding -----------------------------------------------------------------
-
-
-def _cells(cells) -> bytes:
-    return _U32.pack(len(cells)) + b"".join(_CELL.pack(c[0], c[1]) for c in cells)
 
 
 def _ids(ids) -> bytes:
@@ -156,7 +153,7 @@ def _encode_body(body: Body) -> bytes:
         return (
             _U64.pack(body.q_id) + _circle(body.circle)
             + struct.pack("<qq", body.t_start, body.t_end)
-            + _cells(body.keys) + _U32.pack(body.epoch)
+            + _ids(body.keys) + _U32.pack(body.epoch)
         )
     if isinstance(body, QueryMove):
         out = _U64.pack(body.q_id) + _circle(body.circle) + _U32.pack(len(body.transitions))
@@ -173,7 +170,7 @@ def _encode_body(body: Body) -> bytes:
         )
     if isinstance(body, PartialResult):
         return (
-            _U64.pack(body.q_id) + _CELL.pack(body.key[0], body.key[1])
+            _U64.pack(body.q_id) + _U64.pack(body.key)
             + _ids(body.ids) + _U32.pack(body.epoch)
         )
     if isinstance(body, ResultDelta):
@@ -183,7 +180,7 @@ def _encode_body(body: Body) -> bytes:
     if isinstance(body, TickBarrier):
         return (
             _I64.pack(body.tick)
-            + struct.pack("<QQQQ", body.messages, body.objects, body.ready, body.examined)
+            + struct.pack("<QQQQQ", body.messages, body.objects, body.ready, body.examined, body.errors)
             + bytes([len(body.digest)]) + body.digest
         )
     raise ValueError(f"unknown body {body!r}")
@@ -212,10 +209,6 @@ class _Reader:
         v = s.unpack_from(self.buf, self.off)
         self.off += s.size
         return v
-
-    def cells(self) -> tuple[CellId, ...]:
-        (count,) = self.unpack(_U32)
-        return tuple(CellId(*self.unpack(_CELL)) for _ in range(count))
 
     def ids(self) -> tuple[int, ...]:
         (count,) = self.unpack(_U32)
@@ -248,7 +241,7 @@ def decode_payload(payload: bytes) -> Message:
         circle = r.circle()
         t_start, t_end = struct.unpack_from("<qq", r.buf, r.off)
         r.off += 16
-        keys = r.cells()
+        keys = r.ids()
         (epoch,) = r.unpack(_U32)
         body = QueryRegister(q_id, circle, t_start, t_end, keys, epoch)
     elif kind is Kind.QUERY_MOVE:
@@ -276,7 +269,7 @@ def decode_payload(payload: bytes) -> Message:
         body = CellSearch(q_id, circle, tuple(entries), qw, scan_all, epoch)
     elif kind is Kind.PARTIAL_RESULT:
         (q_id,) = r.unpack(_U64)
-        key = CellId(*r.unpack(_CELL))
+        (key,) = r.unpack(_U64)
         ids = r.ids()
         (epoch,) = r.unpack(_U32)
         body = PartialResult(q_id, key, ids, epoch)
@@ -290,12 +283,12 @@ def decode_payload(payload: bytes) -> Message:
         body = QueryExpire(q_id)
     elif kind is Kind.TICK_BARRIER:
         (tick,) = r.unpack(_I64)
-        messages, objects, ready, examined = struct.unpack_from("<QQQQ", r.buf, r.off)
-        r.off += 32
+        messages, objects, ready, examined, errors = struct.unpack_from("<QQQQQ", r.buf, r.off)
+        r.off += 40
         dlen = r.u8()
         digest = r.buf[r.off:r.off + dlen]
         r.off += dlen
-        body = TickBarrier(tick, messages, objects, ready, examined, digest)
+        body = TickBarrier(tick, messages, objects, ready, examined, errors, digest)
     else:  # pragma: no cover - Kind() above already raises
         raise ValueError(f"unknown kind {kind}")
     return Message(sender, receiver, seq, body)

@@ -11,7 +11,7 @@ from rangemon.cluster import (
     QueryCounts,
     RoutingTable,
 )
-from rangemon.errors import DuplicatePartialError, InconsistentUpdateError, UnexpectedCellError
+from rangemon.errors import DuplicatePartialError, UnexpectedPartialError
 from rangemon.geometry import Circle, Point
 from rangemon.grid import CandidateCells, CellId
 from rangemon.cluster import QueryWorker
@@ -37,40 +37,39 @@ def test_routing_threshold_at_jaccard_one_third():
     b = gr_of((0, 1), (0, 2))
     for threshold, expected in ((0.3, 10), (0.4, 11)):
         rt = RoutingTable([10, 11], threshold=threshold)
-        assert rt.route(1, a) == 10
-        assert rt.route(2, b) == expected
+        assert rt.route(a) == 10
+        assert rt.route(b) == expected
 
 
 def test_routing_similarity_and_load():
     rt = RoutingTable([10, 11], threshold=0.5)
-    w1 = rt.route(1, gr_of((0, 0), (0, 1)))
+    w1 = rt.route(gr_of((0, 0), (0, 1)))
     assert w1 == 10  # least loaded, lowest id
-    w2 = rt.route(2, gr_of((0, 0), (0, 1)))
+    w2 = rt.route(gr_of((0, 0), (0, 1)))
     assert w2 == w1  # identical candidate set -> same worker
-    w3 = rt.route(3, gr_of((9, 9)))
+    w3 = rt.route(gr_of((9, 9)))
     assert w3 == 11  # disjoint -> load balance
-    rt.release(1)
-    rt.release(2)
-    assert rt.route(4, gr_of((5, 5))) == 10
+    rt.release(w1)
+    rt.release(w2)
+    assert rt.route(gr_of((5, 5))) == 10
 
 
 def test_routing_no_workers():
     rt = RoutingTable([], threshold=0.5)
     with pytest.raises(ValueError):
-        rt.route(1, gr_of((0, 0)))
+        rt.route(gr_of((0, 0)))
 
 
 def test_collect_partial_protocol():
-    gr = CandidateCells(set(), {CellId(0, 0), CellId(0, 1), CellId(0, 2)})
-    keys = tuple(sorted(gr.partial))
+    keys = (2, 3, 4)  # the index workers a registration was fanned out to
     state = QueryCounts(1, keys)
     QueryWorker.collect_partial(state, keys[0], (1, 2))
     QueryWorker.collect_partial(state, keys[1], (3,))
     assert not state.ready()
     with pytest.raises(DuplicatePartialError):
         QueryWorker.collect_partial(state, keys[0], (1, 2))
-    with pytest.raises(UnexpectedCellError):
-        QueryWorker.collect_partial(state, CellId(9, 9), ())
+    with pytest.raises(UnexpectedPartialError):
+        QueryWorker.collect_partial(state, 9, ())
     QueryWorker.collect_partial(state, keys[2], (4,))
     assert state.ready() and state.result == {1, 2, 3, 4}
 
@@ -255,22 +254,35 @@ def test_per_query_id_state_is_bounded_by_live_queries():
             assert cluster.query_result(q) == ns_search(positions, c), (mode, q)
 
 
-def test_partial_results_once_per_cell_per_registration():
-    rng = random.Random(4)
-    cluster = make_cluster()
-    _, events = seed_events(rng, 1000)
-    cluster.run_tick(events)
-    trace = []
-    cluster._transport.trace = trace
-    c = Circle(Point(0.4, 0.6), 0.22)
-    cluster.run_tick([QueryRegister(7, c, 0, 100)])
+def test_partial_results_once_per_worker_per_registration():
     from rangemon.wire import CellSearch, PartialResult
-    searches = [m.body for m in trace if isinstance(m.body, CellSearch)]
-    partials = [m.body for m in trace if isinstance(m.body, PartialResult)]
-    listed = [cell for s in searches for cell, _ in s.entries]
-    seen = [p.key for p in partials]
-    assert sorted(listed) == sorted(seen)  # exactly one partial per listed cell
-    assert len(set(seen)) == len(seen)
+    for mode in ("drqa", "gi", "ns"):
+        rng = random.Random(4)
+        cluster = make_cluster(engine=mode)
+        positions, events = seed_events(rng, 1000)
+        cluster.run_tick(events)
+        trace = []
+        cluster._transport.trace = trace
+        c = Circle(Point(0.4, 0.6), 0.22)
+        cluster.run_tick([QueryRegister(7, c, 0, 100)])
+        searches = {m.receiver: m.body for m in trace if isinstance(m.body, CellSearch)}
+        partials = [m for m in trace if isinstance(m.body, PartialResult)]
+        (register,) = [m.body for m in trace if isinstance(m.body, QueryRegister) and m.sender == ENTRANCE]
+        # each CELL_SEARCH receiver answers once, keyed by its own id
+        assert sorted(m.sender for m in partials) == sorted(searches), mode
+        assert all(m.body.key == m.sender for m in partials), mode
+        assert register.keys == tuple(sorted(searches)), mode
+        if mode == "ns":
+            assert sorted(searches) == cluster.iw_ids
+        for m in partials:
+            if mode == "ns":
+                mine = {o: p for o, p in positions.items()
+                        if cluster.entrance.owner(cluster.grid.locate(p)) == m.sender}
+            else:
+                listed = {cell for cell, _ in searches[m.sender].entries}
+                mine = {o: p for o, p in positions.items() if cluster.grid.locate(p) in listed}
+            assert m.body.ids == tuple(sorted(ns_search(mine, c))), (mode, m.sender)
+        assert cluster.query_result(7) == ns_search(positions, c), mode
 
 
 def test_routing_invariance_of_results():
@@ -606,10 +618,11 @@ def test_failing_insert_still_sends_the_removal():
     cluster.run_tick([ObjectUpdate(999, None, old)])
     assert 999 in cluster.query_result(1)
     iw = cluster.index_workers[0]
-    # the new cell already claims the object, so the insertion raises
+    # the new cell already claims the object, so the insertion raises;
+    # the worker rejects the report and counts it
     iw.cell(cluster.grid.locate(new)).objects[999] = new
-    with pytest.raises(InconsistentUpdateError):
-        iw.handle(Message(ENTRANCE, iw.id, 0, ObjectUpdate(999, old, new)))
+    iw.handle(Message(ENTRANCE, iw.id, 0, ObjectUpdate(999, old, new)))
+    assert iw.errors == 1
     cluster._transport.pump()
     assert 999 not in cluster.query_result(1)
 
@@ -635,9 +648,9 @@ def test_reregistration_replaces_the_old_circle():
 
 def test_count_invariant_makes_query_unready():
     # two partials that share an id: the fold notices the count of 2
-    state = QueryCounts(1, (CellId(0, 0), CellId(0, 1)))
-    QueryWorker.collect_partial(state, CellId(0, 0), (1, 2))
-    QueryWorker.collect_partial(state, CellId(0, 1), (2, 3))
+    state = QueryCounts(1, (2, 3))
+    QueryWorker.collect_partial(state, 2, (1, 2))
+    QueryWorker.collect_partial(state, 3, (2, 3))
     assert not state.ready() and state.duplicates == 1
     state.apply_delta((), (2,))
     assert state.ready() and state.result == {1, 2, 3}
@@ -688,3 +701,27 @@ def test_reregistration_within_a_tick_of_object_reports():
         report = cluster.run_tick(random_moves(rng, positions, 300))
         assert report.queries_ready == 2
         assert cluster.query_result(1) == ns_search(positions, far), (policy, seed)
+
+
+def test_bad_object_report_stays_in_its_tick():
+    # a report for an object that was never inserted is rejected by its
+    # index worker alone: the tick drains, its report counts the error,
+    # and the next ticks are clean
+    for mode in ("drqa", "gi"):
+        rng = random.Random(20)
+        cluster = Cluster(ClusterSpec(grid_n=10, index_workers=2, query_workers=1,
+                                      alpha=6, m=4, engine=mode))
+        positions, events = seed_events(rng, 400)
+        cluster.run_tick(events)
+        circles = {q: Circle(Point(rng.random(), rng.random()), 0.2) for q in range(4)}
+        cluster.run_tick([QueryRegister(q, c, 0, 100) for q, c in circles.items()])
+        ghost = ObjectUpdate(10_000, Point(0.51, 0.51), Point(0.52, 0.52))  # one cell
+        for tick, errors in ((3, 1), (4, 0), (5, 0)):
+            events = random_moves(rng, positions, 50)
+            if errors:
+                events.insert(25, ghost)
+            report = cluster.run_tick(events)
+            assert (report.tick, report.errors) == (tick, errors), mode
+            assert report.queries_ready == len(circles), mode
+            for q, c in circles.items():
+                assert cluster.query_result(q) == ns_search(positions, c), (mode, q)

@@ -134,6 +134,6 @@ def test_expired_queries_receive_no_deltas():
         old = positions[obj]
         new = Point(rng.random(), rng.random())
         positions[obj] = new
-        for _, delta in engine.move_object(obj, old, new):
+        for delta in engine.move_object(obj, old, new):
             notified |= {entry.q_id for entry in delta}
     assert notified == {2}  # no stale registration of the removed query

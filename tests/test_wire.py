@@ -30,17 +30,16 @@ BODIES = [
     ObjectUpdate(7, Point(0.1, 0.2), Point(0.3, 0.4)),
     ObjectUpdate(8, None, Point(0.3, 0.4)),
     ObjectUpdate(9, Point(0.1, 0.2), None),
-    QueryRegister(3, Circle(Point(0.5, 0.5), 0.05), 0, 100,
-                  (CellId(1, 2), CellId(3, 4), CellId(5, 6)), 2),
+    QueryRegister(3, Circle(Point(0.5, 0.5), 0.05), 0, 100, (2, 3, 5), 2),
     QueryMove(3, Circle(Point(0.6, 0.5), 0.05),
               ((CellId(4, 4), 1, 2), (CellId(4, 5), 2, 0)), 6, 2),
     CellSearch(3, Circle(Point(0.5, 0.5), 0.05), ((CellId(1, 2), 2),), 6, False, 2),
     CellSearch(4, Circle(Point(0.5, 0.5), 0.05), (), 6, True, 1),
-    PartialResult(3, CellId(1, 2), (10, 11, 12), 2),
-    PartialResult(4, CellId(-1, 2), (), 1),
+    PartialResult(3, 2, (10, 11, 12), 2),
+    PartialResult(4, 5, (), 1),
     ResultDelta(3, (1, 2), (3,), 2),
     QueryExpire(3),
-    TickBarrier(5, 100, 42, 7, 1234, b"\x01" * 32),
+    TickBarrier(5, 100, 42, 7, 1234, 3, b"\x01" * 32),
     ResultDelta(4),
 ]
 
@@ -63,7 +62,7 @@ def test_frame_layout_golden():
     frame = encode_message(msg)
     assert frame[:4] == (len(frame) - 4).to_bytes(4, "big")
     payload = frame[4:]
-    assert payload[0] == 3                      # wire version
+    assert payload[0] == 4                      # wire version
     assert payload[1] == int(Kind.QUERY_EXPIRE)  # kind tag
     assert payload[2:10] == (3).to_bytes(8, "little")   # seq
     assert payload[10:18] == (1).to_bytes(8, "little")  # sender
@@ -81,17 +80,32 @@ _GOLDEN_HEAD = (
 )
 
 
-# kind 2 has kept its version-2 body layout; the frame carries the
-# current version byte
+# kinds 3 and 6 have kept their version-3 body layouts; each frame
+# carries the current version byte
 
 
-def test_query_register_golden_v2():
-    body = QueryRegister(3, Circle(Point(0.5, 0.5), 0.25), 0, 100, (CellId(1, 2),), 2)
+def test_query_register_golden_v4():
+    # version 4 made the keys the index workers' ids
+    body = QueryRegister(3, Circle(Point(0.5, 0.5), 0.25), 0, 100, (2, 5), 2)
     expected = bytes.fromhex(
-        "00000062" "03" "02" + _GOLDEN_HEAD                     # length, version 3, kind 2
+        "00000062" "04" "02" + _GOLDEN_HEAD                     # length, version 4, kind 2
         + "0000000000000000" "6400000000000000"                 # t_start 0, t_end 100
-        + "01000000" "0100000000000000" "0200000000000000"      # keys: one cell (1, 2)
+        + "02000000" "0200000000000000" "0500000000000000"      # keys: index workers 2, 5
         + "02000000"                                            # epoch
+    )
+    assert encode_message(Message(1, 6, 3, body)) == expected
+
+
+def test_partial_result_golden_v4():
+    # version 4 keyed a partial by the sending index worker
+    body = PartialResult(3, 2, (10, 11), 2)
+    expected = bytes.fromhex(
+        "00000042" "04" "05"                                    # length, version 4, kind 5
+        "0300000000000000" "0100000000000000" "0600000000000000"  # seq, sender, receiver
+        "0300000000000000"                                      # q_id
+        "0200000000000000"                                      # key: index worker 2
+        "02000000" "0a00000000000000" "0b00000000000000"        # ids: 10, 11
+        "02000000"                                              # epoch
     )
     assert encode_message(Message(1, 6, 3, body)) == expected
 
@@ -100,7 +114,7 @@ def test_query_move_golden_v3():
     # version 3 appended the registration epoch
     body = QueryMove(3, Circle(Point(0.5, 0.5), 0.25), ((CellId(1, 2), 1, 2),), 6, 2)
     expected = bytes.fromhex(
-        "0000005c" "03" "03" + _GOLDEN_HEAD                     # length, version 3, kind 3
+        "0000005c" "04" "03" + _GOLDEN_HEAD                     # length, version 4, kind 3
         + "01000000" "0100000000000000" "0200000000000000"      # one transition: cell (1, 2)
         + "01" "02"                                             # partial -> full
         + "0600000000000000"                                    # query worker
@@ -113,12 +127,27 @@ def test_result_delta_golden_v3():
     # version 3 dropped the cell and appended the registration epoch
     body = ResultDelta(3, (10, 11), (12,), 2)
     expected = bytes.fromhex(
-        "00000046" "03" "06"                                    # length, version 3, kind 6
+        "00000046" "04" "06"                                    # length, version 4, kind 6
         "0300000000000000" "0100000000000000" "0600000000000000"  # seq, sender, receiver
         "0300000000000000"                                      # q_id
         "02000000" "0a00000000000000" "0b00000000000000"        # add: 10, 11
         "01000000" "0c00000000000000"                           # remove: 12
         "02000000"                                              # epoch
+    )
+    assert encode_message(Message(1, 6, 3, body)) == expected
+
+
+def test_tick_barrier_golden_v4():
+    # version 4 added the rejected-report count before the digest
+    body = TickBarrier(5, 1, 2, 3, 4, 6, b"\xab")
+    expected = bytes.fromhex(
+        "0000004c" "04" "08"                                    # length, version 4, kind 8
+        "0300000000000000" "0100000000000000" "0600000000000000"  # seq, sender, receiver
+        "0500000000000000"                                      # tick
+        "0100000000000000" "0200000000000000"                   # messages, objects
+        "0300000000000000" "0400000000000000"                   # ready, examined
+        "0600000000000000"                                      # errors
+        "01" "ab"                                               # digest length, digest
     )
     assert encode_message(Message(1, 6, 3, body)) == expected
 
@@ -165,7 +194,7 @@ def test_length_mismatch_rejected():
 @given(st.integers(min_value=0, max_value=2**63 - 1), st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=50, deadline=None)
 def test_roundtrip_ids(q_id, epoch):
-    body = PartialResult(q_id, CellId(3, 9), (q_id,), epoch)
+    body = PartialResult(q_id, q_id, (q_id,), epoch)
     msg = Message(0, 1, 1, body)
     assert decode_message(encode_message(msg)) == msg
 
