@@ -29,6 +29,7 @@ from .baselines import GridStore, ns_search
 from .cells import CellStore, Change, ObjectDelta
 from .errors import (
     DuplicatePartialError,
+    OutOfDomainError,
     RangemonError,
     TransportError,
     UnexpectedPartialError,
@@ -99,7 +100,7 @@ class TickReport:
     queries_ready: int
     objects_examined: int
     results_digest: str
-    errors: int  # object reports the index workers rejected
+    errors: int  # events rejected: outside the domain, or a bad object report
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -148,31 +149,37 @@ class EntranceWorker(Node):
         self._pending_acks: set[int] = set()
         self._totals = [0, 0, 0, 0, 0]  # messages, objects, ready, examined, errors
         self._digest = 0
+        self.errors = 0  # client events rejected this tick
 
     def owner(self, cell: CellId) -> int:
         return self.assignment[cell]
 
     def handle(self, msg: Message) -> None:
         body = msg.body
-        if isinstance(body, ObjectUpdate):
-            self._dispatch_object(body)
-        elif isinstance(body, QueryRegister):
-            self._dispatch_register(body)
-        elif isinstance(body, QueryMove):
-            self._dispatch_move(body)
-        elif isinstance(body, QueryExpire):
-            self._dispatch_expire(body)
-        elif isinstance(body, TickBarrier):
-            self._on_barrier(msg.sender, body)
-        else:
-            raise ValueError(f"entrance: unexpected message kind {body.kind!r}")
+        try:
+            if isinstance(body, ObjectUpdate):
+                self._dispatch_object(body)
+            elif isinstance(body, QueryRegister):
+                self._dispatch_register(body)
+            elif isinstance(body, QueryMove):
+                self._dispatch_move(body)
+            elif isinstance(body, QueryExpire):
+                self._dispatch_expire(body)
+            elif isinstance(body, TickBarrier):
+                self._on_barrier(msg.sender, body)
+            else:
+                raise ValueError(f"entrance: unexpected message kind {body.kind!r}")
+        except OutOfDomainError:
+            # each dispatch locates its points before it sends or records
+            # anything, so the event is rejected alone and the tick drains
+            self.errors += 1
 
     # -- fan-out ---------------------------------------------------------
 
     def _dispatch_object(self, body: ObjectUpdate) -> None:
-        self._tick_had_updates = True
         old_owner = self.owner(self.grid.locate(body.old)) if body.old is not None else None
         new_owner = self.owner(self.grid.locate(body.new)) if body.new is not None else None
+        self._tick_had_updates = True
         if old_owner is not None and old_owner == new_owner:
             self.send(old_owner, body)
             return
@@ -207,12 +214,12 @@ class EntranceWorker(Node):
         self.send(qw, QueryRegister(body.q_id, body.circle, body.t_start, body.t_end, tuple(keys), epoch))
 
     def _dispatch_register(self, body: QueryRegister) -> None:
+        gr = self.grid.candidate_cells(body.circle)
         if body.q_id in self.registry:
             # a registration of a live query replaces it: expire it first,
             # so the old circle's cells drop their registrations before the
             # new fan-out and the routing table counts the query once
             self._dispatch_expire(QueryExpire(body.q_id))
-        gr = self.grid.candidate_cells(body.circle)
         qw = self.routing.route(gr)
         self.registry[body.q_id] = (body.circle, gr, qw)
         self._register_message(body, gr, qw)
@@ -276,7 +283,9 @@ class EntranceWorker(Node):
             if len(self._epochs) > len(self.registry):
                 self._epochs = {q_id: self._epochs[q_id] for q_id in self.registry}
             messages = self._totals[0] + self.sent_messages
+            self._totals[4] += self.errors
             self.sent_messages = 0
+            self.errors = 0
             self.send(CLIENT, TickBarrier(
                 self._tick, messages, *self._totals[1:], self._digest.to_bytes(32, "big"),
             ))
@@ -296,6 +305,38 @@ class IndexWorker(Node, CellStore):
         # drqa: query id -> (its query worker, its registration epoch)
         self.route_of: dict[int, tuple[int, int]] = {}
         self.cells_of: dict[int, set[CellId]] = {}
+        # drqa: per query worker, query id -> (epoch, entered ids, left ids)
+        # not yet sent; flushed as one RESULT_DELTA before any other message
+        # on that edge, the tick barrier included
+        self._outbox: dict[int, dict[int, tuple[int, list[int], list[int]]]] = {qw: {} for qw in qw_ids}
+
+    def send(self, receiver: int, body: Body) -> None:
+        box = self._outbox.get(receiver)
+        if box:
+            # the edge is FIFO and a query's partial flushes its deltas, so
+            # each span holds one registration's changes, in order
+            self._outbox[receiver] = {}
+            spans = []
+            add: list[int] = []
+            remove: list[int] = []
+            for q_id, (epoch, entered, left) in box.items():
+                spans.append((q_id, epoch, len(entered), len(left)))
+                add += entered
+                remove += left
+            super().send(receiver, ResultDelta(tuple(spans), tuple(add), tuple(remove)))
+        super().send(receiver, body)
+
+    def _buffered(self, q_id: int) -> tuple[int, list[int], list[int]]:
+        """The outbox entry of a registered query's current registration."""
+        qw, epoch = self.route_of[q_id]
+        box = self._outbox[qw]
+        entry = box.get(q_id)
+        if entry is None or entry[0] != epoch:
+            # the entry of a replaced registration is dropped: a move can
+            # bring the new one here without a partial to flush it, and the
+            # query worker drops a replaced registration's traffic anyway
+            entry = box[q_id] = (epoch, [], [])
+        return entry
 
     def handle(self, msg: Message) -> None:
         body = msg.body
@@ -346,12 +387,9 @@ class IndexWorker(Node, CellStore):
             self._emit_deltas(net)
 
     def _emit_deltas(self, delta: ObjectDelta) -> None:
-        # a netted delta of one object report holds each query at most
-        # once, so the entries sort by query id
-        for q_id, obj_id, change in sorted(delta):
-            add, remove = ((obj_id,), ()) if change is Change.ENTER else ((), (obj_id,))
-            qw, epoch = self.route_of[q_id]
-            self.send(qw, ResultDelta(q_id, add, remove, epoch))
+        for q_id, obj_id, change in delta:
+            _, entered, left = self._buffered(q_id)
+            (entered if change is Change.ENTER else left).append(obj_id)
 
     def _on_cell_search(self, body: CellSearch) -> None:
         """Search every listed cell (under ``ns``, every object this worker
@@ -394,9 +432,9 @@ class IndexWorker(Node, CellStore):
             else:
                 owned.add(cell_id)
         if entered or left:
-            self.send(body.query_worker, ResultDelta(
-                q_id, tuple(sorted(entered)), tuple(sorted(left)), body.epoch,
-            ))
+            _, buffered_entered, buffered_left = self._buffered(q_id)
+            buffered_entered += entered
+            buffered_left += left
         if not owned:
             self.cells_of.pop(q_id, None)
             self.route_of.pop(q_id, None)
@@ -454,22 +492,25 @@ class QueryCounts:
         return not (self.pending or self.stray_leaves or self.duplicates)
 
     def add_ids(self, ids: tuple[int, ...]) -> None:
-        """Count one index worker's partial (distinct ids) in one C-level
-        pass.  Ids new to the query, the common case, each add one key."""
+        """Count a partial or a span's ENTERs in one C-level pass.  Ids new
+        to the query and distinct, the common case, each add one key."""
         counts = self.counts
         before = len(counts)
         counts.update(ids)
         if len(counts) - before != len(ids):
-            # some ids were counted already: those now at 2 were at 1
-            self.duplicates += sum(1 for obj_id in ids if counts[obj_id] == 2)
+            # some ids were counted already or are listed twice: count
+            # those whose count reached 2 in this pass
+            for obj_id, k in Counter(ids).items():
+                n = counts[obj_id]
+                if n >= 2 > n - k:
+                    self.duplicates += 1
 
     def apply_delta(self, add: tuple[int, ...], remove: tuple[int, ...]) -> None:
+        """ENTERs before LEAVEs: an index worker sends a LEAVE only for an
+        id it has ENTERed, so no LEAVE is counted stray for arriving in the
+        same span as its ENTER."""
+        self.add_ids(add)
         counts = self.counts
-        for obj_id in add:
-            n = counts.get(obj_id, 0) + 1
-            counts[obj_id] = n
-            if n == 2:
-                self.duplicates += 1
         for obj_id in remove:
             n = counts.get(obj_id, 0)
             if n == 1:
@@ -490,8 +531,8 @@ class QueryWorker(Node):
     from different index workers may arrive in any order: when an object
     crosses an owner boundary, its ENTER from the new cell's owner can
     overtake its LEAVE from the old one.  An index worker nets each object
-    report per query before sending, so a move between two cells of one
-    owner that both report to a query sends nothing.
+    report per query before buffering it, so a move between two cells of
+    one owner that both report to a query sends nothing.
 
     Messages travel on FIFO edges, but different edges interleave freely:
     a partial routed entrance -> index worker -> here can overtake the
@@ -502,6 +543,13 @@ class QueryWorker(Node):
 
     Query moves never reach this worker: a cell the moved circle leaves
     loses its contribution by a RESULT_DELTA from the cell's owner.
+
+    An index worker sends its deltas for this worker as one RESULT_DELTA
+    just before its next other message on the edge (a partial or the
+    tick's barrier): one span per query, with the ENTERs and LEAVEs since
+    the last flush.  So a tick without registrations brings at most one
+    frame per index worker.  Each span is checked against its query's
+    epoch on its own, and its adds are folded before its removes.
     """
 
     def __init__(self, node_id: int, iw_ids: list[int]):
@@ -533,19 +581,32 @@ class QueryWorker(Node):
             raise ValueError(f"query worker {self.id}: unexpected kind {body.kind!r}")
 
     def _consume(self, body: PartialResult | ResultDelta) -> None:
-        state = self.queries.get(body.q_id)
-        if state is None:
-            if body.epoch > self._expired.get(body.q_id, 0):
-                self._stash.setdefault(body.q_id, []).append(body)
-            return  # otherwise late traffic of an expired registration
-        if body.epoch > state.epoch:
-            self._stash.setdefault(body.q_id, []).append(body)
-        elif body.epoch < state.epoch:
-            return  # late traffic of a replaced registration
-        elif isinstance(body, PartialResult):
-            self.collect_partial(state, body.key, body.ids)
-        else:
-            state.apply_delta(body.add, body.remove)
+        if isinstance(body, PartialResult):
+            state = self._live(body.q_id, body.epoch)
+            if state is None:
+                self._stash_if_early(body.q_id, body.epoch, body)
+            else:
+                self.collect_partial(state, body.key, body.ids)
+            return
+        for q_id, epoch, add, remove in body.per_query():
+            state = self._live(q_id, epoch)
+            if state is None:
+                self._stash_if_early(q_id, epoch, ResultDelta.single(q_id, epoch, add, remove))
+            else:
+                state.apply_delta(add, remove)
+
+    def _live(self, q_id: int, epoch: int) -> QueryCounts | None:
+        """The state that traffic of registration ``epoch`` belongs to, if
+        that registration is the one held."""
+        state = self.queries.get(q_id)
+        return state if state is not None and state.epoch == epoch else None
+
+    def _stash_if_early(self, q_id: int, epoch: int, body: PartialResult | ResultDelta) -> None:
+        """Keep traffic that overtook its registration until it lands;
+        traffic of an expired or replaced registration is dropped."""
+        state = self.queries.get(q_id)
+        if epoch > (state.epoch if state is not None else self._expired.get(q_id, 0)):
+            self._stash.setdefault(q_id, []).append(body)
 
     @staticmethod
     def collect_partial(state: QueryCounts, key: int, ids: tuple[int, ...]) -> None:

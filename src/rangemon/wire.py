@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from .geometry import Circle, Point
 from .grid import CellId
 
-WIRE_VERSION = 4
+WIRE_VERSION = 5
 
 _HEADER = struct.Struct("<BBQQQ")
 _U32 = struct.Struct("<I")
@@ -24,6 +24,7 @@ _U64 = struct.Struct("<Q")
 _I64 = struct.Struct("<q")
 _F64 = struct.Struct("<d")
 _CELL = struct.Struct("<qq")
+_SPAN = struct.Struct("<QIII")  # RESULT_DELTA span: q_id, epoch, n_add, n_remove
 
 
 class Kind(enum.IntEnum):
@@ -89,12 +90,29 @@ class PartialResult:
 
 @dataclass(frozen=True)
 class ResultDelta:
-    # a net change of one query's result: no id is in both add and remove
+    """One index worker's result changes for the queries of one query
+    worker, batched over a tick.  Span i is ``(q_id, epoch, n_add,
+    n_remove)``: the query, the registration generation the change belongs
+    to, and how many of the next ids of ``add`` and of ``remove`` are its.
+    A query has at most one span per frame; an id may be in both lists of
+    a span (an object that entered and left within the tick)."""
+
     kind = Kind.RESULT_DELTA
-    q_id: int
+    spans: tuple[tuple[int, int, int, int], ...] = ()
     add: tuple[int, ...] = ()
     remove: tuple[int, ...] = ()
-    epoch: int = 0  # the registration generation the change belongs to
+
+    @classmethod
+    def single(cls, q_id: int, epoch: int, add: tuple[int, ...] = (), remove: tuple[int, ...] = ()) -> ResultDelta:
+        return cls(((q_id, epoch, len(add), len(remove)),), add, remove)
+
+    def per_query(self):
+        """Yield ``(q_id, epoch, add, remove)`` for each span, in order."""
+        a = r = 0
+        for q_id, epoch, n_add, n_remove in self.spans:
+            yield q_id, epoch, self.add[a:a + n_add], self.remove[r:r + n_remove]
+            a += n_add
+            r += n_remove
 
 
 @dataclass(frozen=True)
@@ -174,7 +192,10 @@ def _encode_body(body: Body) -> bytes:
             + _ids(body.ids) + _U32.pack(body.epoch)
         )
     if isinstance(body, ResultDelta):
-        return _U64.pack(body.q_id) + _ids(body.add) + _ids(body.remove) + _U32.pack(body.epoch)
+        return (
+            _U32.pack(len(body.spans)) + b"".join(_SPAN.pack(*span) for span in body.spans)
+            + _ids(body.add) + _ids(body.remove)
+        )
     if isinstance(body, QueryExpire):
         return _U64.pack(body.q_id)
     if isinstance(body, TickBarrier):
@@ -274,10 +295,9 @@ def decode_payload(payload: bytes) -> Message:
         (epoch,) = r.unpack(_U32)
         body = PartialResult(q_id, key, ids, epoch)
     elif kind is Kind.RESULT_DELTA:
-        (q_id,) = r.unpack(_U64)
-        add, remove = r.ids(), r.ids()
-        (epoch,) = r.unpack(_U32)
-        body = ResultDelta(q_id, add, remove, epoch)
+        (count,) = r.unpack(_U32)
+        spans = tuple(r.unpack(_SPAN) for _ in range(count))
+        body = ResultDelta(spans, r.ids(), r.ids())
     elif kind is Kind.QUERY_EXPIRE:
         (q_id,) = r.unpack(_U64)
         body = QueryExpire(q_id)

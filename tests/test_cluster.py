@@ -572,8 +572,9 @@ def test_result_deltas_carry_the_net_change():
         carried = {q: [] for q in circles}
         for m in trace:
             if isinstance(m.body, ResultDelta):
-                assert m.body.add or m.body.remove
-                carried[m.body.q_id] += m.body.add + m.body.remove
+                for q_id, _, add, remove in m.body.per_query():
+                    assert add or remove
+                    carried[q_id] += add + remove
         for q, c in circles.items():
             assert after[q] == ns_search(positions, c)
             assert sorted(carried[q]) == sorted(before[q] ^ after[q]), q
@@ -623,7 +624,7 @@ def test_failing_insert_still_sends_the_removal():
     iw.cell(cluster.grid.locate(new)).objects[999] = new
     iw.handle(Message(ENTRANCE, iw.id, 0, ObjectUpdate(999, old, new)))
     assert iw.errors == 1
-    cluster._transport.pump()
+    cluster.run_tick([])  # its barrier flushes the buffered LEAVE
     assert 999 not in cluster.query_result(1)
 
 
@@ -668,7 +669,7 @@ def test_count_invariant_makes_query_unready():
     def inject(q_id, add=(), remove=()):
         qw = next(w for w in cluster.query_workers if q_id in w.queries)
         epoch = qw.queries[q_id].epoch
-        qw.handle(Message(cluster.iw_ids[0], qw.id, 0, ResultDelta(q_id, add, remove, epoch)))
+        qw.handle(Message(cluster.iw_ids[0], qw.id, 0, ResultDelta.single(q_id, epoch, add, remove)))
 
     inject(0, add=(member,))  # a second ENTER: count 2
     assert cluster.run_tick([]).queries_ready == 2
@@ -725,3 +726,93 @@ def test_bad_object_report_stays_in_its_tick():
             assert report.queries_ready == len(circles), mode
             for q, c in circles.items():
                 assert cluster.query_result(q) == ns_search(positions, c), (mode, q)
+
+
+def test_out_of_domain_events_stay_in_their_tick():
+    # a report, a registration and a move whose point or center lies
+    # outside the unit square are each rejected alone by the entrance;
+    # the good events around them land in the same tick
+    for mode in ("drqa", "gi"):
+        rng = random.Random(22)
+        cluster = Cluster(ClusterSpec(grid_n=10, index_workers=2, query_workers=1,
+                                      alpha=6, m=4, engine=mode))
+        positions, events = seed_events(rng, 400)
+        cluster.run_tick(events)
+        circles = {q: Circle(Point(rng.random(), rng.random()), 0.2) for q in range(4)}
+        cluster.run_tick([QueryRegister(q, c, 0, 100) for q, c in circles.items()])
+        for tick, errors in ((3, 3), (4, 0), (5, 0)):
+            events = random_moves(rng, positions, 50)
+            if errors:
+                circles[4] = Circle(Point(0.5, 0.5), 0.2)
+                positions[400] = Point(0.25, 0.75)
+                events[10:10] = [ObjectUpdate(401, None, Point(1.5, 0.5))]
+                events[20:20] = [QueryRegister(5, Circle(Point(1.5, 0.5), 0.1), 0, 100),
+                                 QueryRegister(4, circles[4], 0, 100)]
+                events[30:30] = [QueryMove(0, Circle(Point(-0.2, 0.5), 0.2)),
+                                 ObjectUpdate(400, None, positions[400])]
+            report = cluster.run_tick(events)
+            assert (report.tick, report.errors) == (tick, errors), mode
+            assert report.queries_ready == len(circles), mode
+            assert 5 not in cluster.entrance.registry, mode
+            assert sum(cluster.entrance.routing.load.values()) == len(circles), mode
+            assert cluster.query_result(5) is None, mode
+            for q, c in circles.items():  # query 0 keeps its old circle
+                assert cluster.query_result(q) == ns_search(positions, c), (mode, q)
+
+
+def test_one_result_frame_per_edge_per_tick():
+    # in ticks of object and query moves, each index worker sends each
+    # query worker at most one RESULT_DELTA, right before its barrier
+    for policy in ("fifo", "random"):
+        rng = random.Random(23)
+        cluster = make_cluster(index_workers=3, query_workers=2, loopback_policy=policy, seed=5)
+        positions, events = seed_events(rng, 1500)
+        cluster.run_tick(events)
+        circles = {q: Circle(Point(rng.random(), rng.random()), rng.uniform(0.05, 0.2)) for q in range(16)}
+        cluster.run_tick([QueryRegister(q, c, 0, 100) for q, c in circles.items()])
+        trace = []
+        cluster._transport.trace = trace
+        multi_span = 0
+        for _ in range(4):
+            del trace[:]
+            events = random_moves(rng, positions, 300)
+            for q in rng.sample(sorted(circles), 6):
+                c = circles[q]
+                circles[q] = Circle(Point(min(max(c.center.x + rng.uniform(-0.1, 0.1), 0.0), 1.0),
+                                          min(max(c.center.y + rng.uniform(-0.1, 0.1), 0.0), 1.0)), c.radius)
+                events.append(QueryMove(q, circles[q]))
+            rng.shuffle(events)
+            report = cluster.run_tick(events)
+            assert report.queries_ready == len(circles), policy
+            for iw in cluster.iw_ids:
+                for qw in cluster.qw_ids:
+                    edge = [m.body for m in trace if (m.sender, m.receiver) == (iw, qw)]
+                    assert [type(b) for b in edge] in ([TickBarrier], [ResultDelta, TickBarrier]), policy
+            for m in trace:
+                if isinstance(m.body, ResultDelta):
+                    spans = m.body.spans
+                    assert len({q_id for q_id, _, _, _ in spans}) == len(spans), policy
+                    assert sum(span[2] for span in spans) == len(m.body.add), policy
+                    assert sum(span[3] for span in spans) == len(m.body.remove), policy
+                    multi_span += len(spans) > 1
+            for q, c in circles.items():
+                assert cluster.query_result(q) == ns_search(positions, c), (policy, q)
+        assert multi_span, policy
+
+
+def test_move_after_reregistration_within_a_tick():
+    # a worker holding buffered changes of the old registration receives
+    # the new one's move without a search in between: the new changes
+    # must not be sent under the old epoch, or the query worker drops them
+    for policy, seed in [("fifo", 0)] + [("random", s) for s in range(5)]:
+        rng = random.Random(24)
+        cluster = make_cluster(index_workers=2, query_workers=1, loopback_policy=policy, seed=seed)
+        positions, events = seed_events(rng, 1500)
+        cluster.run_tick(events)
+        near = Circle(Point(0.5, 0.25), 0.2)  # rows of the first worker only
+        cluster.run_tick([QueryRegister(1, near, 0, 100)])
+        moves = random_moves(rng, positions, 600)
+        far = Circle(Point(0.5, 0.8), 0.1)  # rows of the second worker only
+        report = cluster.run_tick(moves + [QueryRegister(1, far, 0, 100), QueryMove(1, near)])
+        assert report.queries_ready == 1, (policy, seed)
+        assert cluster.query_result(1) == ns_search(positions, near), (policy, seed)

@@ -37,10 +37,10 @@ BODIES = [
     CellSearch(4, Circle(Point(0.5, 0.5), 0.05), (), 6, True, 1),
     PartialResult(3, 2, (10, 11, 12), 2),
     PartialResult(4, 5, (), 1),
-    ResultDelta(3, (1, 2), (3,), 2),
+    ResultDelta(((3, 2, 2, 1), (4, 1, 0, 1)), (1, 2), (3, 5)),
     QueryExpire(3),
     TickBarrier(5, 100, 42, 7, 1234, 3, b"\x01" * 32),
-    ResultDelta(4),
+    ResultDelta(),
 ]
 
 
@@ -62,7 +62,7 @@ def test_frame_layout_golden():
     frame = encode_message(msg)
     assert frame[:4] == (len(frame) - 4).to_bytes(4, "big")
     payload = frame[4:]
-    assert payload[0] == 4                      # wire version
+    assert payload[0] == 5                      # wire version
     assert payload[1] == int(Kind.QUERY_EXPIRE)  # kind tag
     assert payload[2:10] == (3).to_bytes(8, "little")   # seq
     assert payload[10:18] == (1).to_bytes(8, "little")  # sender
@@ -80,15 +80,15 @@ _GOLDEN_HEAD = (
 )
 
 
-# kinds 3 and 6 have kept their version-3 body layouts; each frame
-# carries the current version byte
+# kinds 2, 3, 5 and 8 have kept the body layouts of the version each
+# test names; each frame carries the current version byte
 
 
 def test_query_register_golden_v4():
     # version 4 made the keys the index workers' ids
     body = QueryRegister(3, Circle(Point(0.5, 0.5), 0.25), 0, 100, (2, 5), 2)
     expected = bytes.fromhex(
-        "00000062" "04" "02" + _GOLDEN_HEAD                     # length, version 4, kind 2
+        "00000062" "05" "02" + _GOLDEN_HEAD                     # length, version 5, kind 2
         + "0000000000000000" "6400000000000000"                 # t_start 0, t_end 100
         + "02000000" "0200000000000000" "0500000000000000"      # keys: index workers 2, 5
         + "02000000"                                            # epoch
@@ -100,7 +100,7 @@ def test_partial_result_golden_v4():
     # version 4 keyed a partial by the sending index worker
     body = PartialResult(3, 2, (10, 11), 2)
     expected = bytes.fromhex(
-        "00000042" "04" "05"                                    # length, version 4, kind 5
+        "00000042" "05" "05"                                    # length, version 5, kind 5
         "0300000000000000" "0100000000000000" "0600000000000000"  # seq, sender, receiver
         "0300000000000000"                                      # q_id
         "0200000000000000"                                      # key: index worker 2
@@ -114,7 +114,7 @@ def test_query_move_golden_v3():
     # version 3 appended the registration epoch
     body = QueryMove(3, Circle(Point(0.5, 0.5), 0.25), ((CellId(1, 2), 1, 2),), 6, 2)
     expected = bytes.fromhex(
-        "0000005c" "04" "03" + _GOLDEN_HEAD                     # length, version 4, kind 3
+        "0000005c" "05" "03" + _GOLDEN_HEAD                     # length, version 5, kind 3
         + "01000000" "0100000000000000" "0200000000000000"      # one transition: cell (1, 2)
         + "01" "02"                                             # partial -> full
         + "0600000000000000"                                    # query worker
@@ -123,25 +123,27 @@ def test_query_move_golden_v3():
     assert encode_message(Message(1, 6, 3, body)) == expected
 
 
-def test_result_delta_golden_v3():
-    # version 3 dropped the cell and appended the registration epoch
-    body = ResultDelta(3, (10, 11), (12,), 2)
+def test_result_delta_golden_v5():
+    # version 5 batched a tick's changes for many queries into one frame
+    body = ResultDelta(((3, 2, 2, 1), (5, 1, 0, 1)), (10, 11), (12, 13))
     expected = bytes.fromhex(
-        "00000046" "04" "06"                                    # length, version 4, kind 6
+        "0000006e" "05" "06"                                    # length, version 5, kind 6
         "0300000000000000" "0100000000000000" "0600000000000000"  # seq, sender, receiver
-        "0300000000000000"                                      # q_id
-        "02000000" "0a00000000000000" "0b00000000000000"        # add: 10, 11
-        "01000000" "0c00000000000000"                           # remove: 12
-        "02000000"                                              # epoch
+        "02000000"                                              # two spans
+        "0300000000000000" "02000000" "02000000" "01000000"     # q 3, epoch 2, 2 adds, 1 remove
+        "0500000000000000" "01000000" "00000000" "01000000"     # q 5, epoch 1, 0 adds, 1 remove
+        "02000000" "0a00000000000000" "0b00000000000000"        # add: 10, 11 (query 3)
+        "02000000" "0c00000000000000" "0d00000000000000"        # remove: 12 (query 3), 13 (query 5)
     )
     assert encode_message(Message(1, 6, 3, body)) == expected
+    assert list(body.per_query()) == [(3, 2, (10, 11), (12,)), (5, 1, (), (13,))]
 
 
 def test_tick_barrier_golden_v4():
     # version 4 added the rejected-report count before the digest
     body = TickBarrier(5, 1, 2, 3, 4, 6, b"\xab")
     expected = bytes.fromhex(
-        "0000004c" "04" "08"                                    # length, version 4, kind 8
+        "0000004c" "05" "08"                                    # length, version 5, kind 8
         "0300000000000000" "0100000000000000" "0600000000000000"  # seq, sender, receiver
         "0500000000000000"                                      # tick
         "0100000000000000" "0200000000000000"                   # messages, objects
