@@ -1,6 +1,6 @@
 """Continuous range-query monitoring over moving objects."""
 
-from .cells import Cell, Change, DeltaEntry
+from .cells import Cell, CellDelta, Change
 from .engine import Engine
 from .geometry import Circle, Coverage, Point, Rect, UNIT_SQUARE, classify, contains
 from .grid import CandidateCells, CellId, GridIndex
@@ -10,12 +10,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Cell",
+    "CellDelta",
     "CandidateCells",
     "CellId",
     "Change",
     "Circle",
     "Coverage",
-    "DeltaEntry",
     "Engine",
     "GridIndex",
     "MTree",

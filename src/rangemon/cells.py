@@ -17,15 +17,16 @@ one: building it in every cell cost +21% peak RSS, +35% ``tick_p50_s`` and
 +46% ``setup_s`` on the benchmark's ``uniform-sparse`` workload (3
 alternating pairs of 10 s runs, 2 cores).
 
-Every object mutation is translated into an :data:`ObjectDelta`: (query
-id, object id, ENTER|LEAVE) triples, which is the only currency the
-result-holding side ever sees.
+Every object mutation of a cell becomes one :class:`CellDelta`, the sets
+of query ids the object entered and left; fully covering queries join it
+as one set union, so an index worker nets a cross-cell move by difference.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Iterator, NamedTuple
+from dataclasses import dataclass
+from typing import AbstractSet, Iterator
 
 from .baselines import ns_search
 from .errors import InconsistentUpdateError, StateMismatchError
@@ -39,13 +40,20 @@ class Change(enum.Enum):
     LEAVE = "leave"
 
 
-class DeltaEntry(NamedTuple):
-    q_id: int
-    obj_id: int
-    change: Change
+@dataclass(slots=True)
+class CellDelta:
+    """The query ids whose result one object report, in one cell, entered
+    and left.  Its length is the number of (query, change) pairs."""
+
+    entered: AbstractSet[int]
+    left: AbstractSet[int]
+
+    def __len__(self) -> int:
+        return len(self.entered) + len(self.left)
 
 
-ObjectDelta = list[DeltaEntry]
+NO_IDS: AbstractSet[int] = frozenset()
+NO_CHANGE = CellDelta(NO_IDS, NO_IDS)  # shared: never mutated
 
 
 class Cell:
@@ -120,7 +128,7 @@ class Cell:
 
     # -- object updates -------------------------------------------------------
 
-    def apply_object_update(self, obj_id: int, old: Point | None, new: Point | None) -> ObjectDelta:
+    def apply_object_update(self, obj_id: int, old: Point | None, new: Point | None) -> CellDelta:
         """Insert (old None), remove (new None), or move within the cell.
 
         Queries fully covering the cell see membership change only on
@@ -131,45 +139,43 @@ class Cell:
         """
         if old is None and new is None:
             raise InconsistentUpdateError("update with neither old nor new position")
-        delta: ObjectDelta = []
         if old is None:
             assert new is not None
             if obj_id in self.objects:
                 raise InconsistentUpdateError(f"object {obj_id} already in cell {self.id}")
             self._insert_object(obj_id, new)
-            for q_id in self.full_queries:
-                delta.append(DeltaEntry(q_id, obj_id, Change.ENTER))
-            for q_id, circle in self.partial_queries.items():
-                if contains(circle, new):
-                    delta.append(DeltaEntry(q_id, obj_id, Change.ENTER))
-        elif new is None:
-            if obj_id not in self.objects:
-                raise InconsistentUpdateError(f"object {obj_id} not in cell {self.id}")
-            old_pos = self.objects[obj_id]
+            return self._crossing(new, entering=True)
+        if obj_id not in self.objects:
+            raise InconsistentUpdateError(f"object {obj_id} not in cell {self.id}")
+        old_pos = self.objects[obj_id]
+        if new is None:
             self._remove_object(obj_id)
-            for q_id in self.full_queries:
-                delta.append(DeltaEntry(q_id, obj_id, Change.LEAVE))
-            for q_id, circle in self.partial_queries.items():
-                if contains(circle, old_pos):
-                    delta.append(DeltaEntry(q_id, obj_id, Change.LEAVE))
+            return self._crossing(old_pos, entering=False)
+        if self.tree is not None:
+            candidates = self.tree.move(obj_id, new)
         else:
-            if obj_id not in self.objects:
-                raise InconsistentUpdateError(f"object {obj_id} not in cell {self.id}")
-            old_pos = self.objects[obj_id]
-            if self.tree is not None:
-                candidates = self.tree.move(obj_id, new)
-            else:
-                candidates = self.partial_queries
-                self.objects[obj_id] = new
-            for q_id in candidates:
-                circle = self.partial_queries[q_id]
-                was_in = contains(circle, old_pos)
-                is_in = contains(circle, new)
-                if was_in and not is_in:
-                    delta.append(DeltaEntry(q_id, obj_id, Change.LEAVE))
-                elif is_in and not was_in:
-                    delta.append(DeltaEntry(q_id, obj_id, Change.ENTER))
-        return delta
+            candidates = self.partial_queries
+            self.objects[obj_id] = new
+        if not candidates:
+            return NO_CHANGE
+        entered, left = set(), set()
+        for q_id in candidates:
+            circle = self.partial_queries[q_id]
+            was_in = contains(circle, old_pos)
+            if was_in != contains(circle, new):
+                (left if was_in else entered).add(q_id)
+        return CellDelta(entered, left)
+
+    def _crossing(self, p: Point, entering: bool) -> CellDelta:
+        """An object at p enters or leaves this cell: every fully covering
+        query, and each partially covering one whose circle contains p."""
+        if not self.full_queries and not self.partial_queries:
+            return NO_CHANGE
+        holding = self.full_queries.copy()  # never the live set
+        for q_id, circle in self.partial_queries.items():
+            if contains(circle, p):
+                holding.add(q_id)
+        return CellDelta(holding, NO_IDS) if entering else CellDelta(NO_IDS, holding)
 
     # -- query bookkeeping ---------------------------------------------------
 
@@ -251,7 +257,7 @@ class CellStore:
         return cell
 
     def move_object(self, obj_id: int, old: Point | None,
-                    new: Point | None) -> Iterator[ObjectDelta]:
+                    new: Point | None) -> Iterator[CellDelta]:
         """Apply one (old, new) report and yield each touched cell's delta.
         A move across cells is a removal from the old cell followed by an
         insertion into the new one.  Deltas are yielded lazily, so the old

@@ -26,7 +26,7 @@ from collections import Counter, deque
 from dataclasses import asdict, dataclass
 
 from .baselines import GridStore, ns_search
-from .cells import CellStore, Change, ObjectDelta
+from .cells import NO_IDS, CellStore
 from .errors import (
     DuplicatePartialError,
     OutOfDomainError,
@@ -225,7 +225,10 @@ class EntranceWorker(Node):
         self._register_message(body, gr, qw)
 
     def _dispatch_move(self, body: QueryMove) -> None:
-        circle_old, gr_old, qw = self.registry[body.q_id]
+        if body.q_id not in self.registry:
+            self.errors += 1  # no registration to move: rejected alone
+            return
+        _, gr_old, qw = self.registry[body.q_id]
         gr_new = self.grid.candidate_cells(body.circle)
         self.registry[body.q_id] = (body.circle, gr_new, qw)
         if self.mode != "drqa":
@@ -355,19 +358,13 @@ class IndexWorker(Node, CellStore):
 
     def _on_object_update(self, body: ObjectUpdate) -> None:
         self.objects_processed += 1
-        net: ObjectDelta = []
+        entered = left = NO_IDS  # the gi and ns branches allocate nothing
         try:
             if self.mode == "drqa":
+                entered, left = set(), set()
                 for delta in self.move_object(body.obj_id, body.old, body.new):
-                    if not delta:
-                        continue
-                    if net:
-                        # the old cell's LEAVEs, then the new cell's ENTERs:
-                        # a query in both keeps the object in its result
-                        both = {entry.q_id for entry in net} & {entry.q_id for entry in delta}
-                        net = [entry for entry in net + delta if entry.q_id not in both]
-                    else:
-                        net = delta
+                    entered |= delta.entered
+                    left |= delta.left
             elif self.mode == "gi":
                 if body.new is None:
                     self.store.remove(body.obj_id)
@@ -383,13 +380,13 @@ class IndexWorker(Node, CellStore):
             # a bad report is rejected alone and counted in the barrier; if
             # its insertion raised, the removal's LEAVEs still go out
             self.errors += 1
-        if net:
-            self._emit_deltas(net)
-
-    def _emit_deltas(self, delta: ObjectDelta) -> None:
-        for q_id, obj_id, change in delta:
-            _, entered, left = self._buffered(q_id)
-            (entered if change is Change.ENTER else left).append(obj_id)
+        if entered or left:
+            # a query the object left in the old cell and entered in the
+            # new one keeps it in its result: it gets nothing
+            for q_id in entered - left:
+                self._buffered(q_id)[1].append(body.obj_id)
+            for q_id in left - entered:
+                self._buffered(q_id)[2].append(body.obj_id)
 
     def _on_cell_search(self, body: CellSearch) -> None:
         """Search every listed cell (under ``ns``, every object this worker
@@ -442,7 +439,10 @@ class IndexWorker(Node, CellStore):
     def _on_expire(self, body: QueryExpire) -> None:
         for cell_id in sorted(self.cells_of.pop(body.q_id, set())):
             self.cells[cell_id].unregister_query(body.q_id)
-        self.route_of.pop(body.q_id, None)
+        route = self.route_of.pop(body.q_id, None)
+        if route is not None:
+            # its buffered changes would only be dropped as late traffic
+            self._outbox[route[0]].pop(body.q_id, None)
 
     def _on_barrier(self, body: TickBarrier) -> None:
         for qw in self.qw_ids:

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rangemon.cells import Cell, Change, DeltaEntry
+from rangemon.cells import NO_CHANGE, Cell, CellDelta
 from rangemon.errors import InconsistentUpdateError, StateMismatchError
 from rangemon.geometry import Circle, Coverage, Point, Rect, classify, contains
 from rangemon.grid import CellId
@@ -53,7 +53,7 @@ def test_delta_enter_full_cover():
     cell = make_cell()
     cell.register(1, Coverage.FULL, Circle(Point(0.505, 0.505), 0.02))
     delta = cell.apply_object_update(7, None, Point(0.5001, 0.5001))
-    assert delta == [DeltaEntry(1, 7, Change.ENTER)]
+    assert delta == CellDelta({1}, set())
 
 
 def test_delta_partial_tested_by_distance():
@@ -62,19 +62,21 @@ def test_delta_partial_tested_by_distance():
     cell.register(1, Coverage.PARTIAL, circle)
     inside = Point(0.505, 0.5055)
     outside = Point(0.5001, 0.5001)
-    assert cell.apply_object_update(7, None, inside) == [DeltaEntry(1, 7, Change.ENTER)]
-    assert cell.apply_object_update(8, None, outside) == []
+    assert cell.apply_object_update(7, None, inside) == CellDelta({1}, set())
+    assert cell.apply_object_update(8, None, outside) == CellDelta(set(), set())
     # move 7 out across the circle boundary: LEAVE
     delta = cell.apply_object_update(7, inside, outside)
-    assert delta == [DeltaEntry(1, 7, Change.LEAVE)]
+    assert delta == CellDelta(set(), {1})
 
 
 def test_delta_empty_without_queries():
     cell = make_cell()
     a, b = Point(0.501, 0.501), Point(0.509, 0.509)
-    cell.apply_object_update(3, None, a)
-    assert cell.apply_object_update(3, a, b) == []
-    assert cell.apply_object_update(3, b, None) == []
+    # a cell without queries answers with the shared empty delta
+    assert cell.apply_object_update(3, None, a) is NO_CHANGE
+    assert cell.apply_object_update(3, a, b) is NO_CHANGE
+    assert cell.apply_object_update(3, b, None) is NO_CHANGE
+    assert NO_CHANGE == CellDelta(set(), set())
 
 
 def test_inconsistent_updates():
@@ -121,11 +123,10 @@ def test_within_move_deltas_match_oracle_with_tree():
         new = pt(rng)
         delta = cell.apply_object_update(obj, positions[obj], new)
         positions[obj] = new
-        for q_id, obj_id, change in delta:
-            if change is Change.ENTER:
-                results[q_id].add(obj_id)
-            else:
-                results[q_id].discard(obj_id)
+        for q_id in delta.entered:
+            results[q_id].add(obj)
+        for q_id in delta.left:
+            results[q_id].discard(obj)
         if step % 50 == 0:
             for q, c in circles.items():
                 assert results[q] == brute_filter(positions, c)
@@ -277,3 +278,55 @@ def test_cache_keeps_only_live_nodes(seed):
         if cell.tree is not None:
             live = {node.id for node in cell.tree.nodes()}
             assert set(cell.cache.sets) <= live
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from([5, 40]))
+@settings(max_examples=40, deadline=None)
+def test_cell_delta_is_the_membership_change(seed, cap):
+    # fully and partially covering queries; at most `cap` live objects, so
+    # with cap 5 the cell never builds a tree (alpha=6) and with cap 40 it
+    # does.  After every insert, remove and within-cell move, the delta's
+    # sets are the brute-force change in membership of the reported object
+    rng = random.Random(seed)
+    cell = make_cell(alpha=6, m=4)
+    circles = {0: Circle(Point(0.505, 0.505), 0.02), 1: Circle(Point(0.49, 0.49), 0.05)}
+    circles.update({q: Circle(pt(rng), rng.uniform(0.001, 0.006)) for q in range(2, 6)})
+    full = {q for q, c in circles.items() if classify(c, BOUNDS) is Coverage.FULL}
+    assert full == {0, 1}
+
+    def registered(q):
+        return q in cell.full_queries or q in cell.partial_queries
+
+    def holds(p):
+        if p is None:
+            return set()
+        return {q for q, c in circles.items() if registered(q) and (q in full or contains(c, p))}
+
+    for q in (0, 2, 3):
+        cell.register(q, classify(circles[q], BOUNDS), circles[q])
+    positions: dict[int, Point] = {}
+    next_id = 0
+    for step in range(200):
+        if step == 60:  # later registrations, under a tree when cap is 40
+            for q in (1, 4, 5):
+                cell.register(q, classify(circles[q], BOUNDS), circles[q])
+        roll = rng.random()
+        if positions and (roll < 0.2 or len(positions) >= cap):
+            obj = rng.choice(sorted(positions))
+            old, new = positions.pop(obj), None
+        elif positions and roll < 0.6:
+            obj = rng.choice(sorted(positions))
+            old, new = positions[obj], pt(rng)
+            positions[obj] = new
+        else:
+            obj, old, new = next_id, None, pt(rng)
+            positions[obj] = new
+            next_id += 1
+        delta = cell.apply_object_update(obj, old, new)
+        before, after = holds(old), holds(new)
+        assert delta.entered == after - before
+        assert delta.left == before - after
+        assert len(delta) == len(after - before) + len(before - after)
+        # the cell's own query set is never handed out
+        assert delta.entered is not cell.full_queries and delta.left is not cell.full_queries
+    assert (cell.tree is not None) == (cap >= cell.cfg.alpha)

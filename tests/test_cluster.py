@@ -3,6 +3,7 @@ import random
 import pytest
 
 from rangemon.baselines import ns_search
+from rangemon.cells import CellDelta
 from rangemon.cluster import (
     ENTRANCE,
     Cluster,
@@ -758,6 +759,89 @@ def test_out_of_domain_events_stay_in_their_tick():
             assert cluster.query_result(5) is None, mode
             for q, c in circles.items():  # query 0 keeps its old circle
                 assert cluster.query_result(q) == ns_search(positions, c), (mode, q)
+
+
+def test_unknown_query_move_stays_in_its_tick():
+    # a move of a query id that was never registered is rejected alone by
+    # the entrance; the good events around it land in the same tick
+    for mode in ("drqa", "gi"):
+        rng = random.Random(25)
+        cluster = Cluster(ClusterSpec(grid_n=10, index_workers=2, query_workers=1,
+                                      alpha=6, m=4, engine=mode))
+        positions, events = seed_events(rng, 400)
+        cluster.run_tick(events)
+        circles = {q: Circle(Point(rng.random(), rng.random()), 0.2) for q in range(4)}
+        cluster.run_tick([QueryRegister(q, c, 0, 100) for q, c in circles.items()])
+        for tick, errors in ((3, 1), (4, 0), (5, 0)):
+            events = random_moves(rng, positions, 50)
+            if errors:
+                positions[400] = Point(0.25, 0.75)
+                events[10:10] = [QueryMove(7, Circle(Point(0.5, 0.5), 0.2)),
+                                 ObjectUpdate(400, None, positions[400])]
+            report = cluster.run_tick(events)
+            assert (report.tick, report.errors) == (tick, errors), mode
+            assert report.queries_ready == len(circles), mode
+            assert 7 not in cluster.entrance.registry, mode
+            assert sum(cluster.entrance.routing.load.values()) == len(circles), mode
+            assert cluster.query_result(7) is None, mode
+            for q, c in circles.items():
+                assert cluster.query_result(q) == ns_search(positions, c), (mode, q)
+
+
+def test_expired_query_ships_no_buffered_changes():
+    # the reports of a tick buffer changes for query 1; its expiry at the
+    # end of the tick discards them at the index workers
+    rng = random.Random(26)
+    cluster = make_cluster(index_workers=2, query_workers=1)
+    positions, events = seed_events(rng, 1000)
+    cluster.run_tick(events)
+    circles = {1: Circle(Point(0.5, 0.5), 0.3), 2: Circle(Point(0.3, 0.6), 0.2),
+               3: Circle(Point(0.7, 0.3), 0.1)}
+    cluster.run_tick([QueryRegister(q, c, 0, 100) for q, c in circles.items()])
+    trace = []
+    cluster._transport.trace = trace
+    report = cluster.run_tick(random_moves(rng, positions, 400) + [QueryExpire(1)])
+    del circles[1]
+    assert report.queries_ready == len(circles)
+    named = {q_id for m in trace if isinstance(m.body, ResultDelta) for q_id, *_ in m.body.spans}
+    assert 1 not in named and named  # the other queries' changes still ship
+    assert cluster.query_result(1) is None
+    for q, c in circles.items():
+        assert cluster.query_result(q) == ns_search(positions, c), q
+
+
+def test_move_between_fully_covered_cells_sends_nothing():
+    # both cells of the move are fully covered by query 1: the old cell
+    # reports that the object left it and the new cell that it entered, and
+    # the index worker's netting sends query 1 nothing
+    rng = random.Random(27)
+    cluster = make_cluster(index_workers=1)
+    positions, events = seed_events(rng, 300)
+    cluster.run_tick(events)
+    circles = {1: Circle(Point(0.5, 0.5), 0.3), 2: Circle(Point(0.56, 0.56), 0.02)}
+    cluster.run_tick([QueryRegister(q, c, 0, 100) for q, c in circles.items()])
+    old, new = Point(0.45, 0.45), Point(0.56, 0.56)  # query 2 covers only the new cell, in part
+    positions[999] = old
+    cluster.run_tick([ObjectUpdate(999, None, old)])
+    iw = cluster.index_workers[0]
+    seen = []
+    store_move = iw.move_object
+
+    def recording(*args):
+        for delta in store_move(*args):
+            seen.append(delta)
+            yield delta
+
+    iw.move_object = recording
+    trace = []
+    cluster._transport.trace = trace
+    positions[999] = new
+    cluster.run_tick([ObjectUpdate(999, old, new)])
+    assert seen == [CellDelta(set(), {1}), CellDelta({1, 2}, set())]
+    spans = [span for m in trace if isinstance(m.body, ResultDelta) for span in m.body.per_query()]
+    assert [(q_id, add, remove) for q_id, _, add, remove in spans] == [(2, (999,), ())]
+    for q, c in circles.items():
+        assert cluster.query_result(q) == ns_search(positions, c), q
 
 
 def test_one_result_frame_per_edge_per_tick():

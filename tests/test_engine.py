@@ -135,5 +135,5 @@ def test_expired_queries_receive_no_deltas():
         new = Point(rng.random(), rng.random())
         positions[obj] = new
         for delta in engine.move_object(obj, old, new):
-            notified |= {entry.q_id for entry in delta}
+            notified |= delta.entered | delta.left
     assert notified == {2}  # no stale registration of the removed query
