@@ -100,7 +100,7 @@ class TickReport:
     queries_ready: int
     objects_examined: int
     results_digest: str
-    errors: int  # events rejected: outside the domain, or a bad object report
+    errors: int  # events and reports rejected, and traffic no query state claimed
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -139,12 +139,11 @@ class EntranceWorker(Node):
         self.routing = routing
         self.mode = mode
         self.registry: dict[int, tuple[Circle, CandidateCells, int]] = {}
-        # registration generation per query id; kept across expiry until
-        # the tick drains, so a re-registration's traffic is never mistaken
-        # for its predecessor's
-        self._epochs: dict[int, int] = {}
+        # ids expired this tick: their traffic may still be in flight, so
+        # they register again only from the next tick on
+        self._expired: set[int] = set()
         self._tick_had_updates = False
-        self._moved: set[int] = set()  # gi/ns queries moved this tick
+        self._stale: set[int] = set()  # gi/ns queries registered or moved this tick
         self._tick = 0
         self._pending_acks: set[int] = set()
         self._totals = [0, 0, 0, 0, 0]  # messages, objects, ready, examined, errors
@@ -188,41 +187,38 @@ class EntranceWorker(Node):
         if new_owner is not None:
             self.send(new_owner, ObjectUpdate(body.obj_id, None, body.new))
 
-    def _search_fanout(
-        self, q_id: int, circle: Circle, gr: CandidateCells, qw: int, epoch: int
-    ) -> list[int]:
+    def _register_message(self, body: QueryRegister, gr: CandidateCells, qw: int) -> None:
         """CELL_SEARCH to every index worker owning a candidate cell (under
-        ``ns``, to every index worker); returns their sorted ids, the
-        partials the query worker must collect."""
-        scan_all = self.mode == "ns"
+        ``ns``, to every index worker), then the registration to the query
+        worker, listing those index workers as the partials to collect."""
         by_owner: dict[int, list[tuple[CellId, int]]] = {}
-        if scan_all:
+        if self.mode == "ns":
             by_owner = {iw: [] for iw in self.iw_ids}
         else:
             for cell in gr.full:
                 by_owner.setdefault(self.owner(cell), []).append((cell, Coverage.FULL.value))
             for cell in gr.partial:
                 by_owner.setdefault(self.owner(cell), []).append((cell, Coverage.PARTIAL.value))
-        for iw in sorted(by_owner):
-            self.send(iw, CellSearch(q_id, circle, tuple(sorted(by_owner[iw])), qw, scan_all, epoch))
-        return sorted(by_owner)
-
-    def _register_message(self, body: QueryRegister, gr: CandidateCells, qw: int) -> None:
-        epoch = self._epochs.get(body.q_id, 0) + 1
-        self._epochs[body.q_id] = epoch
-        keys = self._search_fanout(body.q_id, body.circle, gr, qw, epoch)
-        self.send(qw, QueryRegister(body.q_id, body.circle, body.t_start, body.t_end, tuple(keys), epoch))
+        keys = sorted(by_owner)
+        for iw in keys:
+            self.send(iw, CellSearch(body.q_id, body.circle, tuple(sorted(by_owner[iw])), qw))
+        self.send(qw, QueryRegister(body.q_id, body.circle, body.t_start, body.t_end, tuple(keys)))
 
     def _dispatch_register(self, body: QueryRegister) -> None:
-        gr = self.grid.candidate_cells(body.circle)
         if body.q_id in self.registry:
-            # a registration of a live query replaces it: expire it first,
-            # so the old circle's cells drop their registrations before the
-            # new fan-out and the routing table counts the query once
-            self._dispatch_expire(QueryExpire(body.q_id))
+            # a registration of a live query moves it to the new circle
+            self._dispatch_move(QueryMove(body.q_id, body.circle))
+            return
+        gr = self.grid.candidate_cells(body.circle)
+        if body.q_id in self._expired:
+            self.errors += 1  # a query id names one registration per tick
+            return
         qw = self.routing.route(gr)
         self.registry[body.q_id] = (body.circle, gr, qw)
-        self._register_message(body, gr, qw)
+        if self.mode == "drqa":
+            self._register_message(body, gr, qw)
+        else:
+            self._stale.add(body.q_id)  # searched in the barrier wave
 
     def _dispatch_move(self, body: QueryMove) -> None:
         if body.q_id not in self.registry:
@@ -232,7 +228,7 @@ class EntranceWorker(Node):
         gr_new = self.grid.candidate_cells(body.circle)
         self.registry[body.q_id] = (body.circle, gr_new, qw)
         if self.mode != "drqa":
-            self._moved.add(body.q_id)  # re-searched in the barrier wave
+            self._stale.add(body.q_id)  # re-searched in the barrier wave
             return
         by_owner: dict[int, list[tuple[CellId, int, int]]] = {}
         for cell in sorted(gr_old.all_cells() | gr_new.all_cells()):
@@ -240,13 +236,14 @@ class EntranceWorker(Node):
             new_cov = gr_new.coverage_of(cell)
             by_owner.setdefault(self.owner(cell), []).append((cell, old_cov.value, new_cov.value))
         for iw in sorted(by_owner):
-            self.send(iw, QueryMove(body.q_id, body.circle, tuple(by_owner[iw]), qw, self._epochs[body.q_id]))
+            self.send(iw, QueryMove(body.q_id, body.circle, tuple(by_owner[iw]), qw))
 
     def _dispatch_expire(self, body: QueryExpire) -> None:
         entry = self.registry.pop(body.q_id, None)
         if entry is None:
             return
         _, gr, qw = entry
+        self._expired.add(body.q_id)
         self.routing.release(qw)
         self.send(qw, body)
         if self.mode == "drqa":
@@ -260,13 +257,14 @@ class EntranceWorker(Node):
             self._tick = body.tick
             if self.mode != "drqa":
                 # object reports may change any query's result; otherwise
-                # only the moved queries need a fresh search
-                todo = self.registry.keys() if self._tick_had_updates else self._moved & self.registry.keys()
+                # only the registered and moved queries need a search
+                todo = self.registry.keys() if self._tick_had_updates else self._stale & self.registry.keys()
                 for q_id in sorted(todo):
                     circle, gr, qw = self.registry[q_id]
                     self._register_message(QueryRegister(q_id, circle, 0, 2**62), gr, qw)
             self._tick_had_updates = False
-            self._moved = set()
+            self._stale = set()
+            self._expired = set()
             self._pending_acks = set(self.iw_ids) | set(self.qw_ids)
             self._totals = [0, 0, 0, 0, 0]
             self._digest = 0
@@ -281,10 +279,6 @@ class EntranceWorker(Node):
         if body.digest:
             self._digest ^= int.from_bytes(body.digest, "big")
         if not self._pending_acks:
-            # every edge has drained: no expired registration's traffic is
-            # left in flight, so its epoch need not be remembered
-            if len(self._epochs) > len(self.registry):
-                self._epochs = {q_id: self._epochs[q_id] for q_id in self.registry}
             messages = self._totals[0] + self.sent_messages
             self._totals[4] += self.errors
             self.sent_messages = 0
@@ -305,40 +299,35 @@ class IndexWorker(Node, CellStore):
         self.stats = SearchStats()
         self.objects_processed = 0
         self.errors = 0  # object reports rejected this tick
-        # drqa: query id -> (its query worker, its registration epoch)
-        self.route_of: dict[int, tuple[int, int]] = {}
+        self.route_of: dict[int, int] = {}  # drqa: query id -> its query worker
         self.cells_of: dict[int, set[CellId]] = {}
-        # drqa: per query worker, query id -> (epoch, entered ids, left ids)
-        # not yet sent; flushed as one RESULT_DELTA before any other message
-        # on that edge, the tick barrier included
-        self._outbox: dict[int, dict[int, tuple[int, list[int], list[int]]]] = {qw: {} for qw in qw_ids}
+        # drqa: per query worker, query id -> (entered ids, left ids) not
+        # yet sent; flushed as one RESULT_DELTA before any other message on
+        # that edge, the tick barrier included
+        self._outbox: dict[int, dict[int, tuple[list[int], list[int]]]] = {qw: {} for qw in qw_ids}
 
     def send(self, receiver: int, body: Body) -> None:
         box = self._outbox.get(receiver)
         if box:
             # the edge is FIFO and a query's partial flushes its deltas, so
-            # each span holds one registration's changes, in order
+            # a query's changes arrive in the order they were made
             self._outbox[receiver] = {}
             spans = []
             add: list[int] = []
             remove: list[int] = []
-            for q_id, (epoch, entered, left) in box.items():
-                spans.append((q_id, epoch, len(entered), len(left)))
+            for q_id, (entered, left) in box.items():
+                spans.append((q_id, len(entered), len(left)))
                 add += entered
                 remove += left
             super().send(receiver, ResultDelta(tuple(spans), tuple(add), tuple(remove)))
         super().send(receiver, body)
 
-    def _buffered(self, q_id: int) -> tuple[int, list[int], list[int]]:
-        """The outbox entry of a registered query's current registration."""
-        qw, epoch = self.route_of[q_id]
-        box = self._outbox[qw]
+    def _buffered(self, q_id: int) -> tuple[list[int], list[int]]:
+        """The outbox entry of a registered query."""
+        box = self._outbox[self.route_of[q_id]]
         entry = box.get(q_id)
-        if entry is None or entry[0] != epoch:
-            # the entry of a replaced registration is dropped: a move can
-            # bring the new one here without a partial to flush it, and the
-            # query worker drops a replaced registration's traffic anyway
-            entry = box[q_id] = (epoch, [], [])
+        if entry is None:
+            entry = box[q_id] = ([], [])
         return entry
 
     def handle(self, msg: Message) -> None:
@@ -384,9 +373,9 @@ class IndexWorker(Node, CellStore):
             # a query the object left in the old cell and entered in the
             # new one keeps it in its result: it gets nothing
             for q_id in entered - left:
-                self._buffered(q_id)[1].append(body.obj_id)
+                self._buffered(q_id)[0].append(body.obj_id)
             for q_id in left - entered:
-                self._buffered(q_id)[2].append(body.obj_id)
+                self._buffered(q_id)[1].append(body.obj_id)
 
     def _on_cell_search(self, body: CellSearch) -> None:
         """Search every listed cell (under ``ns``, every object this worker
@@ -394,7 +383,7 @@ class IndexWorker(Node, CellStore):
         # cells hold disjoint objects, so the ids are concatenated: an id
         # listed twice reaches the query worker's count check
         ids: list[int] = []
-        if body.scan_all:
+        if self.mode == "ns":
             ids.extend(ns_search(self.owned, body.circle, self.stats))
         elif self.mode == "gi":
             for cell_id, cov_value in body.entries:
@@ -403,16 +392,16 @@ class IndexWorker(Node, CellStore):
                 else:
                     ids.extend(self.store.scan(cell_id, body.circle, self.stats))
         else:
-            self.route_of[body.q_id] = (body.query_worker, body.epoch)
+            self.route_of[body.q_id] = body.query_worker
             cells = self.cells_of.setdefault(body.q_id, set())
             for cell_id, cov_value in body.entries:
                 cells.add(cell_id)
                 ids.extend(self.cell(cell_id).register(body.q_id, Coverage(cov_value), body.circle, self.stats))
-        self.send(body.query_worker, PartialResult(body.q_id, self.id, tuple(sorted(ids)), body.epoch))
+        self.send(body.query_worker, PartialResult(body.q_id, self.id, tuple(sorted(ids))))
 
     def _on_query_move(self, body: QueryMove) -> None:
         q_id = body.q_id
-        self.route_of[q_id] = (body.query_worker, body.epoch)
+        self.route_of[q_id] = body.query_worker
         owned = self.cells_of.setdefault(q_id, set())
         # cells hold disjoint objects, so the per-cell changes never cancel
         entered: set[int] = set()
@@ -429,7 +418,7 @@ class IndexWorker(Node, CellStore):
             else:
                 owned.add(cell_id)
         if entered or left:
-            _, buffered_entered, buffered_left = self._buffered(q_id)
+            buffered_entered, buffered_left = self._buffered(q_id)
             buffered_entered += entered
             buffered_left += left
         if not owned:
@@ -439,10 +428,10 @@ class IndexWorker(Node, CellStore):
     def _on_expire(self, body: QueryExpire) -> None:
         for cell_id in sorted(self.cells_of.pop(body.q_id, set())):
             self.cells[cell_id].unregister_query(body.q_id)
-        route = self.route_of.pop(body.q_id, None)
-        if route is not None:
+        qw = self.route_of.pop(body.q_id, None)
+        if qw is not None:
             # its buffered changes would only be dropped as late traffic
-            self._outbox[route[0]].pop(body.q_id, None)
+            self._outbox[qw].pop(body.q_id, None)
 
     def _on_barrier(self, body: TickBarrier) -> None:
         for qw in self.qw_ids:
@@ -464,23 +453,22 @@ class QueryCounts:
     """One query's result on its query worker: for each object id, the
     number of cells currently reporting it.  An id is in the result while
     its count is positive; zero counts are deleted, so the result is the
-    key set.  Also the collection bookkeeping of the registration: the
-    index workers whose partials are still awaited, the set of those
-    promised, and the epoch partials must match.
+    key set.  Also the collection bookkeeping of the query's latest
+    search: the index workers whose partials are still awaited, and the
+    set of those promised.
 
     Two counters check the invariant that, once a tick's traffic has
     drained, every count is exactly 1: LEAVEs that found no count, and
     the ids whose count is now 2 or more.  Either makes the query unready.
     """
 
-    __slots__ = ("q_id", "counts", "pending", "expected", "epoch", "stray_leaves", "duplicates")
+    __slots__ = ("q_id", "counts", "pending", "expected", "stray_leaves", "duplicates")
 
-    def __init__(self, q_id: int, keys: tuple[int, ...] = (), epoch: int = 0):
+    def __init__(self, q_id: int, keys: tuple[int, ...] = ()):
         self.q_id = q_id
         self.counts: Counter[int] = Counter()
         self.pending = set(keys)
         self.expected = frozenset(keys)
-        self.epoch = epoch
         self.stray_leaves = 0
         self.duplicates = 0
 
@@ -536,10 +524,17 @@ class QueryWorker(Node):
 
     Messages travel on FIFO edges, but different edges interleave freely:
     a partial routed entrance -> index worker -> here can overtake the
-    registration on the direct edge.  Partials and deltas carry the epoch
-    of the registration they belong to: early arrivals are stashed until
-    that registration lands, and traffic of an expired or replaced
-    registration is dropped.
+    registration on the direct edge.  A query id names at most one
+    registration per tick (the entrance turns a registration of a live id
+    into a move, and rejects one of an id expired earlier in the tick), so
+    traffic needs no tag beyond its query id.  A partial folds into its
+    query's state while that state awaits partials; otherwise it is held,
+    because a complete query's partial belongs to its next search (a
+    ``gi``/``ns`` re-search).  A span folds into any state this worker
+    holds, and is held if there is none.  A registration replays what was
+    held for its id.  Traffic of an id expired this tick is dropped, and
+    traffic still held once the tick's barriers are in is a fault: it is
+    counted in the barrier's ``errors`` and dropped.
 
     Query moves never reach this worker: a cell the moved circle leaves
     loses its contribution by a RESULT_DELTA from the cell's owner.
@@ -548,33 +543,28 @@ class QueryWorker(Node):
     just before its next other message on the edge (a partial or the
     tick's barrier): one span per query, with the ENTERs and LEAVEs since
     the last flush.  So a tick without registrations brings at most one
-    frame per index worker.  Each span is checked against its query's
-    epoch on its own, and its adds are folded before its removes.
+    frame per index worker.  A span's adds are folded before its removes.
     """
 
     def __init__(self, node_id: int, iw_ids: list[int]):
         super().__init__(node_id)
         self.queries: dict[int, QueryCounts] = {}
-        self._stash: dict[int, list[Body]] = {}
-        self._expired: dict[int, int] = {}  # query id -> epoch it expired at this tick
+        self._stash: dict[int, list[Body]] = {}  # query id -> traffic held for its next state
+        self._expired: set[int] = set()  # query ids expired this tick
         self._expected_barriers = {ENTRANCE} | set(iw_ids)
         self._got_barriers: set[int] = set()
 
     def handle(self, msg: Message) -> None:
         body = msg.body
         if isinstance(body, QueryRegister):
-            self.queries[body.q_id] = QueryCounts(body.q_id, body.keys, body.epoch)
-            self._expired.pop(body.q_id, None)
-            for stashed in self._stash.pop(body.q_id, []):
-                self._consume(stashed)
+            self.queries[body.q_id] = QueryCounts(body.q_id, body.keys)
+            for held in self._stash.pop(body.q_id, []):
+                self._consume(held)
         elif isinstance(body, (PartialResult, ResultDelta)):
             self._consume(body)
         elif isinstance(body, QueryExpire):
-            # the stash keeps only a later registration's traffic, which
-            # can overtake this expiry; that registration will replay it
-            state = self.queries.pop(body.q_id, None)
-            if state is not None:
-                self._expired[body.q_id] = state.epoch
+            self.queries.pop(body.q_id, None)
+            self._expired.add(body.q_id)
         elif isinstance(body, TickBarrier):
             self._on_barrier(msg.sender, body)
         else:
@@ -582,30 +572,23 @@ class QueryWorker(Node):
 
     def _consume(self, body: PartialResult | ResultDelta) -> None:
         if isinstance(body, PartialResult):
-            state = self._live(body.q_id, body.epoch)
-            if state is None:
-                self._stash_if_early(body.q_id, body.epoch, body)
-            else:
+            state = self.queries.get(body.q_id)
+            if state is not None and state.pending:
                 self.collect_partial(state, body.key, body.ids)
-            return
-        for q_id, epoch, add, remove in body.per_query():
-            state = self._live(q_id, epoch)
-            if state is None:
-                self._stash_if_early(q_id, epoch, ResultDelta.single(q_id, epoch, add, remove))
             else:
+                self._hold(body.q_id, body)
+            return
+        for q_id, add, remove in body.per_query():
+            state = self.queries.get(q_id)
+            if state is not None:
                 state.apply_delta(add, remove)
+            else:
+                self._hold(q_id, ResultDelta.single(q_id, add, remove))
 
-    def _live(self, q_id: int, epoch: int) -> QueryCounts | None:
-        """The state that traffic of registration ``epoch`` belongs to, if
-        that registration is the one held."""
-        state = self.queries.get(q_id)
-        return state if state is not None and state.epoch == epoch else None
-
-    def _stash_if_early(self, q_id: int, epoch: int, body: PartialResult | ResultDelta) -> None:
-        """Keep traffic that overtook its registration until it lands;
-        traffic of an expired or replaced registration is dropped."""
-        state = self.queries.get(q_id)
-        if epoch > (state.epoch if state is not None else self._expired.get(q_id, 0)):
+    def _hold(self, q_id: int, body: PartialResult | ResultDelta) -> None:
+        """Keep traffic until the registration it belongs to lands; that
+        of an id expired this tick is dropped."""
+        if q_id not in self._expired:
             self._stash.setdefault(q_id, []).append(body)
 
     @staticmethod
@@ -624,13 +607,17 @@ class QueryWorker(Node):
         if self._got_barriers != self._expected_barriers:
             return
         self._got_barriers = set()
-        self._expired.clear()  # every edge has drained: no late traffic is left
+        # every edge has drained: no late traffic is left, and what is
+        # still held belongs to no registration
+        self._expired.clear()
+        errors = sum(len(held) for held in self._stash.values())
+        self._stash.clear()
         ready = sum(1 for s in self.queries.values() if s.ready())
         digest = hashlib.sha256()
         for q_id in sorted(self.queries):
             digest.update(repr((q_id, sorted(self.queries[q_id].counts))).encode())
         self.send(ENTRANCE, TickBarrier(
-            body.tick, messages=self.sent_messages, ready=ready,
+            body.tick, messages=self.sent_messages, ready=ready, errors=errors,
             digest=digest.digest(),
         ))
         self.sent_messages = 0

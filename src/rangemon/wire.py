@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from .geometry import Circle, Point
 from .grid import CellId
 
-WIRE_VERSION = 5
+WIRE_VERSION = 6
 
 _HEADER = struct.Struct("<BBQQQ")
 _U32 = struct.Struct("<I")
@@ -24,7 +24,7 @@ _U64 = struct.Struct("<Q")
 _I64 = struct.Struct("<q")
 _F64 = struct.Struct("<d")
 _CELL = struct.Struct("<qq")
-_SPAN = struct.Struct("<QIII")  # RESULT_DELTA span: q_id, epoch, n_add, n_remove
+_SPAN = struct.Struct("<QII")  # RESULT_DELTA span: q_id, n_add, n_remove
 
 
 class Kind(enum.IntEnum):
@@ -54,7 +54,6 @@ class QueryRegister:
     t_start: int
     t_end: int
     keys: tuple[int, ...] = ()  # index workers whose partials the query worker must collect
-    epoch: int = 0  # registration generation; partials are matched against it
 
 
 @dataclass(frozen=True)
@@ -65,7 +64,6 @@ class QueryMove:
     # per-cell (cell, old coverage, new coverage) for the owning index worker
     transitions: tuple[tuple[CellId, int, int], ...] = ()
     query_worker: int = 0
-    epoch: int = 0  # the query's registration generation, stamped on its deltas
 
 
 @dataclass(frozen=True)
@@ -75,42 +73,38 @@ class CellSearch:
     circle: Circle
     entries: tuple[tuple[CellId, int], ...]  # (cell, coverage class)
     query_worker: int
-    scan_all: bool = False  # ns mode: ignore entries, scan every object the worker holds
-    epoch: int = 0
 
 
 @dataclass(frozen=True)
 class PartialResult:
     kind = Kind.PARTIAL_RESULT
     q_id: int
-    key: int  # the sending index worker: one partial per worker per registration
+    key: int  # the sending index worker: one partial per worker per search
     ids: tuple[int, ...]
-    epoch: int = 0
 
 
 @dataclass(frozen=True)
 class ResultDelta:
     """One index worker's result changes for the queries of one query
-    worker, batched over a tick.  Span i is ``(q_id, epoch, n_add,
-    n_remove)``: the query, the registration generation the change belongs
-    to, and how many of the next ids of ``add`` and of ``remove`` are its.
-    A query has at most one span per frame; an id may be in both lists of
-    a span (an object that entered and left within the tick)."""
+    worker, batched over a tick.  Span i is ``(q_id, n_add, n_remove)``:
+    the query, and how many of the next ids of ``add`` and of ``remove``
+    are its.  A query has at most one span per frame; an id may be in both
+    lists of a span (an object that entered and left within the tick)."""
 
     kind = Kind.RESULT_DELTA
-    spans: tuple[tuple[int, int, int, int], ...] = ()
+    spans: tuple[tuple[int, int, int], ...] = ()
     add: tuple[int, ...] = ()
     remove: tuple[int, ...] = ()
 
     @classmethod
-    def single(cls, q_id: int, epoch: int, add: tuple[int, ...] = (), remove: tuple[int, ...] = ()) -> ResultDelta:
-        return cls(((q_id, epoch, len(add), len(remove)),), add, remove)
+    def single(cls, q_id: int, add: tuple[int, ...] = (), remove: tuple[int, ...] = ()) -> ResultDelta:
+        return cls(((q_id, len(add), len(remove)),), add, remove)
 
     def per_query(self):
-        """Yield ``(q_id, epoch, add, remove)`` for each span, in order."""
+        """Yield ``(q_id, add, remove)`` for each span, in order."""
         a = r = 0
-        for q_id, epoch, n_add, n_remove in self.spans:
-            yield q_id, epoch, self.add[a:a + n_add], self.remove[r:r + n_remove]
+        for q_id, n_add, n_remove in self.spans:
+            yield q_id, self.add[a:a + n_add], self.remove[r:r + n_remove]
             a += n_add
             r += n_remove
 
@@ -129,7 +123,7 @@ class TickBarrier:
     objects: int = 0
     ready: int = 0
     examined: int = 0
-    errors: int = 0  # object reports rejected by index workers
+    errors: int = 0  # events and reports rejected, and traffic no query state claimed
     digest: bytes = b""
 
 
@@ -171,26 +165,20 @@ def _encode_body(body: Body) -> bytes:
         return (
             _U64.pack(body.q_id) + _circle(body.circle)
             + struct.pack("<qq", body.t_start, body.t_end)
-            + _ids(body.keys) + _U32.pack(body.epoch)
+            + _ids(body.keys)
         )
     if isinstance(body, QueryMove):
         out = _U64.pack(body.q_id) + _circle(body.circle) + _U32.pack(len(body.transitions))
         for cell, old_cov, new_cov in body.transitions:
             out += _CELL.pack(cell[0], cell[1]) + bytes([old_cov, new_cov])
-        return out + _U64.pack(body.query_worker) + _U32.pack(body.epoch)
+        return out + _U64.pack(body.query_worker)
     if isinstance(body, CellSearch):
         out = _U64.pack(body.q_id) + _circle(body.circle) + _U32.pack(len(body.entries))
         for cell, cov in body.entries:
             out += _CELL.pack(cell[0], cell[1]) + bytes([cov])
-        return (
-            out + _U64.pack(body.query_worker)
-            + bytes([1 if body.scan_all else 0]) + _U32.pack(body.epoch)
-        )
+        return out + _U64.pack(body.query_worker)
     if isinstance(body, PartialResult):
-        return (
-            _U64.pack(body.q_id) + _U64.pack(body.key)
-            + _ids(body.ids) + _U32.pack(body.epoch)
-        )
+        return _U64.pack(body.q_id) + _U64.pack(body.key) + _ids(body.ids)
     if isinstance(body, ResultDelta):
         return (
             _U32.pack(len(body.spans)) + b"".join(_SPAN.pack(*span) for span in body.spans)
@@ -262,9 +250,7 @@ def decode_payload(payload: bytes) -> Message:
         circle = r.circle()
         t_start, t_end = struct.unpack_from("<qq", r.buf, r.off)
         r.off += 16
-        keys = r.ids()
-        (epoch,) = r.unpack(_U32)
-        body = QueryRegister(q_id, circle, t_start, t_end, keys, epoch)
+        body = QueryRegister(q_id, circle, t_start, t_end, r.ids())
     elif kind is Kind.QUERY_MOVE:
         (q_id,) = r.unpack(_U64)
         circle = r.circle()
@@ -274,8 +260,7 @@ def decode_payload(payload: bytes) -> Message:
             cell = CellId(*r.unpack(_CELL))
             transitions.append((cell, r.u8(), r.u8()))
         (qw,) = r.unpack(_U64)
-        (epoch,) = r.unpack(_U32)
-        body = QueryMove(q_id, circle, tuple(transitions), qw, epoch)
+        body = QueryMove(q_id, circle, tuple(transitions), qw)
     elif kind is Kind.CELL_SEARCH:
         (q_id,) = r.unpack(_U64)
         circle = r.circle()
@@ -285,15 +270,11 @@ def decode_payload(payload: bytes) -> Message:
             cell = CellId(*r.unpack(_CELL))
             entries.append((cell, r.u8()))
         (qw,) = r.unpack(_U64)
-        scan_all = bool(r.u8())
-        (epoch,) = r.unpack(_U32)
-        body = CellSearch(q_id, circle, tuple(entries), qw, scan_all, epoch)
+        body = CellSearch(q_id, circle, tuple(entries), qw)
     elif kind is Kind.PARTIAL_RESULT:
         (q_id,) = r.unpack(_U64)
         (key,) = r.unpack(_U64)
-        ids = r.ids()
-        (epoch,) = r.unpack(_U32)
-        body = PartialResult(q_id, key, ids, epoch)
+        body = PartialResult(q_id, key, r.ids())
     elif kind is Kind.RESULT_DELTA:
         (count,) = r.unpack(_U32)
         spans = tuple(r.unpack(_SPAN) for _ in range(count))

@@ -17,9 +17,11 @@ from rangemon.geometry import Circle, Point
 from rangemon.grid import CandidateCells, CellId
 from rangemon.cluster import QueryWorker
 from rangemon.transport import LoopbackTransport
+from rangemon.workload import Workload, WorkloadSpec
 from rangemon.wire import (
     Message,
     ObjectUpdate,
+    PartialResult,
     QueryExpire,
     QueryMove,
     QueryRegister,
@@ -224,9 +226,9 @@ def test_expiry_stops_deltas_and_partials():
 
 
 def test_per_query_id_state_is_bounded_by_live_queries():
-    # 200 distinct ids registered and expired over several ticks; the
-    # entrance's epochs and the query workers' expiry records keep only
-    # what the live queries need once each tick has drained
+    # 200 distinct ids registered and expired over several ticks; once
+    # each tick has drained, the entrance, index workers and query workers
+    # keep per-id state only for the live queries
     for mode in ("drqa", "gi"):
         rng = random.Random(19)
         cluster = make_cluster(engine=mode)
@@ -246,9 +248,13 @@ def test_per_query_id_state_is_bounded_by_live_queries():
                     events.append(QueryExpire(q))
             report = cluster.run_tick(events)
             assert report.queries_ready == len(circles), (mode, tick)
-            assert len(cluster.entrance._epochs) == len(circles), (mode, tick)
+            assert cluster.entrance.registry.keys() == circles.keys(), (mode, tick)
+            assert not cluster.entrance._expired, (mode, tick)
+            for iw in cluster.index_workers:
+                assert iw.route_of.keys() <= circles.keys() and iw.cells_of.keys() <= circles.keys(), (mode, tick)
+                assert not any(iw._outbox.values()), (mode, tick)
             assert all(not qw._expired and not qw._stash for qw in cluster.query_workers), (mode, tick)
-        # an id whose epoch was forgotten registers afresh
+        # an id expired in an earlier tick registers afresh
         circles[0] = Circle(Point(0.5, 0.5), 0.2)
         cluster.run_tick([QueryRegister(0, circles[0], 0, 100)] + random_moves(rng, positions, 100))
         for q, c in circles.items():
@@ -475,6 +481,16 @@ def test_baselines_search_each_query_at_most_once_per_tick():
         assert entrance_searches(trace) == [0, 1, 2, 3], mode
         for q, c in circles.items():
             assert cluster.query_result(q) == ns_search(positions, c), (mode, q)
+        # a registration among object reports: searched once, with the rest
+        del trace[:]
+        circles[4] = Circle(Point(0.6, 0.3), 0.1)
+        new = Point(rng.random(), rng.random())
+        events = [ObjectUpdate(6, positions[6], new), QueryRegister(4, circles[4], 0, 100)]
+        positions[6] = new
+        cluster.run_tick(events)
+        assert entrance_searches(trace) == [0, 1, 2, 3, 4], mode
+        for q, c in circles.items():
+            assert cluster.query_result(q) == ns_search(positions, c), (mode, q)
 
 
 def test_gi_index_workers_hold_no_cells():
@@ -573,7 +589,7 @@ def test_result_deltas_carry_the_net_change():
         carried = {q: [] for q in circles}
         for m in trace:
             if isinstance(m.body, ResultDelta):
-                for q_id, _, add, remove in m.body.per_query():
+                for q_id, add, remove in m.body.per_query():
                     assert add or remove
                     carried[q_id] += add + remove
         for q, c in circles.items():
@@ -669,8 +685,7 @@ def test_count_invariant_makes_query_unready():
 
     def inject(q_id, add=(), remove=()):
         qw = next(w for w in cluster.query_workers if q_id in w.queries)
-        epoch = qw.queries[q_id].epoch
-        qw.handle(Message(cluster.iw_ids[0], qw.id, 0, ResultDelta.single(q_id, epoch, add, remove)))
+        qw.handle(Message(cluster.iw_ids[0], qw.id, 0, ResultDelta.single(q_id, add, remove)))
 
     inject(0, add=(member,))  # a second ENTER: count 2
     assert cluster.run_tick([]).queries_ready == 2
@@ -682,9 +697,9 @@ def test_count_invariant_makes_query_unready():
 
 
 def test_reregistration_within_a_tick_of_object_reports():
-    # reports dispatched before the re-registration reach the old circle's
-    # cells, whose deltas then race the new registration's partials; the
-    # registration epoch on every delta keeps them out of the new result
+    # a registration of a live id moves the query: reports dispatched
+    # before it reach the old circle's cells and after it the new circle's,
+    # and their deltas race the move's on other edges
     for policy, seed in [("fifo", 0)] + [("random", s) for s in range(10)]:
         rng = random.Random(200 + seed)
         cluster = make_cluster(index_workers=4, query_workers=3, jaccard_threshold=0.9,
@@ -839,7 +854,7 @@ def test_move_between_fully_covered_cells_sends_nothing():
     cluster.run_tick([ObjectUpdate(999, old, new)])
     assert seen == [CellDelta(set(), {1}), CellDelta({1, 2}, set())]
     spans = [span for m in trace if isinstance(m.body, ResultDelta) for span in m.body.per_query()]
-    assert [(q_id, add, remove) for q_id, _, add, remove in spans] == [(2, (999,), ())]
+    assert spans == [(2, (999,), ())]
     for q, c in circles.items():
         assert cluster.query_result(q) == ns_search(positions, c), q
 
@@ -875,9 +890,9 @@ def test_one_result_frame_per_edge_per_tick():
             for m in trace:
                 if isinstance(m.body, ResultDelta):
                     spans = m.body.spans
-                    assert len({q_id for q_id, _, _, _ in spans}) == len(spans), policy
-                    assert sum(span[2] for span in spans) == len(m.body.add), policy
-                    assert sum(span[3] for span in spans) == len(m.body.remove), policy
+                    assert len({q_id for q_id, _, _ in spans}) == len(spans), policy
+                    assert sum(span[1] for span in spans) == len(m.body.add), policy
+                    assert sum(span[2] for span in spans) == len(m.body.remove), policy
                     multi_span += len(spans) > 1
             for q, c in circles.items():
                 assert cluster.query_result(q) == ns_search(positions, c), (policy, q)
@@ -885,9 +900,9 @@ def test_one_result_frame_per_edge_per_tick():
 
 
 def test_move_after_reregistration_within_a_tick():
-    # a worker holding buffered changes of the old registration receives
-    # the new one's move without a search in between: the new changes
-    # must not be sent under the old epoch, or the query worker drops them
+    # a re-registration moves the query to the second worker's rows and a
+    # move brings it back within the tick: the first worker's changes from
+    # before and after must all reach the result
     for policy, seed in [("fifo", 0)] + [("random", s) for s in range(5)]:
         rng = random.Random(24)
         cluster = make_cluster(index_workers=2, query_workers=1, loopback_policy=policy, seed=seed)
@@ -900,3 +915,88 @@ def test_move_after_reregistration_within_a_tick():
         report = cluster.run_tick(moves + [QueryRegister(1, far, 0, 100), QueryMove(1, near)])
         assert report.queries_ready == 1, (policy, seed)
         assert cluster.query_result(1) == ns_search(positions, near), (policy, seed)
+
+
+def test_reregistration_after_expiry_within_a_tick_is_rejected():
+    # the expired registration's traffic may still be in flight, so the id
+    # registers again only from the next tick on
+    for mode in ("drqa", "gi"):
+        for policy in ("fifo", "random"):
+            rng = random.Random(28)
+            cluster = make_cluster(engine=mode, index_workers=2, loopback_policy=policy, seed=3)
+            positions, events = seed_events(rng, 1000)
+            cluster.run_tick(events)
+            circles = {q: Circle(Point(rng.random(), rng.random()), 0.15) for q in range(4)}
+            cluster.run_tick([QueryRegister(q, c, 0, 100) for q, c in circles.items()])
+            far = Circle(Point(0.8, 0.2), 0.2)
+            moves = random_moves(rng, positions, 300)
+            report = cluster.run_tick(moves[:150] + [QueryExpire(1), QueryRegister(1, far, 0, 100)] + moves[150:])
+            del circles[1]
+            assert (report.errors, report.queries_ready) == (1, len(circles)), (mode, policy)
+            assert 1 not in cluster.entrance.registry and cluster.query_result(1) is None, (mode, policy)
+            assert sum(cluster.entrance.routing.load.values()) == len(circles), (mode, policy)
+            for q, c in circles.items():
+                assert cluster.query_result(q) == ns_search(positions, c), (mode, policy, q)
+            circles[1] = far
+            report = cluster.run_tick([QueryRegister(1, far, 0, 100)] + random_moves(rng, positions, 300))
+            assert (report.errors, report.queries_ready) == (0, len(circles)), (mode, policy)
+            for q, c in circles.items():
+                assert cluster.query_result(q) == ns_search(positions, c), (mode, policy, q)
+
+
+def test_unclaimed_traffic_is_counted_and_dropped():
+    # a span for an id that was never registered, and a second partial for
+    # a complete query, are held until the barrier; then each is counted
+    # as a fault and dropped, and the next tick is clean
+    rng = random.Random(29)
+    cluster = make_cluster()
+    positions, events = seed_events(rng, 500)
+    cluster.run_tick(events)
+    circles = {q: Circle(Point(0.3 + 0.2 * q, 0.5), 0.15) for q in range(3)}
+    cluster.run_tick([QueryRegister(q, c, 0, 100) for q, c in circles.items()])
+    member = min(cluster.query_result(0))
+    owner = next(w for w in cluster.query_workers if 0 in w.queries)
+    key = min(owner.queries[0].expected)
+    injected = [(cluster.query_workers[0], ResultDelta.single(99, add=(member,))),
+                (owner, PartialResult(0, key, (member,)))]
+    for qw, body in injected:
+        qw.handle(Message(key, qw.id, 0, body))
+        report = cluster.run_tick([])
+        assert (report.errors, report.queries_ready) == (1, len(circles)), body
+        assert all(not w._stash for w in cluster.query_workers), body
+        report = cluster.run_tick(random_moves(rng, positions, 100))
+        assert (report.errors, report.queries_ready) == (0, len(circles)), body
+        assert cluster.query_result(99) is None
+        for q, c in circles.items():
+            assert cluster.query_result(q) == ns_search(positions, c), q
+
+
+def test_drqa_ships_no_more_result_ids_than_gi():
+    # on a small ZIPF shape, drqa's deltas carry no more object ids to the
+    # query workers per incremental tick than gi's per-tick re-search
+    spec = WorkloadSpec(distribution="ZIPF", n_objects=1000, n_queries=40, radius=0.05,
+                        object_speed=0.005, query_speed=0.005, zipf_s=1.2, grid_n=20)
+    shipped = {}
+    results = {}
+    for mode in ("drqa", "gi"):
+        wl = Workload(spec)
+        cluster = make_cluster(grid_n=spec.grid_n, alpha=8, engine=mode)
+        cluster.run_tick([ObjectUpdate(o, None, p) for o, p in sorted(wl.objects.items())])
+        cluster.run_tick([QueryRegister(q, c, t0, t1) for q, c, t0, t1 in wl.queries])
+        trace = []
+        cluster._transport.trace = trace
+        shipped[mode] = []
+        for _ in range(3):
+            del trace[:]
+            events = [ObjectUpdate(o, old, new) for o, old, new in wl.step_objects()]
+            events += [QueryMove(q, c) for q, c in wl.step_queries()]
+            cluster.run_tick(events)
+            results.setdefault(mode, []).append(cluster.results())
+            shipped[mode].append(sum(
+                len(m.body.ids) if isinstance(m.body, PartialResult) else len(m.body.add) + len(m.body.remove)
+                for m in trace
+                if m.sender in cluster.iw_ids and m.receiver in cluster.qw_ids
+                and isinstance(m.body, (PartialResult, ResultDelta))
+            ))
+    assert results["drqa"] == results["gi"]
+    assert all(d <= g for d, g in zip(shipped["drqa"], shipped["gi"])), shipped

@@ -30,14 +30,14 @@ BODIES = [
     ObjectUpdate(7, Point(0.1, 0.2), Point(0.3, 0.4)),
     ObjectUpdate(8, None, Point(0.3, 0.4)),
     ObjectUpdate(9, Point(0.1, 0.2), None),
-    QueryRegister(3, Circle(Point(0.5, 0.5), 0.05), 0, 100, (2, 3, 5), 2),
+    QueryRegister(3, Circle(Point(0.5, 0.5), 0.05), 0, 100, (2, 3, 5)),
     QueryMove(3, Circle(Point(0.6, 0.5), 0.05),
-              ((CellId(4, 4), 1, 2), (CellId(4, 5), 2, 0)), 6, 2),
-    CellSearch(3, Circle(Point(0.5, 0.5), 0.05), ((CellId(1, 2), 2),), 6, False, 2),
-    CellSearch(4, Circle(Point(0.5, 0.5), 0.05), (), 6, True, 1),
-    PartialResult(3, 2, (10, 11, 12), 2),
-    PartialResult(4, 5, (), 1),
-    ResultDelta(((3, 2, 2, 1), (4, 1, 0, 1)), (1, 2), (3, 5)),
+              ((CellId(4, 4), 1, 2), (CellId(4, 5), 2, 0)), 6),
+    CellSearch(3, Circle(Point(0.5, 0.5), 0.05), ((CellId(1, 2), 2),), 6),
+    CellSearch(4, Circle(Point(0.5, 0.5), 0.05), (), 6),
+    PartialResult(3, 2, (10, 11, 12)),
+    PartialResult(4, 5, ()),
+    ResultDelta(((3, 2, 1), (4, 0, 1)), (1, 2), (3, 5)),
     QueryExpire(3),
     TickBarrier(5, 100, 42, 7, 1234, 3, b"\x01" * 32),
     ResultDelta(),
@@ -62,7 +62,7 @@ def test_frame_layout_golden():
     frame = encode_message(msg)
     assert frame[:4] == (len(frame) - 4).to_bytes(4, "big")
     payload = frame[4:]
-    assert payload[0] == 5                      # wire version
+    assert payload[0] == 6                      # wire version
     assert payload[1] == int(Kind.QUERY_EXPIRE)  # kind tag
     assert payload[2:10] == (3).to_bytes(8, "little")   # seq
     assert payload[10:18] == (1).to_bytes(8, "little")  # sender
@@ -80,70 +80,81 @@ _GOLDEN_HEAD = (
 )
 
 
-# kinds 2, 3, 5 and 8 have kept the body layouts of the version each
-# test names; each frame carries the current version byte
+# each test is named for the version that gave its kind the fields it
+# pins; version 6 then dropped the registration epoch from kinds 2 to 6
+# (and the scan flag from kind 4).  Each frame carries the current
+# version byte
 
 
 def test_query_register_golden_v4():
     # version 4 made the keys the index workers' ids
-    body = QueryRegister(3, Circle(Point(0.5, 0.5), 0.25), 0, 100, (2, 5), 2)
+    body = QueryRegister(3, Circle(Point(0.5, 0.5), 0.25), 0, 100, (2, 5))
     expected = bytes.fromhex(
-        "00000062" "05" "02" + _GOLDEN_HEAD                     # length, version 5, kind 2
+        "0000005e" "06" "02" + _GOLDEN_HEAD                     # length, version 6, kind 2
         + "0000000000000000" "6400000000000000"                 # t_start 0, t_end 100
         + "02000000" "0200000000000000" "0500000000000000"      # keys: index workers 2, 5
-        + "02000000"                                            # epoch
+    )
+    assert encode_message(Message(1, 6, 3, body)) == expected
+
+
+def test_query_move_golden_v3():
+    # version 6 dropped the registration epoch that version 3 appended
+    body = QueryMove(3, Circle(Point(0.5, 0.5), 0.25), ((CellId(1, 2), 1, 2),), 6)
+    expected = bytes.fromhex(
+        "00000058" "06" "03" + _GOLDEN_HEAD                     # length, version 6, kind 3
+        + "01000000" "0100000000000000" "0200000000000000"      # one transition: cell (1, 2)
+        + "01" "02"                                             # partial -> full
+        + "0600000000000000"                                    # query worker
+    )
+    assert encode_message(Message(1, 6, 3, body)) == expected
+
+
+def test_cell_search_golden_v6():
+    # version 6 dropped the scan flag: an ns index worker scans all it holds
+    body = CellSearch(3, Circle(Point(0.5, 0.5), 0.25), ((CellId(1, 2), 2),), 6)
+    expected = bytes.fromhex(
+        "00000057" "06" "04" + _GOLDEN_HEAD                     # length, version 6, kind 4
+        + "01000000" "0100000000000000" "0200000000000000"      # one entry: cell (1, 2)
+        + "02"                                                  # full
+        + "0600000000000000"                                    # query worker
     )
     assert encode_message(Message(1, 6, 3, body)) == expected
 
 
 def test_partial_result_golden_v4():
     # version 4 keyed a partial by the sending index worker
-    body = PartialResult(3, 2, (10, 11), 2)
+    body = PartialResult(3, 2, (10, 11))
     expected = bytes.fromhex(
-        "00000042" "05" "05"                                    # length, version 5, kind 5
+        "0000003e" "06" "05"                                    # length, version 6, kind 5
         "0300000000000000" "0100000000000000" "0600000000000000"  # seq, sender, receiver
         "0300000000000000"                                      # q_id
         "0200000000000000"                                      # key: index worker 2
         "02000000" "0a00000000000000" "0b00000000000000"        # ids: 10, 11
-        "02000000"                                              # epoch
-    )
-    assert encode_message(Message(1, 6, 3, body)) == expected
-
-
-def test_query_move_golden_v3():
-    # version 3 appended the registration epoch
-    body = QueryMove(3, Circle(Point(0.5, 0.5), 0.25), ((CellId(1, 2), 1, 2),), 6, 2)
-    expected = bytes.fromhex(
-        "0000005c" "05" "03" + _GOLDEN_HEAD                     # length, version 5, kind 3
-        + "01000000" "0100000000000000" "0200000000000000"      # one transition: cell (1, 2)
-        + "01" "02"                                             # partial -> full
-        + "0600000000000000"                                    # query worker
-        + "02000000"                                            # epoch
     )
     assert encode_message(Message(1, 6, 3, body)) == expected
 
 
 def test_result_delta_golden_v5():
     # version 5 batched a tick's changes for many queries into one frame
-    body = ResultDelta(((3, 2, 2, 1), (5, 1, 0, 1)), (10, 11), (12, 13))
+    body = ResultDelta(((3, 2, 1), (5, 0, 1)), (10, 11), (12, 13))
     expected = bytes.fromhex(
-        "0000006e" "05" "06"                                    # length, version 5, kind 6
+        "00000066" "06" "06"                                    # length, version 6, kind 6
         "0300000000000000" "0100000000000000" "0600000000000000"  # seq, sender, receiver
         "02000000"                                              # two spans
-        "0300000000000000" "02000000" "02000000" "01000000"     # q 3, epoch 2, 2 adds, 1 remove
-        "0500000000000000" "01000000" "00000000" "01000000"     # q 5, epoch 1, 0 adds, 1 remove
+        "0300000000000000" "02000000" "01000000"                # q 3, 2 adds, 1 remove
+        "0500000000000000" "00000000" "01000000"                # q 5, 0 adds, 1 remove
         "02000000" "0a00000000000000" "0b00000000000000"        # add: 10, 11 (query 3)
         "02000000" "0c00000000000000" "0d00000000000000"        # remove: 12 (query 3), 13 (query 5)
     )
     assert encode_message(Message(1, 6, 3, body)) == expected
-    assert list(body.per_query()) == [(3, 2, (10, 11), (12,)), (5, 1, (), (13,))]
+    assert list(body.per_query()) == [(3, (10, 11), (12,)), (5, (), (13,))]
 
 
 def test_tick_barrier_golden_v4():
     # version 4 added the rejected-report count before the digest
     body = TickBarrier(5, 1, 2, 3, 4, 6, b"\xab")
     expected = bytes.fromhex(
-        "0000004c" "05" "08"                                    # length, version 5, kind 8
+        "0000004c" "06" "08"                                    # length, version 6, kind 8
         "0300000000000000" "0100000000000000" "0600000000000000"  # seq, sender, receiver
         "0500000000000000"                                      # tick
         "0100000000000000" "0200000000000000"                   # messages, objects
@@ -157,8 +168,8 @@ def test_tick_barrier_golden_v4():
 def test_positional_forms_of_query_events():
     # clients build these with the circle alone; routing fields default
     c = Circle(Point(0.5, 0.5), 0.1)
-    assert QueryRegister(1, c, 0, 9) == QueryRegister(1, c, 0, 9, (), 0)
-    assert QueryMove(1, c) == QueryMove(1, c, (), 0, 0)
+    assert QueryRegister(1, c, 0, 9) == QueryRegister(1, c, 0, 9, ())
+    assert QueryMove(1, c) == QueryMove(1, c, (), 0)
 
 
 def test_wire_doc_matches_code():
@@ -193,10 +204,10 @@ def test_length_mismatch_rejected():
         decode_message(frame + b"x")
 
 
-@given(st.integers(min_value=0, max_value=2**63 - 1), st.integers(min_value=0, max_value=2**32 - 1))
+@given(st.integers(min_value=0, max_value=2**63 - 1), st.integers(min_value=0, max_value=2**64 - 1))
 @settings(max_examples=50, deadline=None)
-def test_roundtrip_ids(q_id, epoch):
-    body = PartialResult(q_id, q_id, (q_id,), epoch)
+def test_roundtrip_ids(q_id, key):
+    body = PartialResult(q_id, key, (q_id,))
     msg = Message(0, 1, 1, body)
     assert decode_message(encode_message(msg)) == msg
 
