@@ -10,10 +10,23 @@ count of every end-to-end metric to one JSON file:
     python3 scripts/ab_bench.py --parent ../parent --change . \\
         --pairs 10 --seconds 25 --seed 9001 --out BENCH_9.json
 
-Pair i uses seed ``--seed + i``.  Metric names, units and which direction
-is better come from the change checkout's ``BENCHMARK.json``.  The file is
-rewritten after every pair, so an interrupted comparison keeps the pairs
-it finished.
+Pair i uses seed ``--seed + i``.  Metric names, units, bounds and which
+direction is better come from the change checkout's ``BENCHMARK.json``.
+The file is rewritten after every pair, so an interrupted comparison keeps
+the pairs it finished.
+
+Each metric also gets a verdict, printed as one row per workload and
+metric after the last pair:
+
+* ``regression``: the change's median is worse than the parent's by more
+  than the metric's bound;
+* ``gain``: the change wins at least nine tenths of the pairs (ties count
+  for neither side), its median is better by more than the parent's
+  quartile spread, and no more runs failed than at the parent;
+* ``unresolved``: the parent's quartile spread, over its median, is wider
+  than the bound, and not every change run is better than every parent
+  run;
+* ``no regression``: otherwise.
 """
 
 from __future__ import annotations
@@ -57,6 +70,23 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
 
 
+def verdict(m: dict, failed: dict) -> str:
+    """The label of one metric's summary ``m``; see the module docstring."""
+    p, c = m["parent"], m["change"]
+    sign = 1 if m["better"] == "higher" else -1
+    gap = sign * (c["median"] - p["median"])  # > 0: the change is better
+    base = abs(p["median"])
+    if -gap > m["bound"] * base:
+        return "regression"
+    if (m["change_wins"] >= 0.9 * m["pairs"] and gap > p["q3"] - p["q1"]
+            and failed["change"] <= failed["parent"]):
+        return "gain"
+    all_better = min(sign * v for v in c["runs"]) > max(sign * v for v in p["runs"])
+    if p["q3"] - p["q1"] > m["bound"] * base and not all_better:
+        return "unresolved"
+    return "no regression"
+
+
 def summarize(spec: dict, runs: dict) -> dict:
     """Per workload and metric: both sides' spread and the change's wins."""
     out = {}
@@ -81,12 +111,25 @@ def summarize(spec: dict, runs: dict) -> dict:
                 "ties": ties,
                 "pairs": len(change),
             }
+        failed = {side: sum(r["failed"] for r in sides[side]) for side in ("parent", "change")}
+        for m in metrics.values():
+            m["verdict"] = verdict(m, failed)
         out[workload] = {
             "metrics": metrics,
-            "failed": {side: sum(r["failed"] for r in sides[side]) for side in ("parent", "change")},
+            "failed": failed,
             "correct": {side: all(r["correct"] for r in sides[side]) for side in ("parent", "change")},
         }
     return out
+
+
+def print_verdicts(summary: dict) -> None:
+    print(f"{'workload':<20} {'metric':<14} {'change/parent':>13} {'wins':>6} {'parent IQR':>11}  verdict")
+    for workload, w in summary.items():
+        for name, m in w["metrics"].items():
+            ratio = m["change_over_parent"]
+            spread = m["parent"]["q3"] - m["parent"]["q1"]
+            print(f"{workload:<20} {name:<14} {'-' if ratio is None else f'{ratio:.3f}':>13} "
+                  f"{m['change_wins']:>3}/{m['pairs']:<2} {spread:>11.4g}  {m['verdict']}")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -113,6 +156,7 @@ def main(argv: list[str] | None = None) -> int:
             got = {side: runs[workload][side][-1]["metrics"]["tick_p50_s"]["value"] for side in order}
             print(f"pair {i} seed {seed} {workload}: tick_p50_s parent {got['parent']:.4g} "
                   f"change {got['change']:.4g}", flush=True)
+        summary = summarize(spec, runs)
         args.out.write_text(json.dumps({
             "command": "perfbench/run.py --trace 0",
             "seconds": args.seconds,
@@ -120,8 +164,9 @@ def main(argv: list[str] | None = None) -> int:
             "order": "parent first in even pairs, change first in odd pairs",
             "parent": revision(args.parent),
             "change": revision(args.change),
-            "workloads": summarize(spec, runs),
+            "workloads": summary,
         }, indent=1) + "\n")
+    print_verdicts(summary)
     return 0
 
 

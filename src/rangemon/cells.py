@@ -7,10 +7,12 @@ ones as one map from query id to circle.  It answers partial-cover queries
 by scanning its object map until the object count first reaches the split
 threshold; from then on a tree (plus its shared subtree cache) takes over,
 and the cell's object map and partial-query map are the tree's position
-and query-circle maps, which only the tree writes.  A partial placement
-always goes through :meth:`Cell.register_partial_and_search`, one walk
-that both places and answers the query; a query move is an unregistration
-followed by such a registration.
+and query-circle maps, which only the tree writes.  A first partial
+placement goes through :meth:`Cell.register_partial_and_search`, one walk
+that both places and answers the query.  A query move that stays in
+touch with the cell is one pass over the cell's objects against the old
+and the new circle, or one tree walk (:meth:`MTree.move_query`), and
+yields the ids that entered and left directly.
 
 The tree stays lazy because most cells of a sparse workload never need
 one: building it in every cell cost +21% peak RSS, +35% ``tick_p50_s`` and
@@ -32,7 +34,7 @@ from .baselines import ns_search
 from .errors import InconsistentUpdateError, StateMismatchError
 from .geometry import Circle, Coverage, Point, Rect, contains
 from .grid import CellId, GridIndex
-from .mtree import MTree, SearchStats, SplitConfig, SubtreeCache
+from .mtree import MTree, SearchStats, SplitConfig, SubtreeCache, member_changes
 
 
 class Change(enum.Enum):
@@ -191,23 +193,45 @@ class Cell:
     def move_query(self, q_id: int, old_cov: Coverage, new_cov: Coverage, circle: Circle,
                    stats: SearchStats | None = None) -> tuple[set[int], set[int]]:
         """Move q_id from old_cov to new_cov under its new circle; returns
-        the (entered, left) ids of this cell.  The move is an unregistration
-        followed by a fresh registration; membership under the old circle is
-        recomputed from the cell's own state, so the caller need not keep the
-        query's previous contribution."""
-        if old_cov is Coverage.FULL and new_cov is Coverage.FULL:
-            self.apply_query_transition(q_id, old_cov, new_cov)  # class check only
+        the (entered, left) ids of this cell, from the cell's own state, so
+        the caller need not keep the query's previous contribution.
+
+        A move from or to DISJOINT is a registration or an unregistration.
+        Otherwise both circles touch the cell, and one pass (one walk of the
+        tree) tests its objects against both: a FULL side covers them all."""
+        self._check_class(q_id, old_cov)
+        if old_cov is Coverage.DISJOINT:
+            if new_cov is Coverage.DISJOINT:
+                return set(), set()
+            return self.register(q_id, new_cov, circle, stats), set()
+        if new_cov is Coverage.DISJOINT:
+            if old_cov is Coverage.FULL:
+                left = self.object_ids()
+            else:
+                left = self.search(q_id, self.partial_queries[q_id], stats)
+            self.apply_query_transition(q_id, old_cov, new_cov)
+            return set(), left
+        old = self.partial_queries.get(q_id)  # None: it covered the cell
+        new = circle if new_cov is Coverage.PARTIAL else None
+        if old is None and new is None:
             return set(), set()
-        old_circle = self.partial_queries.get(q_id)
-        self.apply_query_transition(q_id, old_cov, Coverage.DISJOINT)
-        if old_cov is Coverage.FULL:
-            old_in = self.object_ids()
-        elif old_cov is Coverage.PARTIAL:
-            old_in = self.search(q_id, old_circle, stats)
+        if self.tree is not None:
+            entered, left = self.tree.move_query(q_id, old, new, stats or SearchStats())
         else:
-            old_in = set()
-        new_in = set() if new_cov is Coverage.DISJOINT else self.register(q_id, new_cov, circle, stats)
-        return new_in - old_in, old_in - new_in
+            if stats is not None:
+                stats.objects_examined += len(self.objects)
+            entered, left = set(), set()
+            member_changes(self.objects.keys(), self.objects, True if old is None else old,
+                           True if new is None else new, entered, left)
+            if new is None:
+                del self.partial_queries[q_id]
+            else:
+                self.partial_queries[q_id] = new
+        if old is None:
+            self.full_queries.remove(q_id)
+        elif new is None:
+            self.full_queries.add(q_id)
+        return entered, left
 
     def unregister_query(self, q_id: int) -> None:
         if q_id in self.full_queries:
@@ -218,17 +242,10 @@ class Cell:
     def apply_query_transition(self, q_id: int, old_cov: Coverage, new_cov: Coverage) -> None:
         """Move q_id from its recorded class old_cov to FULL or DISJOINT.
         A partial placement needs a search pass and goes through
-        :meth:`register_partial_and_search` only."""
+        :meth:`register_partial_and_search` or :meth:`move_query`."""
         if new_cov is Coverage.PARTIAL:
-            raise ValueError("partial placement goes through register_partial_and_search")
-        in_full = q_id in self.full_queries
-        in_partial = q_id in self.partial_queries
-        expected = (old_cov is Coverage.FULL, old_cov is Coverage.PARTIAL)
-        if (in_full, in_partial) != expected:
-            raise StateMismatchError(
-                f"query {q_id} in cell {self.id}: recorded (full={in_full}, partial={in_partial}) "
-                f"but transition claims {old_cov.name}"
-            )
+            raise ValueError("partial placement goes through register_partial_and_search or move_query")
+        self._check_class(q_id, old_cov)
         if old_cov is Coverage.FULL:
             self.full_queries.remove(q_id)
         elif old_cov is Coverage.PARTIAL:
@@ -238,6 +255,16 @@ class Cell:
                 del self.partial_queries[q_id]
         if new_cov is Coverage.FULL:
             self.full_queries.add(q_id)
+
+    def _check_class(self, q_id: int, cov: Coverage) -> None:
+        """Raise unless q_id is recorded in this cell with class cov."""
+        in_full = q_id in self.full_queries
+        in_partial = q_id in self.partial_queries
+        if (in_full, in_partial) != (cov is Coverage.FULL, cov is Coverage.PARTIAL):
+            raise StateMismatchError(
+                f"query {q_id} in cell {self.id}: recorded (full={in_full}, partial={in_partial}) "
+                f"but transition claims {cov.name}"
+            )
 
 
 class CellStore:

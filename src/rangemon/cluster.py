@@ -230,8 +230,11 @@ class EntranceWorker(Node):
         if self.mode != "drqa":
             self._stale.add(body.q_id)  # re-searched in the barrier wave
             return
+        # a cell fully covered by both circles keeps its membership: its
+        # owner is told nothing about it, and an owner left with no other
+        # cell gets no QUERY_MOVE
         by_owner: dict[int, list[tuple[CellId, int, int]]] = {}
-        for cell in sorted(gr_old.all_cells() | gr_new.all_cells()):
+        for cell in sorted((gr_old.all_cells() | gr_new.all_cells()) - (gr_old.full & gr_new.full)):
             old_cov = gr_old.coverage_of(cell)
             new_cov = gr_new.coverage_of(cell)
             by_owner.setdefault(self.owner(cell), []).append((cell, old_cov.value, new_cov.value))
@@ -530,7 +533,10 @@ class QueryWorker(Node):
     traffic needs no tag beyond its query id.  A partial folds into its
     query's state while that state awaits partials; otherwise it is held,
     because a complete query's partial belongs to its next search (a
-    ``gi``/``ns`` re-search).  A span folds into any state this worker
+    ``gi``/``ns`` re-search).  A partial its awaiting state rejects (from a
+    worker it was not promised, or a second from one that answered) is
+    counted in the barrier's ``errors`` and dropped, so the fault stays in
+    its tick.  A span folds into any state this worker
     holds, and is held if there is none.  A registration replays what was
     held for its id.  Traffic of an id expired this tick is dropped, and
     traffic still held once the tick's barriers are in is a fault: it is
@@ -553,6 +559,7 @@ class QueryWorker(Node):
         self._expired: set[int] = set()  # query ids expired this tick
         self._expected_barriers = {ENTRANCE} | set(iw_ids)
         self._got_barriers: set[int] = set()
+        self.errors = 0  # partials rejected this tick
 
     def handle(self, msg: Message) -> None:
         body = msg.body
@@ -574,7 +581,10 @@ class QueryWorker(Node):
         if isinstance(body, PartialResult):
             state = self.queries.get(body.q_id)
             if state is not None and state.pending:
-                self.collect_partial(state, body.key, body.ids)
+                try:
+                    self.collect_partial(state, body.key, body.ids)
+                except (DuplicatePartialError, UnexpectedPartialError):
+                    self.errors += 1  # a faulty partial is dropped
             else:
                 self._hold(body.q_id, body)
             return
@@ -610,7 +620,8 @@ class QueryWorker(Node):
         # every edge has drained: no late traffic is left, and what is
         # still held belongs to no registration
         self._expired.clear()
-        errors = sum(len(held) for held in self._stash.values())
+        errors = self.errors + sum(len(held) for held in self._stash.values())
+        self.errors = 0
         self._stash.clear()
         ready = sum(1 for s in self.queries.values() if s.ready())
         digest = hashlib.sha256()

@@ -11,7 +11,15 @@ from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import OutOfDomainError
-from .geometry import Circle, Coverage, Point, Rect, UNIT_SQUARE, classify, slot
+from .geometry import Circle, Coverage, Point, Rect, UNIT_SQUARE, slot
+
+
+def _axis_terms(c: float, lo: float, hi: float) -> tuple[float, float]:
+    """One axis of :func:`classify` for the slab [lo, hi]: the squared gap
+    from c to the slab and the squared distance to its farther edge."""
+    near = max(lo - c, 0.0, c - hi)
+    far = max(c - lo, hi - c)
+    return near * near, far * far
 
 
 class CellId(NamedTuple):
@@ -69,29 +77,40 @@ class GridIndex:
         return CellId(slot(self._ys, p.y), slot(self._xs, p.x))
 
     def candidate_cells(self, c: Circle) -> CandidateCells:
-        """Classify every cell whose closed bounds overlap the circle's
-        bounding box.  Cells outside the box are disjoint by construction
-        (their axis gap already exceeds the radius)."""
+        """Classify every cell within one cell of the circle's bounding box;
+        cells beyond are disjoint (their axis gap exceeds the radius).
+
+        :func:`classify` sums one squared term per axis, so the terms are
+        computed once per candidate column and once per row, and each cell
+        only adds a pair: the result is classify's, bit for bit."""
         if not (self.domain.x_lo <= c.center.x <= self.domain.x_hi
                 and self.domain.y_lo <= c.center.y <= self.domain.y_hi):
             raise OutOfDomainError(f"query center {c.center} outside domain")
         cx, cy = c.center
         r = c.radius
+        rr = r * r
         out = CandidateCells()
         col_lo = max(0, slot(self._xs, max(cx - r, self.domain.x_lo)) - 1)
         col_hi = min(self.n - 1, slot(self._xs, min(cx + r, self.domain.x_hi)) + 1)
         row_lo = max(0, slot(self._ys, max(cy - r, self.domain.y_lo)) - 1)
         row_hi = min(self.n - 1, slot(self._ys, min(cy + r, self.domain.y_hi)) + 1)
+        # (col, squared nearest gap, squared farthest reach); a column whose
+        # gap alone exceeds the radius holds no candidate
+        cols = []
+        for col in range(col_lo, col_hi + 1):
+            near, far = _axis_terms(cx, self._xs[col], self._xs[col + 1])
+            if near <= rr:
+                cols.append((col, near, far))
         for row in range(row_lo, row_hi + 1):
-            if self._ys[row] > cy + r or self._ys[row + 1] < cy - r:
+            near_y, far_y = _axis_terms(cy, self._ys[row], self._ys[row + 1])
+            if near_y > rr:
                 continue
-            for col in range(col_lo, col_hi + 1):
-                if self._xs[col] > cx + r or self._xs[col + 1] < cx - r:
+            for col, near_x, far_x in cols:
+                if near_x + near_y > rr:
                     continue
-                cov = classify(c, self.cell_bounds(CellId(row, col)))
-                if cov is Coverage.FULL:
+                if far_x + far_y <= rr:
                     out.full.add(CellId(row, col))
-                elif cov is Coverage.PARTIAL:
+                else:
                     out.partial.add(CellId(row, col))
         return out
 

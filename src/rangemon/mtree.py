@@ -11,7 +11,9 @@ ever touch the region a circle actually overlaps.
 
 The tree owns the position map of its objects (a cell's registry, once
 the cell has a tree).  A move walks the old and the new root-to-leaf path
-once each and returns the queries recorded on them.
+once each and returns the queries recorded on them.  A query move is one
+walk against the old and the new circle that descends only where either
+circle cuts a node, so its cost follows the change in the answer.
 
 Subtree materializations for fully-covered nodes are memoized in a
 :class:`SubtreeCache` keyed by (node id, node version); any object
@@ -22,6 +24,7 @@ exactly the cached sets that could have changed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import AbstractSet, Iterable, Mapping
 
 from .errors import (
     DuplicateObjectError,
@@ -34,6 +37,55 @@ from .geometry import Circle, Coverage, Point, Rect, classify, slot
 # Co-located objects can exceed alpha in a single leaf; without a depth cap
 # they would split forever.  At the cap a leaf is allowed to grow past alpha.
 MAX_DEPTH = 12
+
+# how a node relates to one circle in MTree.move_query
+_GEO, _NONE, _CUT, _FULL, _ALL = "geo", "none", "cut", "full", "all"
+
+
+def _inside(ids: Iterable[int], pos: Mapping[int, Point], circle: Circle) -> set[int]:
+    (cx, cy), r = circle
+    rr = r * r
+    out = set()
+    for obj_id in ids:
+        px, py = pos[obj_id]
+        ex = px - cx
+        ey = py - cy
+        if ex * ex + ey * ey <= rr:
+            out.add(obj_id)
+    return out
+
+
+def member_changes(ids: AbstractSet[int], pos: Mapping[int, Point], old: Circle | bool,
+                   new: Circle | bool, entered: set[int], left: set[int]) -> None:
+    """Add to ``entered`` the ids inside ``new`` but not ``old``, and to
+    ``left`` the reverse, in one pass over ``ids``.  A side that is a bool
+    is settled for every id: True holds them all, False none."""
+    if isinstance(old, bool):
+        inside = _inside(ids, pos, new)
+        if old:
+            left |= ids - inside
+        else:
+            entered |= inside
+    elif isinstance(new, bool):
+        inside = _inside(ids, pos, old)
+        if new:
+            entered |= ids - inside
+        else:
+            left |= inside
+    else:
+        (ox, oy), r = old
+        orr = r * r
+        (nx, ny), r = new
+        nrr = r * r
+        for obj_id in ids:
+            px, py = pos[obj_id]
+            ex = px - ox
+            ey = py - oy
+            was_in = ex * ex + ey * ey <= orr
+            ex = px - nx
+            ey = py - ny
+            if was_in != (ex * ex + ey * ey <= nrr):
+                (left if was_in else entered).add(obj_id)
 
 
 @dataclass
@@ -358,20 +410,7 @@ class MTree:
                 if placements is not None:
                     node.queries.add(q_id)
                     placements.add(node)
-                if sets is None:
-                    self._collect(node, out, stats)
-                    continue
-                entry = sets.get(node.id)
-                if entry is not None and entry[0] == node.version:
-                    ids = entry[1]
-                    if stats is not None:
-                        stats.cache_hits += 1
-                else:
-                    collected: set[int] = set()
-                    self._collect(node, collected, stats)
-                    ids = frozenset(collected)
-                    sets[node.id] = (node.version, ids)
-                out |= ids
+                out |= self._covered(node, sets, stats)
             elif node.children:
                 stack.extend(node.children)
             else:
@@ -387,6 +426,113 @@ class MTree:
                     if ex * ex + ey * ey <= rr:
                         out.add(obj_id)
         return out
+
+    def _covered(self, node: MTreeNode, sets: dict[int, tuple[int, frozenset[int]]] | None,
+                 stats: SearchStats | None) -> AbstractSet[int]:
+        """The objects under a fully covered node: the cached set if it is
+        current, else a fresh materialization (cached when ``sets`` is a
+        cache's store)."""
+        if sets is not None:
+            entry = sets.get(node.id)
+            if entry is not None and entry[0] == node.version:
+                if stats is not None:
+                    stats.cache_hits += 1
+                return entry[1]
+        collected: set[int] = set()
+        self._collect(node, collected, stats)
+        if sets is None:
+            return collected
+        ids = frozenset(collected)
+        sets[node.id] = (node.version, ids)
+        return ids
+
+    def move_query(self, q_id: int, old: Circle | None, new: Circle | None,
+                   stats: SearchStats) -> tuple[set[int], set[int]]:
+        """Move a query from circle ``old`` to circle ``new`` in one walk;
+        returns the (entered, left) object ids.  ``None`` on either side is
+        a circle that covers the whole tree, whose query is not placed in
+        it (its cell holds it as fully covering).
+
+        The walk classifies each node against both circles.  It stops at a
+        node that both cover or neither touches, whose membership cannot
+        change; one covered and the other disjoint, the node's objects come
+        from the subtree cache.  It descends where either circle cuts an
+        interior node, and tests a cut leaf's objects against both circles.
+        On the way it moves the query's placement to exactly the nodes a
+        fresh registration of ``new`` would choose.  The coverage math is
+        :meth:`_search`'s, inlined."""
+        sets = self.cache.sets if self.cache is not None else None
+        pos = self.positions
+        placements = self.query_nodes.setdefault(q_id, set())
+        entered: set[int] = set()
+        left: set[int] = set()
+        if old is not None:
+            (ox, oy), o_r = old
+            orr = o_r * o_r
+        if new is not None:
+            (nx, ny), n_r = new
+            nrr = n_r * n_r
+        # per side, how a node relates to that side's circle: _GEO still to
+        # classify, or settled by an ancestor as covered (_ALL, the query
+        # placed above) or disjoint (_NONE)
+        stack = [(self.root, _ALL if old is None else _GEO, _ALL if new is None else _GEO)]
+        while stack:
+            node, o_side, n_side = stack.pop()
+            stats.nodes_visited += 1
+            b = node.bounds
+            x_lo, y_lo, x_hi, y_hi = b.x_lo, b.y_lo, b.x_hi, b.y_hi
+            # classes: _NONE, _CUT, _FULL (covered, placed here), _ALL
+            if o_side is _GEO:
+                dx = x_lo - ox if ox < x_lo else (ox - x_hi if ox > x_hi else 0.0)
+                dy = y_lo - oy if oy < y_lo else (oy - y_hi if oy > y_hi else 0.0)
+                if dx * dx + dy * dy > orr:
+                    o_side = _NONE
+                else:
+                    fx = ox - x_lo if ox - x_lo > x_hi - ox else x_hi - ox
+                    fy = oy - y_lo if oy - y_lo > y_hi - oy else y_hi - oy
+                    o_side = _FULL if fx * fx + fy * fy <= orr else _CUT
+            if n_side is _GEO:
+                dx = x_lo - nx if nx < x_lo else (nx - x_hi if nx > x_hi else 0.0)
+                dy = y_lo - ny if ny < y_lo else (ny - y_hi if ny > y_hi else 0.0)
+                if dx * dx + dy * dy > nrr:
+                    n_side = _NONE
+                else:
+                    fx = nx - x_lo if nx - x_lo > x_hi - nx else x_hi - nx
+                    fy = ny - y_lo if ny - y_lo > y_hi - ny else y_hi - ny
+                    n_side = _FULL if fx * fx + fy * fy <= nrr else _CUT
+            was_placed = o_side is _FULL
+            now_placed = n_side is _FULL
+            if o_side is _CUT or n_side is _CUT:
+                if node.children:
+                    o_child = _GEO if o_side is _CUT else (_NONE if o_side is _NONE else _ALL)
+                    n_child = _GEO if n_side is _CUT else (_NONE if n_side is _NONE else _ALL)
+                    stack.extend([(child, o_child, n_child) for child in node.children])
+                else:
+                    was_placed = was_placed or o_side is _CUT
+                    now_placed = now_placed or n_side is _CUT
+                    stats.objects_examined += len(node.objects)
+                    member_changes(node.objects, pos,
+                                   old if o_side is _CUT else o_side is not _NONE,
+                                   new if n_side is _CUT else n_side is not _NONE, entered, left)
+            elif o_side is _NONE:
+                if n_side is not _NONE:
+                    entered |= self._covered(node, sets, stats)
+            elif n_side is _NONE:
+                left |= self._covered(node, sets, stats)
+            if was_placed != now_placed:
+                if now_placed:
+                    node.queries.add(q_id)
+                    placements.add(node)
+                else:
+                    node.queries.discard(q_id)
+                    placements.discard(node)
+        if new is None:
+            self.query_circles.pop(q_id, None)
+            if not placements:
+                del self.query_nodes[q_id]
+        else:
+            self.query_circles[q_id] = new
+        return entered, left
 
     # -- introspection -------------------------------------------------------
 

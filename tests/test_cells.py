@@ -330,3 +330,87 @@ def test_cell_delta_is_the_membership_change(seed, cap):
         # the cell's own query set is never handed out
         assert delta.entered is not cell.full_queries and delta.left is not cell.full_queries
     assert (cell.tree is not None) == (cap >= cell.cfg.alpha)
+
+
+# one query's class sequence that takes each of the eight moves other
+# than DISJOINT -> DISJOINT once
+CLASS_WALK = [Coverage.DISJOINT, Coverage.FULL, Coverage.FULL, Coverage.PARTIAL, Coverage.PARTIAL,
+              Coverage.DISJOINT, Coverage.PARTIAL, Coverage.FULL, Coverage.DISJOINT]
+
+
+def circle_of_class(rng, cov):
+    """A random circle with the given coverage of BOUNDS."""
+    if cov is Coverage.FULL:  # the cell's diagonal is 0.0142
+        return Circle(pt(rng), rng.uniform(0.015, 0.03))
+    if cov is Coverage.DISJOINT:
+        return Circle(Point(rng.choice([0.47, 0.54]), rng.uniform(0.47, 0.54)), rng.uniform(0.001, 0.02))
+    if rng.random() < 0.5:  # centred inside, too small to reach every corner
+        return Circle(pt(rng), rng.uniform(0.001, 0.007))
+    # centred outside, reaching across an edge
+    return Circle(Point(rng.choice([0.498, 0.512]), rng.uniform(0.5, 0.51)), rng.uniform(0.003, 0.008))
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from([5, 40]))
+@settings(max_examples=30, deadline=None)
+def test_two_circle_move_is_the_membership_change(seed, cap):
+    # several queries walk through every class pair, with object inserts,
+    # removals and moves in between so cached subtree sets go stale; with
+    # cap 5 the cell scans (alpha=6), with cap 40 it has a tree.  After
+    # each move, (entered, left) is the brute-force membership change, the
+    # query sits where a fresh twin registration of its circle sits, and
+    # the other queries' placements are untouched
+    rng = random.Random(seed)
+    cell = make_cell(alpha=6, m=4)
+    positions: dict[int, Point] = {}
+    next_id = 0
+
+    def object_step():
+        nonlocal next_id
+        roll = rng.random()
+        if positions and (roll < 0.2 or len(positions) >= cap):
+            obj = rng.choice(sorted(positions))
+            cell.apply_object_update(obj, positions.pop(obj), None)
+        elif positions and roll < 0.6:
+            obj = rng.choice(sorted(positions))
+            new = pt(rng)
+            cell.apply_object_update(obj, positions[obj], new)
+            positions[obj] = new
+        else:
+            positions[next_id] = pt(rng)
+            cell.apply_object_update(next_id, None, positions[next_id])
+            next_id += 1
+
+    def placed(q):
+        return {n.id for n in cell.tree.nodes() if q in n.queries} if cell.tree is not None else set()
+
+    for _ in range(cap):
+        object_step()
+    queries = range(4)
+    circles = {q: circle_of_class(rng, Coverage.DISJOINT) for q in queries}
+    seen = set()
+    for step in range(len(CLASS_WALK) - 1):
+        for q in queries:
+            for _ in range(rng.randrange(4)):
+                object_step()
+            old_cov, new_cov = CLASS_WALK[step], CLASS_WALK[step + 1]
+            new = circle_of_class(rng, new_cov)
+            assert classify(new, BOUNDS) is new_cov
+            before = brute_filter(positions, circles[q])
+            others = {o: placed(o) for o in queries if o != q}
+            entered, left = cell.move_query(q, old_cov, new_cov, new)
+            circles[q] = new
+            seen.add((old_cov, new_cov))
+            after = brute_filter(positions, new)
+            assert (entered, left) == (after - before, before - after)
+            assert (q in cell.full_queries) == (new_cov is Coverage.FULL)
+            assert (q in cell.partial_queries) == (new_cov is Coverage.PARTIAL)
+            assert {o: placed(o) for o in others} == others
+            if cell.tree is not None:
+                check_tree_invariants(cell.tree)
+                if new_cov is not Coverage.DISJOINT:
+                    twin = 100 + q
+                    assert cell.register(twin, new_cov, new) == after
+                    assert placed(twin) == placed(q)
+                    cell.unregister_query(twin)
+    assert len(seen) == 8
+    assert (cell.tree is not None) == (cap >= cell.cfg.alpha)

@@ -13,7 +13,7 @@ from rangemon.cluster import (
     RoutingTable,
 )
 from rangemon.errors import DuplicatePartialError, UnexpectedPartialError
-from rangemon.geometry import Circle, Point
+from rangemon.geometry import Circle, Coverage, Point
 from rangemon.grid import CandidateCells, CellId
 from rangemon.cluster import QueryWorker
 from rangemon.transport import LoopbackTransport
@@ -448,6 +448,41 @@ def test_drqa_query_move_reaches_only_cell_owners():
     qw = cluster.query_workers[0]
     with pytest.raises(ValueError):
         qw.handle(Message(ENTRANCE, qw.id, 0, QueryMove(1, new)))
+
+
+def test_query_move_omits_cells_full_under_both_circles():
+    # five index workers own two grid rows each.  Two queries move by a
+    # little: one covers rows 4-5 (index worker 4's cells) fully before and
+    # after, one covers the whole domain before and after.  No QUERY_MOVE
+    # lists a (FULL, FULL) cell, worker 4 gets none for the first query,
+    # and the second query sends no QUERY_MOVE at all
+    rng = random.Random(31)
+    cluster = make_cluster(index_workers=5)
+    positions, events = seed_events(rng, 800)
+    cluster.run_tick(events)
+    circles = {1: Circle(Point(0.5, 0.5), 0.6), 2: Circle(Point(0.5, 0.5), 0.8)}
+    cluster.run_tick([QueryRegister(q, c, 0, 100) for q, c in circles.items()])
+    trace = []
+    cluster._transport.trace = trace
+    moved = {1: Circle(Point(0.52, 0.5), 0.6), 2: Circle(Point(0.51, 0.49), 0.8)}
+    covered_rows = {CellId(row, col) for row in (4, 5) for col in range(10)}
+    both_full = {q: cluster.grid.candidate_cells(circles[q]).full & cluster.grid.candidate_cells(c).full
+                 for q, c in moved.items()}
+    assert covered_rows <= both_full[1] != set(cluster.grid.cells())
+    assert both_full[2] == set(cluster.grid.cells())
+    cluster.run_tick([QueryMove(q, c) for q, c in moved.items()])
+    sent = [m for m in trace if isinstance(m.body, QueryMove) and m.sender == ENTRANCE]
+    assert sent and all(m.body.q_id == 1 for m in sent)
+    assert sorted(m.receiver for m in sent) == [2, 3, 5, 6]
+    full = Coverage.FULL.value
+    assert not any((old, new) == (full, full) for m in sent for _, old, new in m.body.transitions)
+    for q, c in moved.items():
+        assert cluster.query_result(q) == ns_search(positions, c)
+    cluster.run_tick([QueryExpire(q) for q in moved])
+    for iw in cluster.index_workers:
+        assert iw.cells_of == {} and iw.route_of == {}
+        for cell in iw.cells.values():
+            assert not cell.full_queries and not cell.partial_queries
 
 
 def entrance_searches(trace):
@@ -969,6 +1004,26 @@ def test_unclaimed_traffic_is_counted_and_dropped():
         assert cluster.query_result(99) is None
         for q, c in circles.items():
             assert cluster.query_result(q) == ns_search(positions, c), q
+
+
+def test_faulty_partial_stays_in_its_tick():
+    # a query awaiting partials from index workers 2 and 3 gets worker 2's
+    # twice and one from worker 7, which it was never promised: each is
+    # counted in that tick's errors and dropped, and the tick still reports
+    cluster = Cluster(ClusterSpec(grid_n=10, index_workers=2, query_workers=1))
+    cluster.run_tick([])
+    qw = cluster.query_workers[0]
+    send = cluster._transport.send
+    send(ENTRANCE, qw.id, QueryRegister(9, Circle(Point(0.5, 0.5), 0.1), 0, 100, (2, 3)))
+    send(2, qw.id, PartialResult(9, 2, (1,)))
+    send(2, qw.id, PartialResult(9, 2, (1,)))
+    send(2, qw.id, PartialResult(9, 7, (5,)))
+    send(3, qw.id, PartialResult(9, 3, (2,)))
+    report = cluster.run_tick([])
+    assert (report.tick, report.errors, report.queries_ready) == (2, 2, 1)
+    assert cluster.query_result(9) == {1, 2}
+    report = cluster.run_tick([])
+    assert (report.tick, report.errors, report.queries_ready) == (3, 0, 1)
 
 
 def test_drqa_ships_no_more_result_ids_than_gi():

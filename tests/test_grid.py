@@ -1,7 +1,8 @@
+import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from rangemon.errors import OutOfDomainError
 from rangemon.geometry import Circle, Coverage, Point, classify
@@ -73,19 +74,50 @@ def test_candidate_cells_ring():
             assert (cell in gr.partial) == (cov is Coverage.PARTIAL)
 
 
+def assert_matches_exhaustive_classify(g, c):
+    gr = g.candidate_cells(c)
+    for cell in g.cells():
+        cov = classify(c, g.cell_bounds(cell))
+        assert (cell in gr.full) == (cov is Coverage.FULL), (c, cell)
+        assert (cell in gr.partial) == (cov is Coverage.PARTIAL), (c, cell)
+
+
 def test_candidate_cells_matches_exhaustive_classify():
-    n = 20
-    g = GridIndex(n)
+    g = GridIndex(20)
     rng = random.Random(11)
     for _ in range(100):
-        c = Circle(Point(rng.random(), rng.random()), rng.uniform(0.001, 0.4))
-        gr = g.candidate_cells(c)
-        for row in range(n):
-            for col in range(n):
-                cov = classify(c, g.cell_bounds(CellId(row, col)))
-                cell = CellId(row, col)
-                assert (cell in gr.full) == (cov is Coverage.FULL), (c, cell)
-                assert (cell in gr.partial) == (cov is Coverage.PARTIAL), (c, cell)
+        assert_matches_exhaustive_classify(g, Circle(Point(rng.random(), rng.random()), rng.uniform(0.001, 0.4)))
+
+
+@st.composite
+def edge_case_circles(draw):
+    """A grid and a circle on its float boundaries: centres on grid lines
+    (the domain corners among them), radii that are whole multiples of the
+    cell width, or that make the circle tangent to a grid line or pass
+    through a grid vertex."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    g = GridIndex(n)
+    lines = [g.cell_bounds(CellId(0, j)).x_lo for j in range(n)] + [1.0]
+    line = st.sampled_from(lines)
+    coord = st.one_of(line, st.floats(min_value=0.0, max_value=1.0))
+    cx, cy = draw(coord), draw(coord)
+    kind = draw(st.sampled_from(["multiple", "tangent", "vertex", "any"]))
+    if kind == "multiple":
+        r = draw(st.integers(min_value=1, max_value=n)) * (lines[1] - lines[0])
+    elif kind == "tangent":
+        r = abs(draw(st.sampled_from([cx, cy])) - draw(line))
+    elif kind == "vertex":
+        r = math.hypot(cx - draw(line), cy - draw(line))
+    else:
+        r = draw(st.floats(min_value=1e-9, max_value=1.5))
+    assume(r > 0)
+    return g, Circle(Point(cx, cy), r)
+
+
+@given(edge_case_circles())
+@settings(max_examples=300, deadline=None)
+def test_candidate_cells_matches_exhaustive_classify_on_edges(case):
+    assert_matches_exhaustive_classify(*case)
 
 
 def test_candidate_cells_tangent_boundary():
