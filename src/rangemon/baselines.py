@@ -27,7 +27,10 @@ def ns_search(positions: Mapping[int, Point], c: Circle, stats: SearchStats | No
 class GridStore:
     """Per-cell object maps without trees: full-cover cells contribute
     wholesale, partially covered cells are scanned object by object.  This
-    is the grid-only (``gi``) index, standalone and in the cluster."""
+    is the grid-only (``gi``) index, standalone and in the cluster.
+    :meth:`insert` and :meth:`move` take the point's cell from a caller
+    that located it already (the cluster's entrance), and locate it
+    otherwise."""
 
     def __init__(self, grid: GridIndex):
         self.grid = grid
@@ -40,10 +43,11 @@ class GridStore:
             raise InconsistentUpdateError(f"object {obj_id} not present")
         return cell_id
 
-    def insert(self, obj_id: int, p: Point) -> None:
+    def insert(self, obj_id: int, p: Point, cell_id: CellId | None = None) -> None:
         if obj_id in self.locations:
             raise InconsistentUpdateError(f"object {obj_id} already present")
-        cell_id = self.grid.locate(p)
+        if cell_id is None:
+            cell_id = self.grid.locate(p)
         self.cells.setdefault(cell_id, {})[obj_id] = p
         self.locations[obj_id] = cell_id
 
@@ -51,9 +55,10 @@ class GridStore:
         del self.cells[self._location(obj_id)][obj_id]
         del self.locations[obj_id]
 
-    def move(self, obj_id: int, p_new: Point) -> None:
+    def move(self, obj_id: int, p_new: Point, new_cell: CellId | None = None) -> None:
         old_cell = self._location(obj_id)
-        new_cell = self.grid.locate(p_new)
+        if new_cell is None:
+            new_cell = self.grid.locate(p_new)
         if new_cell == old_cell:
             self.cells[old_cell][obj_id] = p_new
         else:

@@ -283,14 +283,13 @@ class CellStore:
             self.cells[cell_id] = cell
         return cell
 
-    def move_object(self, obj_id: int, old: Point | None,
-                    new: Point | None) -> Iterator[CellDelta]:
-        """Apply one (old, new) report and yield each touched cell's delta.
+    def move_object(self, obj_id: int, old: Point | None, old_cell: CellId | None,
+                    new: Point | None, new_cell: CellId | None) -> Iterator[CellDelta]:
+        """Apply one (old, new) report, whose points the caller has located
+        in old_cell and new_cell, and yield each touched cell's delta.
         A move across cells is a removal from the old cell followed by an
         insertion into the new one.  Deltas are yielded lazily, so the old
         cell's delta reaches the caller even if the insertion then fails."""
-        old_cell = self.grid.locate(old) if old is not None else None
-        new_cell = self.grid.locate(new) if new is not None else None
         if old_cell is not None and old_cell == new_cell:
             yield self.cell(old_cell).apply_object_update(obj_id, old, new)
             return

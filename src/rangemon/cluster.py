@@ -5,7 +5,10 @@ index workers own disjoint sets of cells; query workers own query states
 and assemble results.  Workers share nothing and communicate only through
 messages.  A tick is: feed the batch, flood a barrier, and drain to
 quiescence; barrier acknowledgements carry per-worker counters, so the
-tick report is computed the same way on both transports.
+tick report is computed the same way on both transports.  The entrance
+locates each object report once and sends an index worker its reports,
+with their cells, as one frame just before its next other message on
+that edge; the index workers locate nothing.
 
 Three engine modes share the scaffolding so that their message and work
 counts are comparable: "drqa" (trees, standing registrations, incremental
@@ -26,7 +29,7 @@ from collections import Counter, deque
 from dataclasses import asdict, dataclass
 
 from .baselines import GridStore, ns_search
-from .cells import NO_IDS, CellStore
+from .cells import CellStore
 from .errors import (
     DuplicatePartialError,
     OutOfDomainError,
@@ -42,6 +45,7 @@ from .wire import (
     Body,
     CellSearch,
     Message,
+    ObjectBatch,
     ObjectUpdate,
     PartialResult,
     QueryExpire,
@@ -55,6 +59,9 @@ CLIENT = 0
 ENTRANCE = 1
 
 ENGINE_MODES = ("drqa", "gi", "ns")
+
+# a coverage class from its wire value; any other value raises KeyError
+_COVERAGE = {cov.value: cov for cov in Coverage}
 
 
 class RoutingTable:
@@ -149,9 +156,21 @@ class EntranceWorker(Node):
         self._totals = [0, 0, 0, 0, 0]  # messages, objects, ready, examined, errors
         self._digest = 0
         self.errors = 0  # client events rejected this tick
+        # per index worker, the object report parts not yet sent; flushed as
+        # one ObjectBatch before any other message on that edge
+        self._parts: dict[int, list] = {iw: [] for iw in iw_ids}
 
     def owner(self, cell: CellId) -> int:
         return self.assignment[cell]
+
+    def send(self, receiver: int, body: Body) -> None:
+        parts = self._parts.get(receiver)
+        if parts:
+            # the edge is FIFO, so the index worker applies the reports
+            # before whatever the client sent after them
+            self._parts[receiver] = []
+            super().send(receiver, ObjectBatch(tuple(parts)))
+        super().send(receiver, body)
 
     def handle(self, msg: Message) -> None:
         body = msg.body
@@ -176,16 +195,20 @@ class EntranceWorker(Node):
     # -- fan-out ---------------------------------------------------------
 
     def _dispatch_object(self, body: ObjectUpdate) -> None:
-        old_owner = self.owner(self.grid.locate(body.old)) if body.old is not None else None
-        new_owner = self.owner(self.grid.locate(body.new)) if body.new is not None else None
+        """Buffer the report for the owners of its cells, with the cells."""
+        obj_id, old, new = body.obj_id, body.old, body.new
+        old_cell = self.grid.locate(old) if old is not None else None
+        new_cell = self.grid.locate(new) if new is not None else None
         self._tick_had_updates = True
+        old_owner = self.assignment[old_cell] if old_cell is not None else None
+        new_owner = self.assignment[new_cell] if new_cell is not None else None
         if old_owner is not None and old_owner == new_owner:
-            self.send(old_owner, body)
+            self._parts[old_owner].append((obj_id, old, old_cell, new, new_cell))
             return
         if old_owner is not None:
-            self.send(old_owner, ObjectUpdate(body.obj_id, body.old, None))
+            self._parts[old_owner].append((obj_id, old, old_cell, None, None))
         if new_owner is not None:
-            self.send(new_owner, ObjectUpdate(body.obj_id, None, body.new))
+            self._parts[new_owner].append((obj_id, None, None, new, new_cell))
 
     def _register_message(self, body: QueryRegister, gr: CandidateCells, qw: int) -> None:
         """CELL_SEARCH to every index worker owning a candidate cell (under
@@ -335,8 +358,8 @@ class IndexWorker(Node, CellStore):
 
     def handle(self, msg: Message) -> None:
         body = msg.body
-        if isinstance(body, ObjectUpdate):
-            self._on_object_update(body)
+        if isinstance(body, ObjectBatch):
+            self._on_objects(body.parts)
         elif isinstance(body, CellSearch):
             self._on_cell_search(body)
         elif isinstance(body, QueryMove):
@@ -348,37 +371,48 @@ class IndexWorker(Node, CellStore):
         else:
             raise ValueError(f"index worker {self.id}: unexpected kind {body.kind!r}")
 
-    def _on_object_update(self, body: ObjectUpdate) -> None:
-        self.objects_processed += 1
-        entered = left = NO_IDS  # the gi and ns branches allocate nothing
-        try:
-            if self.mode == "drqa":
-                entered, left = set(), set()
-                for delta in self.move_object(body.obj_id, body.old, body.new):
-                    entered |= delta.entered
-                    left |= delta.left
-            elif self.mode == "gi":
-                if body.new is None:
-                    self.store.remove(body.obj_id)
-                elif body.old is None:
-                    self.store.insert(body.obj_id, body.new)
+    def _on_objects(self, parts: tuple) -> None:
+        """Apply an entrance frame's report parts in order, with the cells
+        the entrance located.  A part that raises is rejected alone and
+        counted in the barrier."""
+        self.objects_processed += len(parts)
+        if self.mode == "drqa":
+            for part in parts:
+                entered: set[int] = set()
+                left: set[int] = set()
+                try:
+                    for delta in self.move_object(*part):
+                        entered |= delta.entered
+                        left |= delta.left
+                except RangemonError:
+                    # if its insertion raised, the removal's LEAVEs still go out
+                    self.errors += 1
+                if entered or left:
+                    # a query the object left in the old cell and entered
+                    # in the new one keeps it in its result: it gets nothing
+                    obj_id = part[0]
+                    for q_id in entered - left:
+                        self._buffered(q_id)[0].append(obj_id)
+                    for q_id in left - entered:
+                        self._buffered(q_id)[1].append(obj_id)
+        elif self.mode == "gi":
+            store = self.store
+            for obj_id, old, _, new, new_cell in parts:
+                try:
+                    if new is None:
+                        store.remove(obj_id)
+                    elif old is None:
+                        store.insert(obj_id, new, new_cell)
+                    else:
+                        store.move(obj_id, new, new_cell)
+                except RangemonError:
+                    self.errors += 1
+        else:
+            for obj_id, _, _, new, _ in parts:
+                if new is None:
+                    self.owned.pop(obj_id, None)
                 else:
-                    self.store.move(body.obj_id, body.new)
-            elif body.new is None:
-                self.owned.pop(body.obj_id, None)
-            else:
-                self.owned[body.obj_id] = body.new
-        except RangemonError:
-            # a bad report is rejected alone and counted in the barrier; if
-            # its insertion raised, the removal's LEAVEs still go out
-            self.errors += 1
-        if entered or left:
-            # a query the object left in the old cell and entered in the
-            # new one keeps it in its result: it gets nothing
-            for q_id in entered - left:
-                self._buffered(q_id)[0].append(body.obj_id)
-            for q_id in left - entered:
-                self._buffered(q_id)[1].append(body.obj_id)
+                    self.owned[obj_id] = new
 
     def _on_cell_search(self, body: CellSearch) -> None:
         """Search every listed cell (under ``ns``, every object this worker
@@ -390,7 +424,7 @@ class IndexWorker(Node, CellStore):
             ids.extend(ns_search(self.owned, body.circle, self.stats))
         elif self.mode == "gi":
             for cell_id, cov_value in body.entries:
-                if cov_value == Coverage.FULL.value:
+                if _COVERAGE[cov_value] is Coverage.FULL:
                     ids.extend(self.store.cells.get(cell_id, {}))
                 else:
                     ids.extend(self.store.scan(cell_id, body.circle, self.stats))
@@ -399,7 +433,7 @@ class IndexWorker(Node, CellStore):
             cells = self.cells_of.setdefault(body.q_id, set())
             for cell_id, cov_value in body.entries:
                 cells.add(cell_id)
-                ids.extend(self.cell(cell_id).register(body.q_id, Coverage(cov_value), body.circle, self.stats))
+                ids.extend(self.cell(cell_id).register(body.q_id, _COVERAGE[cov_value], body.circle, self.stats))
         self.send(body.query_worker, PartialResult(body.q_id, self.id, tuple(sorted(ids))))
 
     def _on_query_move(self, body: QueryMove) -> None:
@@ -410,9 +444,9 @@ class IndexWorker(Node, CellStore):
         entered: set[int] = set()
         left: set[int] = set()
         for cell_id, old_val, new_val in body.transitions:
-            new_cov = Coverage(new_val)
+            new_cov = _COVERAGE[new_val]
             add, remove = self.cell(cell_id).move_query(
-                q_id, Coverage(old_val), new_cov, body.circle, self.stats,
+                q_id, _COVERAGE[old_val], new_cov, body.circle, self.stats,
             )
             entered |= add
             left |= remove
@@ -560,17 +594,22 @@ class QueryWorker(Node):
         self._expected_barriers = {ENTRANCE} | set(iw_ids)
         self._got_barriers: set[int] = set()
         self.errors = 0  # partials rejected this tick
+        # query id -> its part of the results digest, as of the last
+        # barrier; dropped whenever the query's counts may have changed
+        self._encoded: dict[int, bytes] = {}
 
     def handle(self, msg: Message) -> None:
         body = msg.body
         if isinstance(body, QueryRegister):
             self.queries[body.q_id] = QueryCounts(body.q_id, body.keys)
+            self._encoded.pop(body.q_id, None)
             for held in self._stash.pop(body.q_id, []):
                 self._consume(held)
         elif isinstance(body, (PartialResult, ResultDelta)):
             self._consume(body)
         elif isinstance(body, QueryExpire):
             self.queries.pop(body.q_id, None)
+            self._encoded.pop(body.q_id, None)
             self._expired.add(body.q_id)
         elif isinstance(body, TickBarrier):
             self._on_barrier(msg.sender, body)
@@ -585,13 +624,16 @@ class QueryWorker(Node):
                     self.collect_partial(state, body.key, body.ids)
                 except (DuplicatePartialError, UnexpectedPartialError):
                     self.errors += 1  # a faulty partial is dropped
+                self._encoded.pop(body.q_id, None)
             else:
                 self._hold(body.q_id, body)
             return
+        encoded = self._encoded
         for q_id, add, remove in body.per_query():
             state = self.queries.get(q_id)
             if state is not None:
                 state.apply_delta(add, remove)
+                encoded.pop(q_id, None)
             else:
                 self._hold(q_id, ResultDelta.single(q_id, add, remove))
 
@@ -624,9 +666,15 @@ class QueryWorker(Node):
         self.errors = 0
         self._stash.clear()
         ready = sum(1 for s in self.queries.values() if s.ready())
+        # only the queries whose counts changed since the last barrier are
+        # encoded again; the digest is the same hash of every result
+        encoded = self._encoded
         digest = hashlib.sha256()
         for q_id in sorted(self.queries):
-            digest.update(repr((q_id, sorted(self.queries[q_id].counts))).encode())
+            part = encoded.get(q_id)
+            if part is None:
+                part = encoded[q_id] = repr((q_id, sorted(self.queries[q_id].counts))).encode()
+            digest.update(part)
         self.send(ENTRANCE, TickBarrier(
             body.tick, messages=self.sent_messages, ready=ready, errors=errors,
             digest=digest.digest(),

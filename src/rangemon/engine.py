@@ -76,9 +76,12 @@ class Engine(CellStore):
         inconsistencies are collected and returned, not raised, so one bad
         report cannot poison the batch."""
         errors: list[tuple[int, Exception]] = []
+        locate = self.grid.locate
         for obj_id, old, new in updates:
             try:
-                for _ in self.move_object(obj_id, old, new):
+                old_cell = locate(old) if old is not None else None
+                new_cell = locate(new) if new is not None else None
+                for _ in self.move_object(obj_id, old, old_cell, new, new_cell):
                     pass  # the cells' deltas have no result to update here
             except Exception as exc:  # noqa: BLE001 - per-item isolation is the contract
                 errors.append((obj_id, exc))

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from .geometry import Circle, Point
 from .grid import CellId
 
-WIRE_VERSION = 6
+WIRE_VERSION = 7
 
 _HEADER = struct.Struct("<BBQQQ")
 _U32 = struct.Struct("<I")
@@ -25,6 +25,12 @@ _I64 = struct.Struct("<q")
 _F64 = struct.Struct("<d")
 _CELL = struct.Struct("<qq")
 _SPAN = struct.Struct("<QII")  # RESULT_DELTA span: q_id, n_add, n_remove
+_POINT = struct.Struct("<dd")
+_REPORT = struct.Struct("<QB")  # OBJECT_UPDATE report: obj_id, flags
+
+# the leading byte of a kind-1 body: one client report, or an entrance batch
+_FORM_REPORT = 0
+_FORM_BATCH = 1
 
 
 class Kind(enum.IntEnum):
@@ -44,6 +50,19 @@ class ObjectUpdate:
     obj_id: int
     old: Point | None
     new: Point | None
+
+
+@dataclass(frozen=True)
+class ObjectBatch:
+    """The object reports the entrance sends one index worker, as one frame
+    per tick.  Part i is ``(obj_id, old, old_cell, new, new_cell)``: a
+    side the index worker does not hold is ``None`` with its cell, and
+    each cell is the one the entrance located its point in, so the index
+    worker locates nothing.  A report that changes owner is two parts, a
+    removal for the old owner and an insertion for the new one."""
+
+    kind = Kind.OBJECT_UPDATE
+    parts: tuple[tuple[int, Point | None, CellId | None, Point | None, CellId | None], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -128,7 +147,7 @@ class TickBarrier:
 
 
 Body = (
-    ObjectUpdate | QueryRegister | QueryMove | CellSearch
+    ObjectUpdate | ObjectBatch | QueryRegister | QueryMove | CellSearch
     | PartialResult | ResultDelta | QueryExpire | TickBarrier
 )
 
@@ -152,15 +171,25 @@ def _circle(c: Circle) -> bytes:
     return struct.pack("<ddd", c.center.x, c.center.y, c.radius)
 
 
+def _report(obj_id: int, old: Point | None, old_cell: CellId | None,
+            new: Point | None, new_cell: CellId | None, cells: bool) -> bytes:
+    """One report: obj_id, flags, then each present side's point (and, in a
+    batch, its cell)."""
+    out = _REPORT.pack(obj_id, (1 if old is not None else 0) | (2 if new is not None else 0))
+    for p, cell in ((old, old_cell), (new, new_cell)):
+        if p is not None:
+            out += _POINT.pack(p.x, p.y)
+            if cells:
+                out += _CELL.pack(cell[0], cell[1])
+    return out
+
+
 def _encode_body(body: Body) -> bytes:
     if isinstance(body, ObjectUpdate):
-        flags = (1 if body.old is not None else 0) | (2 if body.new is not None else 0)
-        out = _U64.pack(body.obj_id) + bytes([flags])
-        if body.old is not None:
-            out += struct.pack("<dd", body.old.x, body.old.y)
-        if body.new is not None:
-            out += struct.pack("<dd", body.new.x, body.new.y)
-        return out
+        return bytes([_FORM_REPORT]) + _report(body.obj_id, body.old, None, body.new, None, cells=False)
+    if isinstance(body, ObjectBatch):
+        return (bytes([_FORM_BATCH]) + _U32.pack(len(body.parts))
+                + b"".join(_report(*part, cells=True) for part in body.parts))
     if isinstance(body, QueryRegister):
         return (
             _U64.pack(body.q_id) + _circle(body.circle)
@@ -223,6 +252,18 @@ class _Reader:
         (count,) = self.unpack(_U32)
         return tuple(self.unpack(_U64)[0] for _ in range(count))
 
+    def report(self, cells: bool) -> tuple[int, Point | None, CellId | None, Point | None, CellId | None]:
+        obj_id, flags = self.unpack(_REPORT)
+        sides: list = []
+        for bit in (1, 2):
+            p = cell = None
+            if flags & bit:
+                p = Point(*self.unpack(_POINT))
+                if cells:
+                    cell = CellId(*self.unpack(_CELL))
+            sides += (p, cell)
+        return (obj_id, *sides)
+
     def circle(self) -> Circle:
         x, y, r = struct.unpack_from("<ddd", self.buf, self.off)
         self.off += 24
@@ -236,15 +277,15 @@ def decode_payload(payload: bytes) -> Message:
     r = _Reader(payload, _HEADER.size)
     kind = Kind(kind)
     if kind is Kind.OBJECT_UPDATE:
-        (obj_id,) = r.unpack(_U64)
-        flags = r.u8()
-        old = Point(*struct.unpack_from("<dd", r.buf, r.off)) if flags & 1 else None
-        if flags & 1:
-            r.off += 16
-        new = Point(*struct.unpack_from("<dd", r.buf, r.off)) if flags & 2 else None
-        if flags & 2:
-            r.off += 16
-        body: Body = ObjectUpdate(obj_id, old, new)
+        form = r.u8()
+        if form == _FORM_REPORT:
+            obj_id, old, _, new, _ = r.report(cells=False)
+            body: Body = ObjectUpdate(obj_id, old, new)
+        elif form == _FORM_BATCH:
+            (count,) = r.unpack(_U32)
+            body = ObjectBatch(tuple(r.report(cells=True) for _ in range(count)))
+        else:
+            raise ValueError(f"unknown OBJECT_UPDATE form {form}")
     elif kind is Kind.QUERY_REGISTER:
         (q_id,) = r.unpack(_U64)
         circle = r.circle()

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -5,21 +6,25 @@ import pytest
 from rangemon.baselines import ns_search
 from rangemon.cells import CellDelta
 from rangemon.cluster import (
+    ENGINE_MODES,
     ENTRANCE,
     Cluster,
     ClusterSpec,
     EntranceWorker,
+    IndexWorker,
     QueryCounts,
     RoutingTable,
 )
 from rangemon.errors import DuplicatePartialError, UnexpectedPartialError
 from rangemon.geometry import Circle, Coverage, Point
-from rangemon.grid import CandidateCells, CellId
+from rangemon.grid import CandidateCells, CellId, GridIndex
 from rangemon.cluster import QueryWorker
 from rangemon.transport import LoopbackTransport
 from rangemon.workload import Workload, WorkloadSpec
 from rangemon.wire import (
+    CellSearch,
     Message,
+    ObjectBatch,
     ObjectUpdate,
     PartialResult,
     QueryExpire,
@@ -96,22 +101,34 @@ def test_empty_tick_sends_no_messages():
 
 
 def test_dispatch_counts_for_object_updates():
-    cluster = make_cluster()
+    # each report becomes one part (two across owners) of its owners'
+    # frames, carrying the cells the entrance located
+    cluster = make_cluster()  # 10x10 grid; row-major cells 0-33, 34-66, 67-99 per owner
+    first, last = cluster.iw_ids[0], cluster.iw_ids[-1]
     trace = []
     cluster._transport.trace = trace
-    # within one cell: exactly one entrance -> index worker message
-    cluster.run_tick([ObjectUpdate(1, None, Point(0.05, 0.05))])
-    del trace[:]
-    cluster.run_tick([ObjectUpdate(1, Point(0.05, 0.05), Point(0.051, 0.051))])
-    fanned = [m for m in trace if m.sender == 1 and isinstance(m.body, ObjectUpdate)]
-    assert len(fanned) == 1
-    # crossing a worker boundary: two messages with old/new split
-    del trace[:]
-    cluster.run_tick([ObjectUpdate(1, Point(0.051, 0.051), Point(0.95, 0.95))])
-    fanned = [m for m in trace if m.sender == 1 and isinstance(m.body, ObjectUpdate)]
-    assert len(fanned) == 2
-    halves = sorted((m.body.old is None, m.body.new is None) for m in fanned)
-    assert halves == [(False, True), (True, False)]
+
+    def fanned():
+        out = {m.receiver: m.body.parts for m in trace
+               if m.sender == ENTRANCE and isinstance(m.body, ObjectBatch)}
+        del trace[:]
+        return out
+
+    a, b, c, d = Point(0.05, 0.05), Point(0.051, 0.051), Point(0.15, 0.25), Point(0.95, 0.95)
+    cluster.run_tick([ObjectUpdate(1, None, a)])
+    assert fanned() == {first: ((1, None, None, a, CellId(0, 0)),)}
+    # within one cell: one part with both sides in that cell
+    cluster.run_tick([ObjectUpdate(1, a, b)])
+    assert fanned() == {first: ((1, a, CellId(0, 0), b, CellId(0, 0)),)}
+    # across cells of one owner: still one part, with both cells
+    cluster.run_tick([ObjectUpdate(1, b, c)])
+    assert fanned() == {first: ((1, b, CellId(0, 0), c, CellId(2, 1)),)}
+    # across owners: the removal to the old owner, the insertion to the new
+    cluster.run_tick([ObjectUpdate(1, c, d)])
+    assert fanned() == {first: ((1, c, CellId(2, 1), None, None),),
+                        last: ((1, None, None, d, CellId(9, 9)),)}
+    assert cluster.run_tick([]).errors == 0
+    assert cluster.index_workers[-1].cell(CellId(9, 9)).objects == {1: d}
 
 
 def test_query_fanout_spans_workers():
@@ -123,7 +140,6 @@ def test_query_fanout_spans_workers():
     gr = cluster.grid.candidate_cells(circle)
     owners = {cluster.entrance.owner(c) for c in gr.all_cells()}
     cluster.run_tick([QueryRegister(1, circle, 0, 100)])
-    from rangemon.wire import CellSearch
     searches = [m for m in trace if isinstance(m.body, CellSearch)]
     registers = [m for m in trace if isinstance(m.body, QueryRegister) and m.sender == 1]
     assert len(searches) == len(owners)
@@ -262,7 +278,6 @@ def test_per_query_id_state_is_bounded_by_live_queries():
 
 
 def test_partial_results_once_per_worker_per_registration():
-    from rangemon.wire import CellSearch, PartialResult
     for mode in ("drqa", "gi", "ns"):
         rng = random.Random(4)
         cluster = make_cluster(engine=mode)
@@ -673,8 +688,9 @@ def test_failing_insert_still_sends_the_removal():
     iw = cluster.index_workers[0]
     # the new cell already claims the object, so the insertion raises;
     # the worker rejects the report and counts it
-    iw.cell(cluster.grid.locate(new)).objects[999] = new
-    iw.handle(Message(ENTRANCE, iw.id, 0, ObjectUpdate(999, old, new)))
+    old_cell, new_cell = cluster.grid.locate(old), cluster.grid.locate(new)
+    iw.cell(new_cell).objects[999] = new
+    iw.handle(Message(ENTRANCE, iw.id, 0, ObjectBatch(((999, old, old_cell, new, new_cell),))))
     assert iw.errors == 1
     cluster.run_tick([])  # its barrier flushes the buffered LEAVE
     assert 999 not in cluster.query_result(1)
@@ -1055,3 +1071,228 @@ def test_drqa_ships_no_more_result_ids_than_gi():
             ))
     assert results["drqa"] == results["gi"]
     assert all(d <= g for d, g in zip(shipped["drqa"], shipped["gi"])), shipped
+
+
+def parts_by_owner(cluster, updates):
+    """The parts the entrance owes each index worker for these reports, in
+    the client's order: one per report, two for a report across owners."""
+    out = {iw: [] for iw in cluster.iw_ids}
+    for u in updates:
+        old_cell = cluster.grid.locate(u.old) if u.old is not None else None
+        new_cell = cluster.grid.locate(u.new) if u.new is not None else None
+        old_owner = cluster.entrance.owner(old_cell) if old_cell is not None else None
+        new_owner = cluster.entrance.owner(new_cell) if new_cell is not None else None
+        if old_owner is not None and old_owner == new_owner:
+            out[old_owner].append((u.obj_id, u.old, old_cell, u.new, new_cell))
+            continue
+        if old_owner is not None:
+            out[old_owner].append((u.obj_id, u.old, old_cell, None, None))
+        if new_owner is not None:
+            out[new_owner].append((u.obj_id, None, None, u.new, new_cell))
+    return out
+
+
+def entrance_edge(trace, iw):
+    return [m.body for m in trace if (m.sender, m.receiver) == (ENTRANCE, iw)]
+
+
+def test_one_object_frame_per_edge_per_tick():
+    # reports that precede the tick's other events reach each index worker
+    # as one kind-1 frame, ahead of everything else the entrance sends it
+    for mode in ENGINE_MODES:
+        rng = random.Random(31)
+        cluster = make_cluster(engine=mode)
+        trace = []
+        cluster._transport.trace = trace
+        positions, updates = seed_events(rng, 900)
+        circles = {q: Circle(Point(rng.random(), rng.random()), 0.15) for q in range(6)}
+        others = [QueryRegister(q, c, 0, 100) for q, c in circles.items()]
+        for tick in range(3):
+            if tick:
+                updates = random_moves(rng, positions, 300)
+                circles[0] = Circle(Point(rng.random(), rng.random()), 0.15)
+                others = [QueryMove(0, circles[0]), QueryExpire(5)] if tick == 1 else [QueryMove(0, circles[0])]
+                circles.pop(5, None)
+            del trace[:]
+            report = cluster.run_tick(updates + others)
+            expected = parts_by_owner(cluster, updates)
+            for iw in cluster.iw_ids:
+                edge = entrance_edge(trace, iw)
+                assert isinstance(edge[0], ObjectBatch), (mode, tick)
+                assert [b for b in edge if b.kind is ObjectBatch.kind] == [edge[0]], (mode, tick)
+                assert list(edge[0].parts) == expected[iw], (mode, tick)
+                assert isinstance(edge[-1], TickBarrier), (mode, tick)
+            assert report.objects_processed == sum(map(len, expected.values())), (mode, tick)
+            assert report.errors == 0, (mode, tick)
+            for q, c in circles.items():
+                assert cluster.query_result(q) == ns_search(positions, c), (mode, tick, q)
+
+
+def test_mixed_tick_keeps_the_client_order_per_edge():
+    # reports, a registration, more reports, a move, an expiry and more
+    # reports in one tick: the entrance flushes an index worker's buffered
+    # reports just before its next other message to that worker, so the
+    # frames' parts, read in order, are the client's reports
+    for mode in ("drqa", "gi"):
+        for policy in ("fifo", "random"):
+            rng = random.Random(37)
+            cluster = make_cluster(engine=mode, loopback_policy=policy, seed=3)
+            positions, events = seed_events(rng, 1200)
+            cluster.run_tick(events)
+            circles = {q: Circle(Point(rng.random(), rng.random()), rng.uniform(0.1, 0.3)) for q in range(6)}
+            cluster.run_tick([QueryRegister(q, c, 0, 100) for q, c in circles.items()])
+            trace = []
+            cluster._transport.trace = trace
+            flushed = 0
+            for tick in range(3):
+                del trace[:]
+                first, second, third = (random_moves(rng, positions, 150) for _ in range(3))
+                new_q = 10 + tick
+                moved_q, expired_q = rng.sample(sorted(circles), 2)
+                circles[new_q] = Circle(Point(rng.random(), rng.random()), 0.2)
+                circles[moved_q] = Circle(Point(rng.random(), rng.random()), 0.25)
+                del circles[expired_q]
+                report = cluster.run_tick(
+                    first + [QueryRegister(new_q, circles[new_q], 0, 100)] + second
+                    + [QueryMove(moved_q, circles[moved_q]), QueryExpire(expired_q)] + third
+                )
+                assert report.errors == 0, (mode, policy, tick)
+                assert report.queries_ready == len(circles), (mode, policy, tick)
+                for q, c in circles.items():
+                    assert cluster.query_result(q) == ns_search(positions, c), (mode, policy, tick, q)
+                expected = parts_by_owner(cluster, first + second + third)
+                for iw in cluster.iw_ids:
+                    edge = entrance_edge(trace, iw)
+                    frames = [b for b in edge if isinstance(b, ObjectBatch)]
+                    assert [p for b in frames for p in b.parts] == expected[iw], (mode, policy, tick)
+                    kinds = [type(b) for b in edge]
+                    # a frame goes out only ahead of another message
+                    assert all(a is not ObjectBatch or b is not ObjectBatch
+                               for a, b in zip(kinds, kinds[1:])), (mode, policy, tick)
+                    flushed += len(frames) > 1
+            # under drqa the registration, move and expiry reach index
+            # workers mid-tick and flush their frames early; gi sends index
+            # workers nothing but searches in the barrier wave
+            assert bool(flushed) == (mode == "drqa"), (mode, policy)
+
+
+def test_index_workers_never_locate(monkeypatch):
+    # the entrance locates each point of a report once; the index workers
+    # use the cells it sends
+    handling = []
+    calls = {"index": 0, "other": 0}
+    handle = IndexWorker.handle
+    locate = GridIndex.locate
+
+    def index_handle(self, msg):
+        handling.append(self.id)
+        try:
+            return handle(self, msg)
+        finally:
+            handling.pop()
+
+    def counting_locate(self, p):
+        calls["index" if handling else "other"] += 1
+        return locate(self, p)
+
+    monkeypatch.setattr(IndexWorker, "handle", index_handle)
+    monkeypatch.setattr(GridIndex, "locate", counting_locate)
+    for mode in ENGINE_MODES:
+        calls.update(index=0, other=0)
+        rng = random.Random(43)
+        cluster = make_cluster(engine=mode)
+        positions, events = seed_events(rng, 600)
+        cluster.run_tick(events)
+        circles = {q: Circle(Point(rng.random(), rng.random()), 0.15) for q in range(4)}
+        cluster.run_tick([QueryRegister(q, c, 0, 100) for q, c in circles.items()])
+        for _ in range(2):
+            circles[1] = Circle(Point(rng.random(), rng.random()), 0.15)
+            cluster.run_tick(random_moves(rng, positions, 200) + [QueryMove(1, circles[1])])
+        cluster.run_tick([ObjectUpdate(o, positions.pop(o), None) for o in range(50)])
+        assert calls == {"index": 0, "other": 600 + 2 * 2 * 200 + 50}, mode
+        for q, c in circles.items():
+            assert cluster.query_result(q) == ns_search(positions, c), (mode, q)
+
+
+def test_coverage_values_outside_the_classes_raise():
+    cluster = make_cluster()
+    iw = cluster.index_workers[0]
+    c = Circle(Point(0.05, 0.05), 0.01)
+    qw = cluster.qw_ids[0]
+    for bad in (3, -1):
+        with pytest.raises(KeyError):
+            iw.handle(Message(ENTRANCE, iw.id, 0, CellSearch(1, c, ((CellId(0, 0), bad),), qw)))
+        for transition in ((CellId(0, 0), 0, bad), (CellId(0, 0), bad, 0)):
+            with pytest.raises(KeyError):
+                iw.handle(Message(ENTRANCE, iw.id, 0, QueryMove(2, c, (transition,), qw)))
+
+
+def digest_from_scratch(cluster):
+    """The results digest by its definition: per query worker, the hash of
+    every query's sorted result in query-id order; XORed over workers."""
+    total = 0
+    for qw in cluster.query_workers:
+        h = hashlib.sha256()
+        for q_id in sorted(qw.queries):
+            h.update(repr((q_id, sorted(qw.queries[q_id].counts))).encode())
+        total ^= int.from_bytes(h.digest(), "big")
+    return total.to_bytes(32, "big").hex()
+
+
+def test_results_digest_equals_a_from_scratch_hash():
+    # the query worker re-encodes only the queries that changed since its
+    # last barrier; over reports, moves, expiry and re-registration the
+    # digest must still be the hash of every result
+    for mode in ("drqa", "gi"):
+        for policy in ("fifo", "random"):
+            rng = random.Random(41)
+            cluster = make_cluster(engine=mode, loopback_policy=policy, seed=7)
+            positions, events = seed_events(rng, 800)
+            cluster.run_tick(events)
+            circles = {q: Circle(Point(rng.random(), rng.random()), 0.15) for q in range(8)}
+            report = cluster.run_tick([QueryRegister(q, c, 0, 100) for q, c in circles.items()])
+            assert report.results_digest == digest_from_scratch(cluster)
+            next_q = len(circles)
+            for tick in range(6):
+                events = random_moves(rng, positions, 80)
+                moved, expired, again = rng.sample(sorted(circles), 3)
+                circles[moved] = Circle(Point(rng.random(), rng.random()), 0.15)
+                circles[again] = Circle(Point(rng.random(), rng.random()), 0.2)
+                circles[next_q] = Circle(Point(rng.random(), rng.random()), 0.1)
+                del circles[expired]
+                events += [QueryMove(moved, circles[moved]), QueryExpire(expired),
+                           QueryRegister(again, circles[again], 0, 100),
+                           QueryRegister(next_q, circles[next_q], 0, 100)]
+                next_q += 1
+                rng.shuffle(events)
+                before = report.results_digest
+                report = cluster.run_tick(events)
+                key = (mode, policy, tick)
+                assert report.results_digest == digest_from_scratch(cluster) != before, key
+                for q, c in circles.items():
+                    assert cluster.query_result(q) == ns_search(positions, c), key + (q,)
+                for qw in cluster.query_workers:
+                    assert qw._encoded.keys() == qw.queries.keys(), key
+                # a tick with no event changes no result
+                report = cluster.run_tick([])
+                assert report.results_digest == digest_from_scratch(cluster), key
+
+
+def test_digest_reencodes_a_completed_or_replaced_state():
+    # states that change outside the usual traffic: a partial completing a
+    # registration that was still awaiting it at the last barrier, and a
+    # registration replacing a live state
+    cluster = Cluster(ClusterSpec(grid_n=10, index_workers=2, query_workers=1))
+    cluster.run_tick([ObjectUpdate(1, None, Point(0.5, 0.5))])
+    qw = cluster.query_workers[0]
+    send = cluster._transport.send
+    circle = Circle(Point(0.5, 0.5), 0.1)
+    for sender, body, result in (
+        (ENTRANCE, QueryRegister(9, circle, 0, 100, (2,)), set()),  # awaits index worker 2
+        (2, PartialResult(9, 2, (1,)), {1}),
+        (ENTRANCE, QueryRegister(9, circle, 0, 100, ()), set()),
+    ):
+        send(sender, qw.id, body)
+        report = cluster.run_tick([])
+        assert cluster.query_result(9) == result
+        assert report.results_digest == digest_from_scratch(cluster), body

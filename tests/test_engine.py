@@ -134,6 +134,6 @@ def test_expired_queries_receive_no_deltas():
         old = positions[obj]
         new = Point(rng.random(), rng.random())
         positions[obj] = new
-        for delta in engine.move_object(obj, old, new):
+        for delta in engine.move_object(obj, old, engine.grid.locate(old), new, engine.grid.locate(new)):
             notified |= delta.entered | delta.left
     assert notified == {2}  # no stale registration of the removed query
