@@ -6,7 +6,10 @@ change checkout on every workload of the change's ``BENCHMARK.json``.  For
 each workload it prints both sides' ``result_hash`` and every metric whose
 value differs, apart from times (unit ``s``), which do not repeat from run
 to run.  Counts, bytes and ratios do, so any difference among them is a
-change in the work done.  Exits 1 if a ``result_hash`` differs:
+change in the work done.  One line per workload says how many work
+counters differ: the tree's search counts and the cell delta entries (in
+the incremental and the register phase) and the message and id counts.
+Exits 1 if a ``result_hash`` differs:
 
     python3 scripts/count_diff.py ../parent .
 """
@@ -19,6 +22,10 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+# metric name prefixes of the work counters, after any "register." prefix
+WORK_COUNTERS = ("mtree.nodes_visited", "mtree.leaf_descents", "mtree.cache_hits",
+                 "mtree.objects_examined", "cells.delta_entries", "transport.msgs", "transport.ids")
 
 
 def traced_run(checkout: Path, workload: str) -> tuple[list[str], dict]:
@@ -50,13 +57,17 @@ def main(argv: list[str] | None = None) -> int:
         hashes_differ |= not same
         print(f"{workload}: result_hash parent {' '.join(parent_hashes)}, "
               f"change {' '.join(change_hashes)} ({'same' if same else 'DIFFERENT'})")
+        differ = []
         for name in sorted(parent.keys() | change.keys()):
             p, c = parent.get(name), change.get(name)
             if (p or c)["unit"] == "s" or (p and c and p["value"] == c["value"]):
                 continue
+            differ.append(name)
             p_value = p["value"] if p else "-"
             c_value = c["value"] if c else "-"
             print(f"  {name}: {p_value} -> {c_value} {(p or c)['unit']}")
+        work = sum(1 for name in differ if name.removeprefix("register.").startswith(WORK_COUNTERS))
+        print(f"  work counters: {f'{work} differ' if work else 'same'}")
     return 1 if hashes_differ else 0
 
 

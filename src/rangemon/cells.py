@@ -121,9 +121,9 @@ class Cell:
         return ns_search(self.objects, circle, stats)
 
     def search_oneshot(self, circle: Circle, stats: SearchStats | None = None) -> set[int]:
-        """Search without the subtree cache.  Nothing in the package calls
-        it; it stays as the cache-free reference path that the benchmark's
-        tracer hooks by name."""
+        """Search without the subtree cache: the same tree walk as
+        :meth:`search`, materializing every covered node afresh.  Nothing in
+        the package calls it; the benchmark's tracer hooks it by name."""
         if self.tree is not None:
             return self.tree.search(circle, stats)
         return ns_search(self.objects, circle, stats)
@@ -211,25 +211,24 @@ class Cell:
                 left = self.search(q_id, self.partial_queries[q_id], stats)
             self.apply_query_transition(q_id, old_cov, new_cov)
             return set(), left
-        old = self.partial_queries.get(q_id)  # None: it covered the cell
-        new = circle if new_cov is Coverage.PARTIAL else None
-        if old is None and new is None:
+        old = self.partial_queries.get(q_id, True)  # True: it covered the cell
+        new = circle if new_cov is Coverage.PARTIAL else True
+        if old is True and new is True:
             return set(), set()
         if self.tree is not None:
-            entered, left = self.tree.move_query(q_id, old, new, stats or SearchStats())
+            entered, left = self.tree.move_query(q_id, old, new, stats)
         else:
             if stats is not None:
                 stats.objects_examined += len(self.objects)
             entered, left = set(), set()
-            member_changes(self.objects.keys(), self.objects, True if old is None else old,
-                           True if new is None else new, entered, left)
-            if new is None:
+            member_changes(self.objects.keys(), self.objects, old, new, entered, left)
+            if new is True:
                 del self.partial_queries[q_id]
             else:
                 self.partial_queries[q_id] = new
-        if old is None:
+        if old is True:
             self.full_queries.remove(q_id)
-        elif new is None:
+        elif new is True:
             self.full_queries.add(q_id)
         return entered, left
 

@@ -8,7 +8,9 @@ quiescence; barrier acknowledgements carry per-worker counters, so the
 tick report is computed the same way on both transports.  The entrance
 locates each object report once and sends an index worker its reports,
 with their cells, as one frame just before its next other message on
-that edge; the index workers locate nothing.
+that edge; the index workers locate nothing.  The entrance also keeps
+each live object's cell and rejects a report whose old side disagrees
+with it, so every engine sees only reports consistent with its state.
 
 Three engine modes share the scaffolding so that their message and work
 counts are comparable: "drqa" (trees, standing registrations, incremental
@@ -30,13 +32,7 @@ from dataclasses import asdict, dataclass
 
 from .baselines import GridStore, ns_search
 from .cells import CellStore
-from .errors import (
-    DuplicatePartialError,
-    OutOfDomainError,
-    RangemonError,
-    TransportError,
-    UnexpectedPartialError,
-)
+from .errors import OutOfDomainError, RangemonError, TransportError
 from .geometry import Circle, Coverage, Point
 from .grid import CandidateCells, CellId, GridIndex
 from .mtree import SearchStats, SplitConfig
@@ -159,6 +155,7 @@ class EntranceWorker(Node):
         # per index worker, the object report parts not yet sent; flushed as
         # one ObjectBatch before any other message on that edge
         self._parts: dict[int, list] = {iw: [] for iw in iw_ids}
+        self.object_cells: dict[int, CellId] = {}  # live object id -> its cell
 
     def owner(self, cell: CellId) -> int:
         return self.assignment[cell]
@@ -195,10 +192,20 @@ class EntranceWorker(Node):
     # -- fan-out ---------------------------------------------------------
 
     def _dispatch_object(self, body: ObjectUpdate) -> None:
-        """Buffer the report for the owners of its cells, with the cells."""
+        """Buffer the report for the owners of its cells, with the cells.
+        A report whose old side disagrees with the object's recorded cell
+        (an insertion of a live id, a move or removal of an unknown id, an
+        old point in another cell) is rejected alone."""
         obj_id, old, new = body.obj_id, body.old, body.new
         old_cell = self.grid.locate(old) if old is not None else None
         new_cell = self.grid.locate(new) if new is not None else None
+        if self.object_cells.get(obj_id) != old_cell:
+            self.errors += 1
+            return
+        if new_cell is None:
+            self.object_cells.pop(obj_id, None)
+        else:
+            self.object_cells[obj_id] = new_cell
         self._tick_had_updates = True
         old_owner = self.assignment[old_cell] if old_cell is not None else None
         new_owner = self.assignment[new_cell] if new_cell is not None else None
@@ -491,21 +498,19 @@ class QueryCounts:
     number of cells currently reporting it.  An id is in the result while
     its count is positive; zero counts are deleted, so the result is the
     key set.  Also the collection bookkeeping of the query's latest
-    search: the index workers whose partials are still awaited, and the
-    set of those promised.
+    search: the index workers whose partials are still awaited.
 
     Two counters check the invariant that, once a tick's traffic has
     drained, every count is exactly 1: LEAVEs that found no count, and
     the ids whose count is now 2 or more.  Either makes the query unready.
     """
 
-    __slots__ = ("q_id", "counts", "pending", "expected", "stray_leaves", "duplicates")
+    __slots__ = ("q_id", "counts", "pending", "stray_leaves", "duplicates")
 
     def __init__(self, q_id: int, keys: tuple[int, ...] = ()):
         self.q_id = q_id
         self.counts: Counter[int] = Counter()
         self.pending = set(keys)
-        self.expected = frozenset(keys)
         self.stray_leaves = 0
         self.duplicates = 0
 
@@ -620,9 +625,7 @@ class QueryWorker(Node):
         if isinstance(body, PartialResult):
             state = self.queries.get(body.q_id)
             if state is not None and state.pending:
-                try:
-                    self.collect_partial(state, body.key, body.ids)
-                except (DuplicatePartialError, UnexpectedPartialError):
+                if not self.collect_partial(state, body.key, body.ids):
                     self.errors += 1  # a faulty partial is dropped
                 self._encoded.pop(body.q_id, None)
             else:
@@ -644,15 +647,16 @@ class QueryWorker(Node):
             self._stash.setdefault(q_id, []).append(body)
 
     @staticmethod
-    def collect_partial(state: QueryCounts, key: int, ids: tuple[int, ...]) -> None:
+    def collect_partial(state: QueryCounts, key: int, ids: tuple[int, ...]) -> bool:
         """Merge one index worker's partial; the state is ready once the
-        last awaited worker has answered."""
-        if key not in state.expected:
-            raise UnexpectedPartialError(f"query {state.q_id}: partial from unexpected index worker {key}")
+        last awaited worker has answered.  A partial from a worker not
+        awaited (never promised, or one that answered already) is refused:
+        returns False and changes nothing."""
         if key not in state.pending:
-            raise DuplicatePartialError(f"query {state.q_id}: duplicate partial from index worker {key}")
+            return False
         state.pending.remove(key)
         state.add_ids(ids)
+        return True
 
     def _on_barrier(self, sender: int, body: TickBarrier) -> None:
         self._got_barriers.add(sender)

@@ -29,13 +29,5 @@ class StateMismatchError(RangemonError):
     """A query-list transition disagrees with the recorded membership."""
 
 
-class UnexpectedPartialError(RangemonError):
-    """A partial result arrived from an index worker the query was not sent to."""
-
-
-class DuplicatePartialError(RangemonError):
-    """A second partial result arrived from the same index worker for a query."""
-
-
 class TransportError(RangemonError):
     """A message could not be delivered; carries the failing edge."""

@@ -11,9 +11,14 @@ ever touch the region a circle actually overlaps.
 
 The tree owns the position map of its objects (a cell's registry, once
 the cell has a tree).  A move walks the old and the new root-to-leaf path
-once each and returns the queries recorded on them.  A query move is one
-walk against the old and the new circle that descends only where either
-circle cuts a node, so its cost follows the change in the answer.
+once each and returns the queries recorded on them.
+
+One walk (:meth:`MTree._walk`) serves every query-side operation.  It
+moves a query from an old to a new side, each a circle or a bool settled
+for the whole tree, and descends only where either circle cuts a node, so
+its cost follows the change in the answer.  A search is a walk from False
+(nothing) that places nothing; a registration is one from False that
+places the query; a query move walks both circles at once.
 
 Subtree materializations for fully-covered nodes are memoized in a
 :class:`SubtreeCache` keyed by (node id, node version); any object
@@ -38,7 +43,7 @@ from .geometry import Circle, Coverage, Point, Rect, classify, slot
 # they would split forever.  At the cap a leaf is allowed to grow past alpha.
 MAX_DEPTH = 12
 
-# how a node relates to one circle in MTree.move_query
+# how a node relates to one side of MTree._walk
 _GEO, _NONE, _CUT, _FULL, _ALL = "geo", "none", "cut", "full", "all"
 
 
@@ -336,22 +341,20 @@ class MTree:
 
     # -- search --------------------------------------------------------------
 
-    def _collect(self, start: MTreeNode, out: set[int], stats: SearchStats | None) -> None:
+    def _collect(self, start: MTreeNode, out: set[int], stats: SearchStats) -> None:
         stack = [start]
         while stack:
             node = stack.pop()
             if node.is_leaf():
-                if stats is not None:
-                    stats.leaf_descents += 1
+                stats.leaf_descents += 1
                 out |= node.objects
             else:
                 stack.extend(node.children)
 
     def search(self, circle: Circle, stats: SearchStats | None = None) -> set[int]:
-        """Objects within the circle.  Fully covered branches contribute
-        without per-object tests; only partially intersected leaves are
-        filtered point by point."""
-        return self._search(circle, None, stats)
+        """Objects within the circle: the walk from nothing to ``circle``,
+        placing nothing and materializing every covered node afresh."""
+        return self._walk(None, False, circle, None, stats)[0]
 
     def search_shared(
         self,
@@ -364,118 +367,63 @@ class MTree:
         """Same result as :meth:`search`, but fully-covered subtrees are
         materialized at most once per version and reused across queries.
 
-        With ``register=True`` the pass doubles as query insertion: the
-        query lands on exactly the nodes this traversal stops at (covered
-        nodes and partially cut leaves), saving a second walk.
+        With ``register=True`` the walk doubles as query insertion: the
+        query lands on exactly the nodes it stops at (covered nodes and
+        partially cut leaves), saving a second walk.
         """
-        if not register:
-            return self._search(circle, cache.sets, stats)
-        self.query_circles[q_id] = circle
-        return self._search(circle, cache.sets, stats, q_id, self.query_nodes.setdefault(q_id, set()))
+        return self._walk(q_id if register else None, False, circle, cache.sets, stats)[0]
 
-    def _search(
+    def move_query(self, q_id: int, old: Circle | bool, new: Circle | bool,
+                   stats: SearchStats | None = None) -> tuple[set[int], set[int]]:
+        """Move a query from ``old`` to ``new`` in one walk; returns the
+        (entered, left) object ids.  A side is a circle, or a bool settled
+        for the whole tree: True covers it (the query is not placed in it;
+        its cell holds it as fully covering), False misses it.  So a move
+        from False is a registration and one to False an unregistration."""
+        return self._walk(q_id, old, new, self.cache.sets if self.cache is not None else None, stats)
+
+    def _walk(
         self,
-        circle: Circle,
+        q_id: int | None,
+        old: Circle | bool,
+        new: Circle | bool,
         sets: dict[int, tuple[int, frozenset[int]]] | None,
         stats: SearchStats | None,
-        q_id: int = -1,
-        placements: set[MTreeNode] | None = None,
-    ) -> set[int]:
-        """The one search loop.  ``sets`` is a subtree cache's store (None:
-        materialize every covered node afresh).  With ``placements`` given,
-        q_id is recorded on the nodes the pass stops at and they are added
-        to ``placements``.
-
-        The coverage math is inlined (identical to :func:`classify`): node
-        visits dominate search cost, so the per-call overhead matters.
-        """
-        (cx, cy), radius = circle
-        rr = radius * radius
-        pos = self.positions
-        out: set[int] = set()
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if stats is not None:
-                stats.nodes_visited += 1
-            b = node.bounds
-            x_lo, y_lo, x_hi, y_hi = b.x_lo, b.y_lo, b.x_hi, b.y_hi
-            dx = x_lo - cx if cx < x_lo else (cx - x_hi if cx > x_hi else 0.0)
-            dy = y_lo - cy if cy < y_lo else (cy - y_hi if cy > y_hi else 0.0)
-            if dx * dx + dy * dy > rr:
-                continue
-            fx = max(cx - x_lo, x_hi - cx)
-            fy = max(cy - y_lo, y_hi - cy)
-            if fx * fx + fy * fy <= rr:
-                if placements is not None:
-                    node.queries.add(q_id)
-                    placements.add(node)
-                out |= self._covered(node, sets, stats)
-            elif node.children:
-                stack.extend(node.children)
-            else:
-                if placements is not None:
-                    node.queries.add(q_id)
-                    placements.add(node)
-                for obj_id in node.objects:
-                    if stats is not None:
-                        stats.objects_examined += 1
-                    px, py = pos[obj_id]
-                    ex = px - cx
-                    ey = py - cy
-                    if ex * ex + ey * ey <= rr:
-                        out.add(obj_id)
-        return out
-
-    def _covered(self, node: MTreeNode, sets: dict[int, tuple[int, frozenset[int]]] | None,
-                 stats: SearchStats | None) -> AbstractSet[int]:
-        """The objects under a fully covered node: the cached set if it is
-        current, else a fresh materialization (cached when ``sets`` is a
-        cache's store)."""
-        if sets is not None:
-            entry = sets.get(node.id)
-            if entry is not None and entry[0] == node.version:
-                if stats is not None:
-                    stats.cache_hits += 1
-                return entry[1]
-        collected: set[int] = set()
-        self._collect(node, collected, stats)
-        if sets is None:
-            return collected
-        ids = frozenset(collected)
-        sets[node.id] = (node.version, ids)
-        return ids
-
-    def move_query(self, q_id: int, old: Circle | None, new: Circle | None,
-                   stats: SearchStats) -> tuple[set[int], set[int]]:
-        """Move a query from circle ``old`` to circle ``new`` in one walk;
-        returns the (entered, left) object ids.  ``None`` on either side is
-        a circle that covers the whole tree, whose query is not placed in
-        it (its cell holds it as fully covering).
+    ) -> tuple[set[int], set[int]]:
+        """The one tree walk: the (entered, left) ids of a move from ``old``
+        to ``new`` (sides as in :meth:`move_query`).  ``sets`` is a subtree
+        cache's store (None: materialize every covered node afresh).  With
+        a ``q_id``, the walk moves that query's placement to exactly the
+        nodes a fresh registration of ``new`` would choose; with None it
+        places nothing.
 
         The walk classifies each node against both circles.  It stops at a
         node that both cover or neither touches, whose membership cannot
         change; one covered and the other disjoint, the node's objects come
         from the subtree cache.  It descends where either circle cuts an
         interior node, and tests a cut leaf's objects against both circles.
-        On the way it moves the query's placement to exactly the nodes a
-        fresh registration of ``new`` would choose.  The coverage math is
-        :meth:`_search`'s, inlined."""
-        sets = self.cache.sets if self.cache is not None else None
+        The coverage math is inlined (identical to :func:`classify`): node
+        visits dominate the cost, so the per-call overhead matters.
+        """
+        if stats is None:
+            stats = SearchStats()
         pos = self.positions
-        placements = self.query_nodes.setdefault(q_id, set())
+        placements = self.query_nodes.setdefault(q_id, set()) if q_id is not None else None
         entered: set[int] = set()
         left: set[int] = set()
-        if old is not None:
+        if not isinstance(old, bool):
             (ox, oy), o_r = old
             orr = o_r * o_r
-        if new is not None:
+        if not isinstance(new, bool):
             (nx, ny), n_r = new
             nrr = n_r * n_r
         # per side, how a node relates to that side's circle: _GEO still to
-        # classify, or settled by an ancestor as covered (_ALL, the query
-        # placed above) or disjoint (_NONE)
-        stack = [(self.root, _ALL if old is None else _GEO, _ALL if new is None else _GEO)]
+        # classify, or settled by an ancestor or a bool side as covered
+        # (_ALL, the query placed above or held by the cell) or disjoint
+        # (_NONE)
+        o_root = _ALL if old is True else _NONE if old is False else _GEO
+        n_root = _ALL if new is True else _NONE if new is False else _GEO
+        stack = [(self.root, o_root, n_root)]
         while stack:
             node, o_side, n_side = stack.pop()
             stats.nodes_visited += 1
@@ -519,20 +467,39 @@ class MTree:
                     entered |= self._covered(node, sets, stats)
             elif n_side is _NONE:
                 left |= self._covered(node, sets, stats)
-            if was_placed != now_placed:
+            if was_placed != now_placed and placements is not None:
                 if now_placed:
                     node.queries.add(q_id)
                     placements.add(node)
                 else:
                     node.queries.discard(q_id)
                     placements.discard(node)
-        if new is None:
-            self.query_circles.pop(q_id, None)
-            if not placements:
-                del self.query_nodes[q_id]
-        else:
-            self.query_circles[q_id] = new
+        if placements is not None:
+            if isinstance(new, bool):
+                self.query_circles.pop(q_id, None)
+                if not placements:
+                    del self.query_nodes[q_id]
+            else:
+                self.query_circles[q_id] = new
         return entered, left
+
+    def _covered(self, node: MTreeNode, sets: dict[int, tuple[int, frozenset[int]]] | None,
+                 stats: SearchStats) -> AbstractSet[int]:
+        """The objects under a fully covered node: the cached set if it is
+        current, else a fresh materialization (cached when ``sets`` is a
+        cache's store)."""
+        if sets is not None:
+            entry = sets.get(node.id)
+            if entry is not None and entry[0] == node.version:
+                stats.cache_hits += 1
+                return entry[1]
+        collected: set[int] = set()
+        self._collect(node, collected, stats)
+        if sets is None:
+            return collected
+        ids = frozenset(collected)
+        sets[node.id] = (node.version, ids)
+        return ids
 
     # -- introspection -------------------------------------------------------
 

@@ -15,7 +15,6 @@ from rangemon.cluster import (
     QueryCounts,
     RoutingTable,
 )
-from rangemon.errors import DuplicatePartialError, UnexpectedPartialError
 from rangemon.geometry import Circle, Coverage, Point
 from rangemon.grid import CandidateCells, CellId, GridIndex
 from rangemon.cluster import QueryWorker
@@ -69,16 +68,18 @@ def test_routing_no_workers():
 
 
 def test_collect_partial_protocol():
+    # a partial from an awaited worker is merged; a second one from a
+    # worker that answered, or one from a worker never promised, is refused
+    # and changes nothing
     keys = (2, 3, 4)  # the index workers a registration was fanned out to
     state = QueryCounts(1, keys)
-    QueryWorker.collect_partial(state, keys[0], (1, 2))
-    QueryWorker.collect_partial(state, keys[1], (3,))
+    assert QueryWorker.collect_partial(state, keys[0], (1, 2))
+    assert QueryWorker.collect_partial(state, keys[1], (3,))
     assert not state.ready()
-    with pytest.raises(DuplicatePartialError):
-        QueryWorker.collect_partial(state, keys[0], (1, 2))
-    with pytest.raises(UnexpectedPartialError):
-        QueryWorker.collect_partial(state, 9, ())
-    QueryWorker.collect_partial(state, keys[2], (4,))
+    assert not QueryWorker.collect_partial(state, keys[0], (1, 2))
+    assert not QueryWorker.collect_partial(state, 9, (5,))
+    assert state.pending == {keys[2]} and state.result == {1, 2, 3}
+    assert QueryWorker.collect_partial(state, keys[2], (4,))
     assert state.ready() and state.result == {1, 2, 3, 4}
 
 
@@ -772,10 +773,10 @@ def test_reregistration_within_a_tick_of_object_reports():
 
 
 def test_bad_object_report_stays_in_its_tick():
-    # a report for an object that was never inserted is rejected by its
-    # index worker alone: the tick drains, its report counts the error,
-    # and the next ticks are clean
-    for mode in ("drqa", "gi"):
+    # a report for an object that was never inserted is rejected alone:
+    # the tick drains, its report counts the error, and the next ticks are
+    # clean
+    for mode in ENGINE_MODES:
         rng = random.Random(20)
         cluster = Cluster(ClusterSpec(grid_n=10, index_workers=2, query_workers=1,
                                       alpha=6, m=4, engine=mode))
@@ -793,6 +794,35 @@ def test_bad_object_report_stays_in_its_tick():
             assert report.queries_ready == len(circles), mode
             for q, c in circles.items():
                 assert cluster.query_result(q) == ns_search(positions, c), (mode, q)
+
+
+def test_inconsistent_object_reports_are_rejected_at_the_entrance():
+    # the entrance keeps each live object's cell, so an insertion of a live
+    # id (here into a cell another index worker owns), a move or removal of
+    # an unknown id, and a move whose old point lies in another cell are
+    # each rejected alone, in every engine on both pumps: the object is
+    # never held twice, and it leaves a result when it moves away
+    near, far = Point(0.15, 0.15), Point(0.85, 0.85)
+    for mode in ENGINE_MODES:
+        for policy in ("fifo", "random"):
+            cluster = Cluster(ClusterSpec(grid_n=10, index_workers=2, query_workers=1,
+                                          engine=mode, loopback_policy=policy))
+            owners = {cluster.entrance.owner(cluster.grid.locate(p)) for p in (near, far)}
+            assert len(owners) == 2
+            cluster.run_tick([ObjectUpdate(1, None, near)])
+            cluster.run_tick([QueryRegister(7, Circle(far, 0.05), 0, 100),
+                              QueryRegister(8, Circle(Point(0.5, 0.5), 0.75), 0, 100)])  # everything
+            for bad in (ObjectUpdate(1, None, far), ObjectUpdate(2, near, far),
+                        ObjectUpdate(3, far, None), ObjectUpdate(1, far, near)):
+                report = cluster.run_tick([bad])
+                assert (report.errors, report.queries_ready) == (1, 2), (mode, policy, bad)
+                assert cluster.results() == {7: set(), 8: {1}}, (mode, policy, bad)
+            report = cluster.run_tick([ObjectUpdate(1, near, Point(0.2, 0.2))])
+            assert (report.errors, report.queries_ready) == (0, 2), (mode, policy)
+            assert cluster.results() == {7: set(), 8: {1}}, (mode, policy)
+            report = cluster.run_tick([ObjectUpdate(1, Point(0.2, 0.2), far)])
+            assert (report.errors, report.queries_ready) == (0, 2), (mode, policy)
+            assert cluster.results() == {7: {1}, 8: {1}}, (mode, policy)
 
 
 def test_out_of_domain_events_stay_in_their_tick():
@@ -1007,7 +1037,7 @@ def test_unclaimed_traffic_is_counted_and_dropped():
     cluster.run_tick([QueryRegister(q, c, 0, 100) for q, c in circles.items()])
     member = min(cluster.query_result(0))
     owner = next(w for w in cluster.query_workers if 0 in w.queries)
-    key = min(owner.queries[0].expected)
+    key = cluster.iw_ids[0]  # query 0 is complete: it awaits no partial
     injected = [(cluster.query_workers[0], ResultDelta.single(99, add=(member,))),
                 (owner, PartialResult(0, key, (member,)))]
     for qw, body in injected:

@@ -374,3 +374,66 @@ def test_move_matches_remove_then_insert(seed, m):
             reference_move(reference, obj, p)
         assert_same_tree(moved, reference)
         check_tree_invariants(moved)
+
+
+def placement_of(t):
+    """Every node's query list and the reverse map, by node id."""
+    return ({n.id: set(n.queries) for n in t.nodes()},
+            {q: {n.id for n in nodes} for q, nodes in t.query_nodes.items()},
+            dict(t.query_circles))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from([2, 4, 6, 9]))
+def test_one_walk_searches_registers_and_unregisters(seed, m):
+    """Searches, registrations and unregistrations all run the one walk.
+    On a tree grown through splits and merges, with standing queries: a
+    search (cached or not) is the brute-force answer and places nothing; a
+    registration places the query where `insert_query` does on a twin
+    tree; a move to False returns the membership as left and leaves no
+    placement."""
+    rng = random.Random(seed)
+    cfg = SplitConfig(alpha=rng.choice([4, 5, 8]), m=m)
+    t, twin = MTree(UNIT_SQUARE, cfg, SubtreeCache()), MTree(UNIT_SQUARE, cfg, SubtreeCache())
+    for q in range(3):
+        c = Circle(Point(rng.random(), rng.random()), rng.uniform(0.05, 0.3))
+        t.insert_query(q, c)
+        twin.insert_query(q, c)
+    alive: list[int] = []
+    for step in range(250):
+        if len(alive) < 4 or rng.random() < 0.5:
+            p = Point(rng.random(), rng.random())
+            for tree in (t, twin):
+                tree.insert(step, p)
+            alive.append(step)
+        elif rng.random() < 0.5:
+            obj = alive.pop(rng.randrange(len(alive)))
+            for tree in (t, twin):
+                tree.remove(obj)
+        else:
+            obj = rng.choice(alive)
+            p = Point(rng.random(), rng.random())
+            for tree in (t, twin):
+                tree.move(obj, p)
+        if step % 25:
+            continue
+        c = Circle(Point(rng.random(), rng.random()), rng.uniform(0.01, 0.5))
+        members = brute_filter(t.positions, c)
+        before = placement_of(t)
+        cache = SubtreeCache()
+        assert t.search(c) == members
+        assert t.search_shared(10, c, cache) == members
+        assert t.search_shared(10, c, cache, SearchStats()) == members  # from the cache
+        assert placement_of(t) == before
+        q = 100 + step
+        assert t.search_shared(q, c, cache, register=True) == members
+        twin.insert_query(q, c)
+        assert {n.id for n in t.query_nodes[q]} == {n.id for n in twin.query_nodes[q]}
+        assert {n.id for n in t.nodes() if q in n.queries} == {n.id for n in twin.nodes() if q in n.queries}
+        check_tree_invariants(t)
+        if rng.random() < 0.5:
+            assert t.move_query(q, c, False, SearchStats()) == (set(), members)
+            twin.remove_query(q)
+            assert placement_of(t) == before
+    check_tree_invariants(t)
+    assert_same_tree(t, twin)
