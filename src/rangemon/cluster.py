@@ -36,7 +36,7 @@ from .errors import OutOfDomainError, RangemonError, TransportError
 from .geometry import Circle, Coverage, Point
 from .grid import CandidateCells, CellId, GridIndex
 from .mtree import SearchStats, SplitConfig
-from .transport import LoopbackTransport, SocketEndpoint, SocketHub
+from .transport import LoopbackTransport, SocketTransport
 from .wire import (
     Body,
     CellSearch,
@@ -193,13 +193,13 @@ class EntranceWorker(Node):
 
     def _dispatch_object(self, body: ObjectUpdate) -> None:
         """Buffer the report for the owners of its cells, with the cells.
-        A report whose old side disagrees with the object's recorded cell
-        (an insertion of a live id, a move or removal of an unknown id, an
-        old point in another cell) is rejected alone."""
+        A report with neither point, or whose old side disagrees with the
+        object's recorded cell (an insertion of a live id, a move or removal
+        of an unknown id, an old point in another cell), is rejected alone."""
         obj_id, old, new = body.obj_id, body.old, body.new
         old_cell = self.grid.locate(old) if old is not None else None
         new_cell = self.grid.locate(new) if new is not None else None
-        if self.object_cells.get(obj_id) != old_cell:
+        if (old is None and new is None) or self.object_cells.get(obj_id) != old_cell:
             self.errors += 1
             return
         if new_cell is None:
@@ -727,37 +727,24 @@ class Cluster:
         self._nodes.update({qw.id: qw for qw in self.query_workers})
         self._tick = 0
         self._client_inbox: queue_mod.SimpleQueue = queue_mod.SimpleQueue()
-        self._hub: SocketHub | None = None
-        self._endpoints: list[SocketEndpoint] = []
+        self._transport: LoopbackTransport | SocketTransport
         if spec.transport == "loopback":
-            transport = LoopbackTransport(policy=spec.loopback_policy, seed=spec.seed)
-            for node_id, node in self._nodes.items():
-                node.transport = transport
-                transport.register(node_id, node.handle)
-            transport.register(CLIENT, lambda msg: self._client_inbox.put(msg))
-            self._transport = transport
-            self._client_send = lambda body: transport.send(CLIENT, ENTRANCE, body)
+            self._transport = LoopbackTransport(policy=spec.loopback_policy, seed=spec.seed)
         else:
-            self._hub = SocketHub()
-            self._hub.expect(len(self._nodes) + 1)
-            for node_id, node in self._nodes.items():
-                endpoint = SocketEndpoint(node_id, self._hub.address, node.handle)
-                node.transport = endpoint
-                self._endpoints.append(endpoint)
-            client_ep = SocketEndpoint(CLIENT, self._hub.address, lambda msg: self._client_inbox.put(msg))
-            self._endpoints.append(client_ep)
-            self._hub.wait_ready()
-            self._transport = None
-            self._client_send = lambda body: client_ep.send(CLIENT, ENTRANCE, body)
+            self._transport = SocketTransport()
+        for node_id, node in self._nodes.items():
+            node.transport = self._transport
+            self._transport.register(node_id, node.handle)
+        self._transport.register(CLIENT, self._client_inbox.put)
 
     # -- driving ----------------------------------------------------------
 
     def run_tick(self, events: list[Body], timeout: float = 60.0) -> TickReport:
         self._tick += 1
         for event in events:
-            self._client_send(event)
-        self._client_send(TickBarrier(self._tick))
-        if self._transport is not None:
+            self._transport.send(CLIENT, ENTRANCE, event)
+        self._transport.send(CLIENT, ENTRANCE, TickBarrier(self._tick))
+        if isinstance(self._transport, LoopbackTransport):
             self._transport.pump()
             if self._client_inbox.empty():
                 raise TransportError("tick did not complete: no barrier returned")
@@ -802,7 +789,4 @@ class Cluster:
         return out
 
     def close(self) -> None:
-        for endpoint in self._endpoints:
-            endpoint.close()
-        if self._hub is not None:
-            self._hub.close()
+        self._transport.close()

@@ -1,8 +1,11 @@
 """Key-value config files: one ``key = value`` per line, ``#`` comments.
 
 The same format carries both cluster topology (grid.n, grid.workers,
-tree.alpha, tree.m, routing.jaccard_threshold, rng.seed, cluster.*) and
-experiment definitions (experiment.*, workload.*, sweep.*, queues.*).
+tree.alpha, tree.m, routing.jaccard_threshold, rng.seed,
+cluster.index_workers, cluster.query_workers, cluster.transport) and
+experiment definitions (experiment.*, workload.*, sweep.*, queues.*,
+measure.*).  The engine under test is ``experiment.engine``; the
+cluster's engine is set from it for each run.
 """
 
 from __future__ import annotations
@@ -61,8 +64,7 @@ class Config:
             return []
         return [float(part) for part in raw.split(",") if part.strip()]
 
-    def cluster_spec(self, engine: str | None = None, transport: str | None = None,
-                     seed: int | None = None) -> ClusterSpec:
+    def cluster_spec(self) -> ClusterSpec:
         grid_workers = self.get_int("grid.workers", 4)
         return ClusterSpec(
             grid_n=self.get_int("grid.n", 100),
@@ -71,7 +73,6 @@ class Config:
             alpha=self.get_int("tree.alpha", 20),
             m=self.get_int("tree.m", 6),
             jaccard_threshold=self.get_float("routing.jaccard_threshold", 0.5),
-            engine=engine or self.get("cluster.engine", "drqa"),
-            transport=transport or self.get("cluster.transport", "loopback"),
-            seed=seed if seed is not None else self.get_int("rng.seed", 0),
+            transport=self.get("cluster.transport", "loopback"),
+            seed=self.get_int("rng.seed", 0),
         )

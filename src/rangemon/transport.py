@@ -5,8 +5,11 @@ Both implementations honor the same delivery contract: reliable, FIFO per
 single-threaded and fully deterministic: its "fifo" policy is one global
 queue in send order, and an optional seeded-random policy shuffles the
 interleaving of edges for schedule-shaking tests.  The socket transport
-runs one thread per endpoint and routes length-prefixed binary frames
-through a local hub, exercising the real wire format.
+gives each node one local socket pair and one reader thread, and carries
+every message as a length-prefixed binary frame, exercising the real
+wire format.  Both have the same interface (``register``, ``send``,
+``close``); an unknown receiver raises :class:`TransportError` in the
+sender on either.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from collections import deque
 from typing import Callable
 
 from .errors import TransportError
-from .wire import Body, Message, decode_payload, encode_message, peek_receiver
+from .wire import Body, Message, decode_payload, encode_message
 
 Handler = Callable[[Message], None]
 
@@ -81,130 +84,60 @@ class LoopbackTransport:
 # -- socket transport ---------------------------------------------------------
 
 
-def _recv_exact(conn: socket.socket, n: int) -> bytes | None:
-    buf = b""
-    while len(buf) < n:
-        chunk = conn.recv(n - len(buf))
-        if not chunk:
-            return None
-        buf += chunk
-    return buf
+class SocketTransport:
+    """One local socket pair per node, carrying the real wire frames.
 
-
-def _read_payload(conn: socket.socket) -> bytes | None:
-    head = _recv_exact(conn, 4)
-    if head is None:
-        return None
-    return _recv_exact(conn, int.from_bytes(head, "big"))
-
-
-class SocketHub:
-    """Star router: every endpoint connects once (announcing its node id as
-    8 little-endian bytes) and frames are forwarded by their receiver field."""
+    ``send`` writes each encoded frame into the receiver's socket under
+    that receiver's lock, so frames never interleave and each edge stays
+    FIFO.  One reader thread per node decodes its frames and runs its
+    handler, so each node handles its inbox sequentially.  The writes
+    block while the receiver's socket is full; the cluster's message
+    graph has no cycle within a tick (only small barrier
+    acknowledgements flow back to the entrance), so two nodes never wait
+    on each other."""
 
     def __init__(self) -> None:
-        self._listener = socket.create_server(("127.0.0.1", 0))
-        self.address = self._listener.getsockname()
-        self._conns: dict[int, socket.socket] = {}
-        self._locks: dict[int, threading.Lock] = {}
-        self._ready = threading.Event()
-        self._expected = 0
-        threading.Thread(target=self._accept_loop, name="hub-accept", daemon=True).start()
+        self._inboxes: dict[int, tuple[socket.socket, threading.Lock]] = {}
+        self._readers: list[threading.Thread] = []
+        self._seqs: dict[tuple[int, int], int] = {}
 
-    def expect(self, count: int) -> None:
-        self._expected = count
-        if len(self._conns) >= count:
-            self._ready.set()
-
-    def wait_ready(self, timeout: float = 10.0) -> None:
-        if not self._ready.wait(timeout):
-            raise TransportError("hub: not all endpoints connected")
-
-    def _accept_loop(self) -> None:
-        while True:
-            try:
-                conn, _ = self._listener.accept()
-            except OSError:
-                return
-            raw = _recv_exact(conn, 8)
-            if raw is None:
-                conn.close()
-                continue
-            node_id = int.from_bytes(raw, "little")
-            self._conns[node_id] = conn
-            self._locks[node_id] = threading.Lock()
-            if self._expected and len(self._conns) >= self._expected:
-                self._ready.set()
-            threading.Thread(
-                target=self._route_loop, args=(conn,), name=f"hub-route-{node_id}", daemon=True
-            ).start()
-
-    def _route_loop(self, conn: socket.socket) -> None:
-        while True:
-            try:
-                payload = _read_payload(conn)
-            except OSError:
-                return
-            if payload is None:
-                return
-            receiver = peek_receiver(payload)
-            dest = self._conns.get(receiver)
-            if dest is None:
-                raise TransportError(f"hub: no endpoint for receiver {receiver}")
-            frame = len(payload).to_bytes(4, "big") + payload
-            with self._locks[receiver]:
-                try:
-                    dest.sendall(frame)
-                except OSError:
-                    return
-
-    def close(self) -> None:
-        self._listener.close()
-        for conn in self._conns.values():
-            try:
-                conn.close()
-            except OSError:
-                pass
-
-
-class SocketEndpoint:
-    """One node's connection to the hub; the receive loop runs on its own
-    thread, so each node processes its inbox sequentially."""
-
-    def __init__(self, node_id: int, hub_address, handler: Handler):
-        self.node_id = node_id
-        self._handler = handler
-        self._sock = socket.create_connection(hub_address)
-        self._sock.sendall(node_id.to_bytes(8, "little"))
-        self._seqs: dict[int, int] = {}
-        self._wlock = threading.Lock()
-        self._thread = threading.Thread(
-            target=self._recv_loop, name=f"endpoint-{node_id}", daemon=True
+    def register(self, node_id: int, handler: Handler) -> None:
+        read_end, write_end = socket.socketpair()
+        self._inboxes[node_id] = (write_end, threading.Lock())
+        reader = threading.Thread(
+            target=_read_loop, args=(read_end, handler), name=f"node-{node_id}", daemon=True
         )
-        self._thread.start()
+        self._readers.append(reader)
+        reader.start()
 
     def send(self, sender: int, receiver: int, body: Body) -> None:
-        seq = self._seqs.get(receiver, 0) + 1
-        self._seqs[receiver] = seq
-        frame = encode_message(Message(sender, receiver, seq, body))
-        with self._wlock:
+        inbox = self._inboxes.get(receiver)
+        if inbox is None:
+            raise TransportError(f"edge ({sender} -> {receiver}): unknown receiver")
+        conn, lock = inbox
+        edge = (sender, receiver)
+        with lock:
+            seq = self._seqs.get(edge, 0) + 1
+            self._seqs[edge] = seq
             try:
-                self._sock.sendall(frame)
+                conn.sendall(encode_message(Message(sender, receiver, seq, body)))
             except OSError as exc:
                 raise TransportError(f"edge ({sender} -> {receiver}): {exc}") from exc
 
-    def _recv_loop(self) -> None:
-        while True:
-            try:
-                payload = _read_payload(self._sock)
-            except OSError:
-                return
-            if payload is None:
-                return
-            self._handler(decode_payload(payload))
-
     def close(self) -> None:
-        try:
-            self._sock.close()
-        except OSError:
-            pass
+        """Shut every write end, so each reader sees EOF once it has
+        handled what was sent, and wait for the readers to end."""
+        inboxes, self._inboxes = self._inboxes, {}
+        for conn, _ in inboxes.values():
+            conn.shutdown(socket.SHUT_WR)
+        for reader in self._readers:
+            reader.join()
+        for conn, _ in inboxes.values():
+            conn.close()
+
+
+def _read_loop(conn: socket.socket, handler: Handler) -> None:
+    with conn, conn.makefile("rb") as stream:
+        while len(head := stream.read(4)) == 4:
+            payload = stream.read(int.from_bytes(head, "big"))
+            handler(decode_payload(payload))

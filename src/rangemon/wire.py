@@ -347,5 +347,5 @@ def decode_message(frame: bytes) -> Message:
 
 
 def peek_receiver(payload: bytes) -> int:
-    """Routing hubs only need the receiver; avoid a full decode."""
+    """The receiver field of a payload, without a full decode."""
     return _HEADER.unpack_from(payload, 0)[4]

@@ -1,4 +1,6 @@
 import random
+import threading
+import time
 
 import pytest
 
@@ -78,6 +80,21 @@ def check_tree_invariants(tree: MTree, check_queries: bool = True) -> None:
             tracked = {n.id for n in tree.query_nodes.get(q_id, set())}
             actual = {nid for nid, n in live.items() if q_id in n.queries}
             assert tracked == actual, f"query {q_id}: placement map {tracked} != {actual}"
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_threads():
+    """Fail a test that leaves a thread it started running 2 s after it
+    ends: a closed socket cluster must have ended its reader threads."""
+    before = set(threading.enumerate())
+    yield
+    deadline = time.monotonic() + 2.0
+    leaked = [t for t in threading.enumerate() if t not in before]
+    for thread in leaked:
+        thread.join(max(0.0, deadline - time.monotonic()))
+    alive = sorted(t.name for t in leaked if t.is_alive())
+    if alive:
+        pytest.fail(f"{len(alive)} thread(s) still running 2 s after the test: {alive}")
 
 
 @pytest.fixture

@@ -799,9 +799,11 @@ def test_bad_object_report_stays_in_its_tick():
 def test_inconsistent_object_reports_are_rejected_at_the_entrance():
     # the entrance keeps each live object's cell, so an insertion of a live
     # id (here into a cell another index worker owns), a move or removal of
-    # an unknown id, and a move whose old point lies in another cell are
-    # each rejected alone, in every engine on both pumps: the object is
-    # never held twice, and it leaves a result when it moves away
+    # an unknown id, a move whose old point lies in another cell and a
+    # report with neither point are each rejected alone, in every engine
+    # on both pumps: nothing is sent for them (under gi and ns, no query
+    # is searched again), the object is never held twice, and it leaves a
+    # result when it moves away
     near, far = Point(0.15, 0.15), Point(0.85, 0.85)
     for mode in ENGINE_MODES:
         for policy in ("fifo", "random"):
@@ -813,9 +815,10 @@ def test_inconsistent_object_reports_are_rejected_at_the_entrance():
             cluster.run_tick([QueryRegister(7, Circle(far, 0.05), 0, 100),
                               QueryRegister(8, Circle(Point(0.5, 0.5), 0.75), 0, 100)])  # everything
             for bad in (ObjectUpdate(1, None, far), ObjectUpdate(2, near, far),
-                        ObjectUpdate(3, far, None), ObjectUpdate(1, far, near)):
+                        ObjectUpdate(3, far, None), ObjectUpdate(1, far, near),
+                        ObjectUpdate(2, None, None)):
                 report = cluster.run_tick([bad])
-                assert (report.errors, report.queries_ready) == (1, 2), (mode, policy, bad)
+                assert (report.errors, report.queries_ready, report.messages) == (1, 2, 0), (mode, policy, bad)
                 assert cluster.results() == {7: set(), 8: {1}}, (mode, policy, bad)
             report = cluster.run_tick([ObjectUpdate(1, near, Point(0.2, 0.2))])
             assert (report.errors, report.queries_ready) == (0, 2), (mode, policy)

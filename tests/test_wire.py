@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rangemon.baselines import ns_search
-from rangemon.cluster import Cluster, ClusterSpec
+from rangemon.cluster import ENGINE_MODES, Cluster, ClusterSpec
+from rangemon.errors import TransportError
 from rangemon.geometry import Circle, Point
 from rangemon.grid import CellId
+from rangemon.transport import SocketTransport
 from rangemon.wire import (
     CellSearch,
     Kind,
@@ -264,33 +266,57 @@ def test_roundtrip_ids(q_id, key):
 
 
 def test_socket_cluster_matches_loopback():
+    # every engine gives the same tick reports and results on real frames
+    # as on the loopback: a build, registrations, object moves, query
+    # moves, and a registration of a live id (which moves the query)
     rng = random.Random(21)
     positions = {i: Point(rng.random(), rng.random()) for i in range(400)}
     circles = {q: Circle(Point(rng.random(), rng.random()), 0.15) for q in range(5)}
+    ticks = [
+        [ObjectUpdate(o, None, p) for o, p in positions.items()],
+        [QueryRegister(q, c, 0, 50) for q, c in circles.items()],
+    ]
+    moves = []
+    for obj in list(positions)[:100]:
+        new = Point(rng.random(), rng.random())
+        moves.append(ObjectUpdate(obj, positions[obj], new))
+        positions[obj] = new
+    ticks.append(moves)
+    for q in circles:
+        circles[q] = Circle(Point(rng.random(), rng.random()), 0.15)
+    ticks.append([QueryMove(q, c) for q, c in circles.items()])
+    circles[0] = Circle(Point(0.5, 0.5), 0.3)
+    ticks.append([QueryRegister(0, circles[0], 0, 50)])
 
-    def drive(transport):
+    def drive(mode, transport):
         cluster = Cluster(ClusterSpec(
-            grid_n=8, index_workers=2, query_workers=2, alpha=6, m=4, transport=transport,
+            grid_n=8, index_workers=2, query_workers=2, alpha=6, m=4, engine=mode, transport=transport,
         ))
         try:
-            cluster.run_tick([ObjectUpdate(o, None, p) for o, p in positions.items()])
-            cluster.run_tick([QueryRegister(q, c, 0, 50) for q, c in circles.items()])
-            moves = []
-            current = dict(positions)
-            move_rng = random.Random(22)
-            for obj in list(current)[:100]:
-                old = current[obj]
-                new = Point(move_rng.random(), move_rng.random())
-                current[obj] = new
-                moves.append(ObjectUpdate(obj, old, new))
-            report = cluster.run_tick(moves)
-            return cluster.results(), report.results_digest, current
+            reports = [cluster.run_tick(events).as_dict() for events in ticks]
+            return reports, cluster.results()
         finally:
             cluster.close()
 
-    loop_results, loop_digest, final_positions = drive("loopback")
-    sock_results, sock_digest, _ = drive("socket")
-    assert sock_results == loop_results
-    assert sock_digest == loop_digest
-    for q, c in circles.items():
-        assert sock_results[q] == ns_search(final_positions, c)
+    for mode in ENGINE_MODES:
+        loop_reports, loop_results = drive(mode, "loopback")
+        sock_reports, sock_results = drive(mode, "socket")
+        assert sock_reports == loop_reports, mode
+        assert sock_results == loop_results, mode
+        assert all(r["errors"] == 0 and r["queries_ready"] == len(sock_results) for r in sock_reports[1:])
+        for q, c in circles.items():
+            assert sock_results[q] == ns_search(positions, c), (mode, q)
+
+
+def test_socket_send_to_unknown_receiver_raises_in_sender():
+    transport = SocketTransport()
+    delivered = []
+    transport.register(1, delivered.append)
+    try:
+        with pytest.raises(TransportError):
+            transport.send(1, 9, QueryExpire(3))
+        transport.send(2, 1, QueryExpire(4))
+    finally:
+        transport.close()
+    # close returns once the reader has handled what was sent
+    assert delivered == [Message(2, 1, 1, QueryExpire(4))]
