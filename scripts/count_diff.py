@@ -9,7 +9,12 @@ to run.  Counts, bytes and ratios do, so any difference among them is a
 change in the work done.  One line per workload says how many work
 counters differ: the tree's search counts and the cell delta entries (in
 the incremental and the register phase) and the message and id counts.
-Exits 1 if a ``result_hash`` differs:
+
+Then each checkout runs one fixed mixed workload (object reports,
+registrations, moves and expiries, shuffled each tick by a seeded RNG)
+under every engine, on the fifo loopback and on the random pump, and the
+script compares each tick's ``results_digest``, ``queries_ready`` and
+``errors``.  Exits 1 if a ``result_hash`` or a tick differs:
 
     python3 scripts/count_diff.py ../parent .
 """
@@ -18,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -41,6 +47,58 @@ def traced_run(checkout: Path, workload: str) -> tuple[list[str], dict]:
     lines = proc.stdout.strip().splitlines()
     hashes = [line.rsplit(" ", 1)[1] for line in lines if line.startswith("result_hash seed ")]
     return hashes, json.loads(lines[-1])["metrics"]
+
+
+# runs in a subprocess on the checkout's own src/; prints one JSON list of
+# [results_digest, queries_ready, errors] per tick, over every run
+TICKS_SCRIPT = """
+import json, random
+from rangemon.cluster import ENGINE_MODES, Cluster, ClusterSpec
+from rangemon.geometry import Circle, Point
+from rangemon.wire import ObjectUpdate, QueryExpire, QueryMove, QueryRegister
+
+def circle(rng):
+    return Circle(Point(rng.random(), rng.random()), rng.uniform(0.02, 0.15))
+
+rows = []
+for engine in ENGINE_MODES:
+    for policy in ("fifo", "random"):
+        rng = random.Random(7)
+        cluster = Cluster(ClusterSpec(grid_n=20, index_workers=3, query_workers=2, alpha=8, m=4,
+                                      engine=engine, loopback_policy=policy, seed=7))
+        positions = {o: Point(rng.random(), rng.random()) for o in range(2000)}
+        live, next_q = set(), 0
+        events = [ObjectUpdate(o, None, p) for o, p in positions.items()]
+        for tick in range(8):
+            for o in rng.sample(sorted(positions), 300 if tick else 0):
+                new = Point(rng.random(), rng.random())
+                events.append(ObjectUpdate(o, positions[o], new))
+                positions[o] = new
+            chosen = rng.sample(sorted(live), min(len(live), 12))
+            events += [QueryMove(q, circle(rng)) for q in chosen[:8]]
+            events += [QueryExpire(q) for q in chosen[8:]]
+            live -= set(chosen[8:])
+            for q in range(next_q, next_q + 10):
+                events.append(QueryRegister(q, circle(rng), 0, 100))
+                live.add(q)
+            next_q += 10
+            rng.shuffle(events)
+            report = cluster.run_tick(events)
+            rows.append([report.results_digest, report.queries_ready, report.errors])
+            events = []
+        cluster.close()
+print(json.dumps(rows))
+"""
+
+
+def tick_rows(checkout: Path) -> list:
+    """Per tick, the digest, ready count and errors of every mixed run."""
+    env = {**os.environ, "PYTHONPATH": str(checkout.resolve() / "src")}
+    proc = subprocess.run([sys.executable, "-c", TICKS_SCRIPT], cwd=checkout, env=env,
+                          capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{checkout} mixed workload: exit {proc.returncode}\n{proc.stderr}")
+    return json.loads(proc.stdout)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -68,7 +126,10 @@ def main(argv: list[str] | None = None) -> int:
             print(f"  {name}: {p_value} -> {c_value} {(p or c)['unit']}")
         work = sum(1 for name in differ if name.removeprefix("register.").startswith(WORK_COUNTERS))
         print(f"  work counters: {f'{work} differ' if work else 'same'}")
-    return 1 if hashes_differ else 0
+    parent_rows, change_rows = tick_rows(args.parent), tick_rows(args.change)
+    ticks = sum(p != c for p, c in zip(parent_rows, change_rows)) + abs(len(parent_rows) - len(change_rows))
+    print(f"tick digests: {f'{ticks} differ' if ticks else 'same'}")
+    return 1 if hashes_differ or ticks else 0
 
 
 if __name__ == "__main__":

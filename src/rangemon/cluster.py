@@ -6,18 +6,22 @@ and assemble results.  Workers share nothing and communicate only through
 messages.  A tick is: feed the batch, flood a barrier, and drain to
 quiescence; barrier acknowledgements carry per-worker counters, so the
 tick report is computed the same way on both transports.  The entrance
-locates each object report once and sends an index worker its reports,
-with their cells, as one frame just before its next other message on
-that edge; the index workers locate nothing.  The entrance also keeps
-each live object's cell and rejects a report whose old side disagrees
-with it, so every engine sees only reports consistent with its state.
+only records the client's events, and sends when the client's barrier
+arrives: each index worker one frame of its object reports, with the
+cells the entrance located (the index workers locate nothing), then the
+expiries, the searches and query moves, and the barriers.  An index
+worker sends a query worker the tick's result changes as one frame just
+before its barrier.  The entrance also keeps each live object's cell
+and rejects a report whose old side disagrees with it, so every engine
+sees only reports consistent with its state.
 
 Three engine modes share the scaffolding so that their message and work
 counts are comparable: "drqa" (trees, standing registrations, incremental
 deltas), "gi" (grid only: one :class:`GridStore` per index worker), and
 "ns" (each index worker keeps the objects of its own cells in one map and
 scans all of it per query).
-The baselines search each query at most once per tick, in the barrier wave.
+The baselines search each query at most once per tick: a query that was
+registered or moved, or every query in a tick with object reports.
 In every mode, an index worker answers a search with one partial result
 keyed by its own id, so a query worker awaits at most one per index worker.
 """
@@ -142,32 +146,27 @@ class EntranceWorker(Node):
         self.routing = routing
         self.mode = mode
         self.registry: dict[int, tuple[Circle, CandidateCells, int]] = {}
-        # ids expired this tick: their traffic may still be in flight, so
-        # they register again only from the next tick on
+        # ids expired this tick: a query id names one registration per
+        # tick, so they register again only from the next tick on
         self._expired: set[int] = set()
-        self._tick_had_updates = False
-        self._stale: set[int] = set()  # gi/ns queries registered or moved this tick
+        # queries registered or moved this tick -> the cells the index
+        # workers hold for them from earlier ticks (None: registered this
+        # tick); searched or moved in the barrier wave
+        self._touched: dict[int, CandidateCells | None] = {}
+        # queries expired this tick, with their query worker and held cells
+        self._expiries: list[tuple[int, int, CandidateCells]] = []
         self._tick = 0
         self._pending_acks: set[int] = set()
         self._totals = [0, 0, 0, 0, 0]  # messages, objects, ready, examined, errors
         self._digest = 0
         self.errors = 0  # client events rejected this tick
-        # per index worker, the object report parts not yet sent; flushed as
-        # one ObjectBatch before any other message on that edge
+        # per index worker, the tick's object report parts, sent as one
+        # ObjectBatch at the head of the barrier wave
         self._parts: dict[int, list] = {iw: [] for iw in iw_ids}
         self.object_cells: dict[int, CellId] = {}  # live object id -> its cell
 
     def owner(self, cell: CellId) -> int:
         return self.assignment[cell]
-
-    def send(self, receiver: int, body: Body) -> None:
-        parts = self._parts.get(receiver)
-        if parts:
-            # the edge is FIFO, so the index worker applies the reports
-            # before whatever the client sent after them
-            self._parts[receiver] = []
-            super().send(receiver, ObjectBatch(tuple(parts)))
-        super().send(receiver, body)
 
     def handle(self, msg: Message) -> None:
         body = msg.body
@@ -185,14 +184,14 @@ class EntranceWorker(Node):
             else:
                 raise ValueError(f"entrance: unexpected message kind {body.kind!r}")
         except OutOfDomainError:
-            # each dispatch locates its points before it sends or records
-            # anything, so the event is rejected alone and the tick drains
+            # each dispatch locates its points before it records anything,
+            # so the event is rejected alone and the tick drains
             self.errors += 1
 
     # -- fan-out ---------------------------------------------------------
 
     def _dispatch_object(self, body: ObjectUpdate) -> None:
-        """Buffer the report for the owners of its cells, with the cells.
+        """Record the report for the owners of its cells, with the cells.
         A report with neither point, or whose old side disagrees with the
         object's recorded cell (an insertion of a live id, a move or removal
         of an unknown id, an old point in another cell), is rejected alone."""
@@ -206,7 +205,6 @@ class EntranceWorker(Node):
             self.object_cells.pop(obj_id, None)
         else:
             self.object_cells[obj_id] = new_cell
-        self._tick_had_updates = True
         old_owner = self.assignment[old_cell] if old_cell is not None else None
         new_owner = self.assignment[new_cell] if new_cell is not None else None
         if old_owner is not None and old_owner == new_owner:
@@ -217,7 +215,7 @@ class EntranceWorker(Node):
         if new_owner is not None:
             self._parts[new_owner].append((obj_id, None, None, new, new_cell))
 
-    def _register_message(self, body: QueryRegister, gr: CandidateCells, qw: int) -> None:
+    def _register_message(self, q_id: int, circle: Circle, gr: CandidateCells, qw: int) -> None:
         """CELL_SEARCH to every index worker owning a candidate cell (under
         ``ns``, to every index worker), then the registration to the query
         worker, listing those index workers as the partials to collect."""
@@ -231,8 +229,8 @@ class EntranceWorker(Node):
                 by_owner.setdefault(self.owner(cell), []).append((cell, Coverage.PARTIAL.value))
         keys = sorted(by_owner)
         for iw in keys:
-            self.send(iw, CellSearch(body.q_id, body.circle, tuple(sorted(by_owner[iw])), qw))
-        self.send(qw, QueryRegister(body.q_id, body.circle, body.t_start, body.t_end, tuple(keys)))
+            self.send(iw, CellSearch(q_id, circle, tuple(sorted(by_owner[iw])), qw))
+        self.send(qw, QueryRegister(q_id, circle, 0, 0, tuple(keys)))
 
     def _dispatch_register(self, body: QueryRegister) -> None:
         if body.q_id in self.registry:
@@ -243,33 +241,16 @@ class EntranceWorker(Node):
         if body.q_id in self._expired:
             self.errors += 1  # a query id names one registration per tick
             return
-        qw = self.routing.route(gr)
-        self.registry[body.q_id] = (body.circle, gr, qw)
-        if self.mode == "drqa":
-            self._register_message(body, gr, qw)
-        else:
-            self._stale.add(body.q_id)  # searched in the barrier wave
+        self.registry[body.q_id] = (body.circle, gr, self.routing.route(gr))
+        self._touched[body.q_id] = None
 
     def _dispatch_move(self, body: QueryMove) -> None:
         if body.q_id not in self.registry:
             self.errors += 1  # no registration to move: rejected alone
             return
         _, gr_old, qw = self.registry[body.q_id]
-        gr_new = self.grid.candidate_cells(body.circle)
-        self.registry[body.q_id] = (body.circle, gr_new, qw)
-        if self.mode != "drqa":
-            self._stale.add(body.q_id)  # re-searched in the barrier wave
-            return
-        # a cell fully covered by both circles keeps its membership: its
-        # owner is told nothing about it, and an owner left with no other
-        # cell gets no QUERY_MOVE
-        by_owner: dict[int, list[tuple[CellId, int, int]]] = {}
-        for cell in sorted((gr_old.all_cells() | gr_new.all_cells()) - (gr_old.full & gr_new.full)):
-            old_cov = gr_old.coverage_of(cell)
-            new_cov = gr_new.coverage_of(cell)
-            by_owner.setdefault(self.owner(cell), []).append((cell, old_cov.value, new_cov.value))
-        for iw in sorted(by_owner):
-            self.send(iw, QueryMove(body.q_id, body.circle, tuple(by_owner[iw]), qw))
+        self.registry[body.q_id] = (body.circle, self.grid.candidate_cells(body.circle), qw)
+        self._touched.setdefault(body.q_id, gr_old)
 
     def _dispatch_expire(self, body: QueryExpire) -> None:
         entry = self.registry.pop(body.q_id, None)
@@ -278,26 +259,53 @@ class EntranceWorker(Node):
         _, gr, qw = entry
         self._expired.add(body.q_id)
         self.routing.release(qw)
-        self.send(qw, body)
-        if self.mode == "drqa":
-            for iw in sorted({self.owner(c) for c in gr.all_cells()}):
-                self.send(iw, body)
+        held = self._touched.pop(body.q_id, gr)
+        if held is not None:  # a query registered this tick is held nowhere yet
+            self._expiries.append((body.q_id, qw, held))
 
     # -- tick barrier ------------------------------------------------------
+
+    def _send_wave(self) -> None:
+        """Send the tick's recorded traffic, in the order the workers apply
+        it: each index worker's object reports, the expiries, then each
+        touched query's search or move.  The barriers follow."""
+        had_updates = any(self._parts.values())
+        for iw, parts in self._parts.items():
+            if parts:
+                self.send(iw, ObjectBatch(tuple(parts)))
+        self._parts = {iw: [] for iw in self.iw_ids}
+        for q_id, qw, held in self._expiries:
+            self.send(qw, QueryExpire(q_id))
+            if self.mode == "drqa":
+                for iw in sorted({self.owner(c) for c in held.all_cells()}):
+                    self.send(iw, QueryExpire(q_id))
+        touched = self._touched
+        if self.mode != "drqa" and had_updates:
+            touched = dict.fromkeys(self.registry)  # reports may change any result
+        for q_id, held in touched.items():
+            circle, gr, qw = self.registry[q_id]
+            if held is None or self.mode != "drqa":
+                self._register_message(q_id, circle, gr, qw)
+                continue
+            # one QUERY_MOVE per owner, from the held cells to the final
+            # ones; a cell fully covered by both circles keeps its
+            # membership: its owner is told nothing about it, and an owner
+            # left with no other cell gets no QUERY_MOVE
+            by_owner: dict[int, list[tuple[CellId, int, int]]] = {}
+            for cell in sorted((held.all_cells() | gr.all_cells()) - (held.full & gr.full)):
+                old_cov = held.coverage_of(cell)
+                new_cov = gr.coverage_of(cell)
+                by_owner.setdefault(self.owner(cell), []).append((cell, old_cov.value, new_cov.value))
+            for iw in sorted(by_owner):
+                self.send(iw, QueryMove(q_id, circle, tuple(by_owner[iw]), qw))
+        self._touched = {}
+        self._expiries = []
+        self._expired = set()
 
     def _on_barrier(self, sender: int, body: TickBarrier) -> None:
         if sender == CLIENT:
             self._tick = body.tick
-            if self.mode != "drqa":
-                # object reports may change any query's result; otherwise
-                # only the registered and moved queries need a search
-                todo = self.registry.keys() if self._tick_had_updates else self._stale & self.registry.keys()
-                for q_id in sorted(todo):
-                    circle, gr, qw = self.registry[q_id]
-                    self._register_message(QueryRegister(q_id, circle, 0, 2**62), gr, qw)
-            self._tick_had_updates = False
-            self._stale = set()
-            self._expired = set()
+            self._send_wave()
             self._pending_acks = set(self.iw_ids) | set(self.qw_ids)
             self._totals = [0, 0, 0, 0, 0]
             self._digest = 0
@@ -334,26 +342,9 @@ class IndexWorker(Node, CellStore):
         self.errors = 0  # object reports rejected this tick
         self.route_of: dict[int, int] = {}  # drqa: query id -> its query worker
         self.cells_of: dict[int, set[CellId]] = {}
-        # drqa: per query worker, query id -> (entered ids, left ids) not
-        # yet sent; flushed as one RESULT_DELTA before any other message on
-        # that edge, the tick barrier included
+        # drqa: per query worker, query id -> the tick's (entered ids, left
+        # ids); sent as one RESULT_DELTA just before the tick barrier
         self._outbox: dict[int, dict[int, tuple[list[int], list[int]]]] = {qw: {} for qw in qw_ids}
-
-    def send(self, receiver: int, body: Body) -> None:
-        box = self._outbox.get(receiver)
-        if box:
-            # the edge is FIFO and a query's partial flushes its deltas, so
-            # a query's changes arrive in the order they were made
-            self._outbox[receiver] = {}
-            spans = []
-            add: list[int] = []
-            remove: list[int] = []
-            for q_id, (entered, left) in box.items():
-                spans.append((q_id, len(entered), len(left)))
-                add += entered
-                remove += left
-            super().send(receiver, ResultDelta(tuple(spans), tuple(add), tuple(remove)))
-        super().send(receiver, body)
 
     def _buffered(self, q_id: int) -> tuple[list[int], list[int]]:
         """The outbox entry of a registered query."""
@@ -474,12 +465,22 @@ class IndexWorker(Node, CellStore):
             self.cells[cell_id].unregister_query(body.q_id)
         qw = self.route_of.pop(body.q_id, None)
         if qw is not None:
-            # its buffered changes would only be dropped as late traffic
+            # its query worker no longer holds it: its changes would be a fault
             self._outbox[qw].pop(body.q_id, None)
 
     def _on_barrier(self, body: TickBarrier) -> None:
-        for qw in self.qw_ids:
+        for qw, box in self._outbox.items():
+            if box:
+                spans = []
+                add: list[int] = []
+                remove: list[int] = []
+                for q_id, (entered, left) in box.items():
+                    spans.append((q_id, len(entered), len(left)))
+                    add += entered
+                    remove += left
+                self.send(qw, ResultDelta(tuple(spans), tuple(add), tuple(remove)))
             self.send(qw, TickBarrier(body.tick))
+        self._outbox = {qw: {} for qw in self.qw_ids}
         self.send(ENTRANCE, TickBarrier(
             body.tick,
             messages=self.sent_messages,
@@ -572,33 +573,32 @@ class QueryWorker(Node):
     traffic needs no tag beyond its query id.  A partial folds into its
     query's state while that state awaits partials; otherwise it is held,
     because a complete query's partial belongs to its next search (a
-    ``gi``/``ns`` re-search).  A partial its awaiting state rejects (from a
-    worker it was not promised, or a second from one that answered) is
-    counted in the barrier's ``errors`` and dropped, so the fault stays in
-    its tick.  A span folds into any state this worker
-    holds, and is held if there is none.  A registration replays what was
-    held for its id.  Traffic of an id expired this tick is dropped, and
-    traffic still held once the tick's barriers are in is a fault: it is
-    counted in the barrier's ``errors`` and dropped.
+    ``gi``/``ns`` re-search), and the registration replays what was held
+    for its id.  A partial its awaiting state rejects (from a worker it was
+    not promised, or a second from one that answered) is counted in the
+    barrier's ``errors`` and dropped, so the fault stays in its tick.  A
+    partial of an id expired this tick is dropped, and one still held once
+    the tick's barriers are in is a fault: it is counted and dropped.
 
     Query moves never reach this worker: a cell the moved circle leaves
     loses its contribution by a RESULT_DELTA from the cell's owner.
 
     An index worker sends its deltas for this worker as one RESULT_DELTA
-    just before its next other message on the edge (a partial or the
-    tick's barrier): one span per query, with the ENTERs and LEAVEs since
-    the last flush.  So a tick without registrations brings at most one
-    frame per index worker.  A span's adds are folded before its removes.
+    just before the tick's barrier: one span per query, with the tick's
+    ENTERs and LEAVEs.  A span's adds are folded before its removes.  A
+    query registered this tick has no deltas in it, and one registered
+    earlier landed before the last tick drained, so every span finds its
+    state: a span for a query this worker does not hold is a fault.
     """
 
     def __init__(self, node_id: int, iw_ids: list[int]):
         super().__init__(node_id)
         self.queries: dict[int, QueryCounts] = {}
-        self._stash: dict[int, list[Body]] = {}  # query id -> traffic held for its next state
+        self._stash: dict[int, list[PartialResult]] = {}  # query id -> partials held for its next state
         self._expired: set[int] = set()  # query ids expired this tick
         self._expected_barriers = {ENTRANCE} | set(iw_ids)
         self._got_barriers: set[int] = set()
-        self.errors = 0  # partials rejected this tick
+        self.errors = 0  # partials and spans rejected this tick
         # query id -> its part of the results digest, as of the last
         # barrier; dropped whenever the query's counts may have changed
         self._encoded: dict[int, bytes] = {}
@@ -609,9 +609,11 @@ class QueryWorker(Node):
             self.queries[body.q_id] = QueryCounts(body.q_id, body.keys)
             self._encoded.pop(body.q_id, None)
             for held in self._stash.pop(body.q_id, []):
-                self._consume(held)
-        elif isinstance(body, (PartialResult, ResultDelta)):
-            self._consume(body)
+                self._on_partial(held)
+        elif isinstance(body, PartialResult):
+            self._on_partial(body)
+        elif isinstance(body, ResultDelta):
+            self._on_delta(body)
         elif isinstance(body, QueryExpire):
             self.queries.pop(body.q_id, None)
             self._encoded.pop(body.q_id, None)
@@ -621,30 +623,25 @@ class QueryWorker(Node):
         else:
             raise ValueError(f"query worker {self.id}: unexpected kind {body.kind!r}")
 
-    def _consume(self, body: PartialResult | ResultDelta) -> None:
-        if isinstance(body, PartialResult):
-            state = self.queries.get(body.q_id)
-            if state is not None and state.pending:
-                if not self.collect_partial(state, body.key, body.ids):
-                    self.errors += 1  # a faulty partial is dropped
-                self._encoded.pop(body.q_id, None)
-            else:
-                self._hold(body.q_id, body)
-            return
+    def _on_partial(self, body: PartialResult) -> None:
+        state = self.queries.get(body.q_id)
+        if state is not None and state.pending:
+            if not self.collect_partial(state, body.key, body.ids):
+                self.errors += 1  # a faulty partial is dropped
+            self._encoded.pop(body.q_id, None)
+        elif body.q_id not in self._expired:
+            # held until the registration it belongs to lands
+            self._stash.setdefault(body.q_id, []).append(body)
+
+    def _on_delta(self, body: ResultDelta) -> None:
         encoded = self._encoded
         for q_id, add, remove in body.per_query():
             state = self.queries.get(q_id)
-            if state is not None:
+            if state is None:
+                self.errors += 1  # a span no registration claims is dropped
+            else:
                 state.apply_delta(add, remove)
                 encoded.pop(q_id, None)
-            else:
-                self._hold(q_id, ResultDelta.single(q_id, add, remove))
-
-    def _hold(self, q_id: int, body: PartialResult | ResultDelta) -> None:
-        """Keep traffic until the registration it belongs to lands; that
-        of an id expired this tick is dropped."""
-        if q_id not in self._expired:
-            self._stash.setdefault(q_id, []).append(body)
 
     @staticmethod
     def collect_partial(state: QueryCounts, key: int, ids: tuple[int, ...]) -> bool:
@@ -663,7 +660,7 @@ class QueryWorker(Node):
         if self._got_barriers != self._expected_barriers:
             return
         self._got_barriers = set()
-        # every edge has drained: no late traffic is left, and what is
+        # every edge has drained: no late traffic is left, and a partial
         # still held belongs to no registration
         self._expired.clear()
         errors = self.errors + sum(len(held) for held in self._stash.values())

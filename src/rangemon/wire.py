@@ -164,7 +164,7 @@ class Message:
 
 
 def _ids(ids) -> bytes:
-    return _U32.pack(len(ids)) + b"".join(_U64.pack(i) for i in ids)
+    return struct.pack(f"<I{len(ids)}Q", len(ids), *ids)
 
 
 def _circle(c: Circle) -> bytes:
@@ -250,7 +250,9 @@ class _Reader:
 
     def ids(self) -> tuple[int, ...]:
         (count,) = self.unpack(_U32)
-        return tuple(self.unpack(_U64)[0] for _ in range(count))
+        ids = struct.unpack_from(f"<{count}Q", self.buf, self.off)
+        self.off += 8 * count
+        return ids
 
     def report(self, cells: bool) -> tuple[int, Point | None, CellId | None, Point | None, CellId | None]:
         obj_id, flags = self.unpack(_REPORT)

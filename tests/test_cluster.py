@@ -1029,9 +1029,9 @@ def test_reregistration_after_expiry_within_a_tick_is_rejected():
 
 
 def test_unclaimed_traffic_is_counted_and_dropped():
-    # a span for an id that was never registered, and a second partial for
-    # a complete query, are held until the barrier; then each is counted
-    # as a fault and dropped, and the next tick is clean
+    # a span for an id that was never registered is counted as a fault at
+    # once, and a second partial for a complete query is held until the
+    # barrier and then counted; each is dropped, and the next tick is clean
     rng = random.Random(29)
     cluster = make_cluster()
     positions, events = seed_events(rng, 500)
@@ -1163,9 +1163,9 @@ def test_one_object_frame_per_edge_per_tick():
 
 def test_mixed_tick_keeps_the_client_order_per_edge():
     # reports, a registration, more reports, a move, an expiry and more
-    # reports in one tick: the entrance flushes an index worker's buffered
-    # reports just before its next other message to that worker, so the
-    # frames' parts, read in order, are the client's reports
+    # reports in one tick: the entrance sends each index worker its reports
+    # as one frame at the head of the barrier wave, so the frame's parts,
+    # read in order, are the client's reports
     for mode in ("drqa", "gi"):
         for policy in ("fifo", "random"):
             rng = random.Random(37)
@@ -1203,10 +1203,58 @@ def test_mixed_tick_keeps_the_client_order_per_edge():
                     assert all(a is not ObjectBatch or b is not ObjectBatch
                                for a, b in zip(kinds, kinds[1:])), (mode, policy, tick)
                     flushed += len(frames) > 1
-            # under drqa the registration, move and expiry reach index
-            # workers mid-tick and flush their frames early; gi sends index
-            # workers nothing but searches in the barrier wave
-            assert bool(flushed) == (mode == "drqa"), (mode, policy)
+            # every engine sends the registration, move and expiry in the
+            # barrier wave, after the one frame of reports
+            assert not flushed, (mode, policy)
+
+
+def test_each_edge_gets_its_batched_traffic_once_per_tick():
+    # one tick mixes reports with a registration and a second one of the
+    # same id at a new circle, two moves of live query 1, the expiry of
+    # query 2 moved earlier in the tick and that of query 11 registered in
+    # it: the entrance sends each index worker one frame of reports ahead
+    # of everything else, each index worker sends each query worker at
+    # most one RESULT_DELTA, right before its barrier, and under drqa the
+    # twice-moved query reaches each owner in at most one QUERY_MOVE
+    for mode in ENGINE_MODES:
+        for policy, seed in [("fifo", 0)] + [("random", s) for s in range(5)]:
+            rng = random.Random(43)
+            cluster = make_cluster(engine=mode, loopback_policy=policy, seed=seed)
+            positions, events = seed_events(rng, 1200)
+            cluster.run_tick(events)
+            circles = {q: Circle(Point(rng.random(), rng.random()), rng.uniform(0.1, 0.25)) for q in range(6)}
+            cluster.run_tick([QueryRegister(q, c, 0, 100) for q, c in circles.items()])
+            trace = []
+            cluster._transport.trace = trace
+            first, second, third = (random_moves(rng, positions, 150) for _ in range(3))
+            halfway = Circle(Point(0.2, 0.8), 0.2)
+            circles[1] = Circle(Point(0.7, 0.3), 0.2)
+            circles[10] = Circle(Point(0.4, 0.6), 0.2)
+            del circles[2]
+            report = cluster.run_tick(
+                first + [QueryRegister(10, Circle(Point(0.8, 0.8), 0.1), 0, 100), QueryMove(1, halfway),
+                         QueryMove(2, Circle(Point(0.5, 0.5), 0.3))]
+                + second + [QueryRegister(11, Circle(Point(0.3, 0.3), 0.15), 0, 100),
+                            QueryRegister(10, circles[10], 0, 100), QueryMove(1, circles[1])]
+                + third + [QueryExpire(2), QueryExpire(11)]
+            )
+            where = (mode, policy, seed)
+            assert report.errors == 0, where
+            assert report.queries_ready == len(circles), where
+            assert cluster.results() == {q: ns_search(positions, c) for q, c in circles.items()}, where
+            for iw in cluster.iw_ids:
+                edge = entrance_edge(trace, iw)
+                assert isinstance(edge[0], ObjectBatch), where
+                assert sum(isinstance(b, ObjectBatch) for b in edge) == 1, where
+                for qw in cluster.qw_ids:
+                    kinds = [type(m.body) for m in trace if (m.sender, m.receiver) == (iw, qw)]
+                    assert kinds[-1] is TickBarrier, where
+                    assert kinds.count(ResultDelta) <= 1, where
+                    assert ResultDelta not in kinds or kinds[-2] is ResultDelta, where
+            moves = [m.receiver for m in trace
+                     if m.sender == ENTRANCE and isinstance(m.body, QueryMove) and m.body.q_id == 1]
+            assert sorted(set(moves)) == sorted(moves), where
+            assert bool(moves) == (mode == "drqa"), where
 
 
 def test_index_workers_never_locate(monkeypatch):
