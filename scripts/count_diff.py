@@ -14,7 +14,10 @@ Then each checkout runs one fixed mixed workload (object reports,
 registrations, moves and expiries, shuffled each tick by a seeded RNG)
 under every engine, on the fifo loopback and on the random pump, and the
 script compares each tick's ``results_digest``, ``queries_ready`` and
-``errors``.  Exits 1 if a ``result_hash`` or a tick differs:
+``errors``.  Last, each checkout runs every workload's first round (the
+traced run's inputs) untraced, and the script compares the final query id
+-> query worker map of the entrance's registry.  Exits 1 if a
+``result_hash``, a tick or a route differs:
 
     python3 scripts/count_diff.py ../parent .
 """
@@ -91,13 +94,35 @@ print(json.dumps(rows))
 """
 
 
-def tick_rows(checkout: Path) -> list:
-    """Per tick, the digest, ready count and errors of every mixed run."""
+# runs like TICKS_SCRIPT, and imports the checkout's perfbench/run.py;
+# prints, per workload, the query worker of every query after the round
+ROUTES_SCRIPT = """
+import json, sys
+sys.path.insert(0, "perfbench")
+import run
+from rangemon.cluster import Cluster, ClusterSpec
+
+routes = {}
+for name in json.loads(sys.argv[1]):
+    bench = run.WORKLOADS[name]
+    inputs = run.build_inputs(bench, run.sub_seed(1, 0))
+    cluster = Cluster(ClusterSpec(engine=bench.engine))
+    for events in [inputs.inserts, inputs.registrations] + [step.events for step in inputs.steps]:
+        cluster.run_tick(events)
+    routes[name] = {q: entry[2] for q, entry in cluster.entrance.registry.items()}
+    cluster.close()
+print(json.dumps(routes))
+"""
+
+
+def script_output(checkout: Path, script: str, *args: str):
+    """The JSON that one of the scripts above prints, run in the checkout
+    on its own src/."""
     env = {**os.environ, "PYTHONPATH": str(checkout.resolve() / "src")}
-    proc = subprocess.run([sys.executable, "-c", TICKS_SCRIPT], cwd=checkout, env=env,
+    proc = subprocess.run([sys.executable, "-c", script, *args], cwd=checkout, env=env,
                           capture_output=True, text=True)
     if proc.returncode != 0:
-        raise RuntimeError(f"{checkout} mixed workload: exit {proc.returncode}\n{proc.stderr}")
+        raise RuntimeError(f"{checkout}: exit {proc.returncode}\n{proc.stderr}")
     return json.loads(proc.stdout)
 
 
@@ -107,8 +132,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("change", type=Path, help="checkout of the change")
     args = parser.parse_args(argv)
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    workloads = [w["name"] for w in spec["workloads"]]
     hashes_differ = False
-    for workload in (w["name"] for w in spec["workloads"]):
+    for workload in workloads:
         parent_hashes, parent = traced_run(args.parent, workload)
         change_hashes, change = traced_run(args.change, workload)
         same = parent_hashes == change_hashes
@@ -126,10 +152,15 @@ def main(argv: list[str] | None = None) -> int:
             print(f"  {name}: {p_value} -> {c_value} {(p or c)['unit']}")
         work = sum(1 for name in differ if name.removeprefix("register.").startswith(WORK_COUNTERS))
         print(f"  work counters: {f'{work} differ' if work else 'same'}")
-    parent_rows, change_rows = tick_rows(args.parent), tick_rows(args.change)
+    parent_rows, change_rows = (script_output(side, TICKS_SCRIPT) for side in (args.parent, args.change))
     ticks = sum(p != c for p, c in zip(parent_rows, change_rows)) + abs(len(parent_rows) - len(change_rows))
     print(f"tick digests: {f'{ticks} differ' if ticks else 'same'}")
-    return 1 if hashes_differ or ticks else 0
+    parent_routes, change_routes = (script_output(side, ROUTES_SCRIPT, json.dumps(workloads))
+                                    for side in (args.parent, args.change))
+    routes = sum(parent_routes[w].get(q) != change_routes[w].get(q)
+                 for w in workloads for q in parent_routes[w].keys() | change_routes[w].keys())
+    print(f"routes: {f'{routes} differ' if routes else 'same'}")
+    return 1 if hashes_differ or ticks or routes else 0
 
 
 if __name__ == "__main__":

@@ -29,9 +29,10 @@ keyed by its own id, so a query worker awaits at most one per index worker.
 from __future__ import annotations
 
 import hashlib
+import math
 import queue as queue_mod
 import time
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import asdict, dataclass
 
 from .baselines import GridStore, ns_search
@@ -65,35 +66,79 @@ _COVERAGE = {cov.value: cov for cov in Coverage}
 
 
 class RoutingTable:
-    """Similar queries (candidate-set jaccard >= threshold against a recent
-    window) land on the worker already holding the most similar one; others
-    go to the least-loaded worker.  Ties: higher similarity, then lower id."""
+    """Similar queries (candidate-set jaccard >= threshold against the last
+    ``window`` routed queries) land on the worker already holding the most
+    similar one; others go to the least-loaded worker.  Ties: higher
+    similarity, then lower id.
+
+    An inverted index maps each cell to the window entries that hold it, so
+    a route counts shared cells only over the entries that overlap the new
+    query: its cost follows the overlap, not the window.  An entry sharing
+    no cell has jaccard 0, which only a threshold <= 0 admits; then every
+    such entry ties, and the lowest worker id in the window wins unless an
+    overlapping entry does."""
 
     def __init__(self, query_workers: list[int], threshold: float, window: int = 1024):
         self.query_workers = list(query_workers)
         self.threshold = threshold
+        self.window = window
         self.load: dict[int, int] = {w: 0 for w in self.query_workers}
-        self.recent: deque[tuple[frozenset, int]] = deque(maxlen=window)
+        # entry number -> (cells, worker), oldest first; numbers are consecutive
+        self._entries: dict[int, tuple[set[CellId], int]] = {}
+        self._holders: dict[CellId, set[int]] = {}  # cell -> the entries holding it
+        self._in_window: Counter[int] = Counter()  # worker -> its entries in the window
+        self._next = 0  # number of the next entry
 
     def route(self, gr: CandidateCells) -> int:
         if not self.query_workers:
             raise ValueError("no query workers")
-        cells = frozenset(gr.all_cells())
+        cells = gr.all_cells()  # a fresh set, kept by the entry
+        holders = self._holders
+        shared: Counter[int] = Counter()  # entry -> cells it shares with this query
+        for cell in cells:
+            held = holders.get(cell)
+            if held:
+                shared.update(held)
+        n = len(cells)
+        entries = self._entries
         best: tuple[float, int] | None = None
-        for other, worker in self.recent:
-            union = len(cells | other)
-            sim = len(cells & other) / union if union else 0.0
+        for entry, inter in shared.items():
+            other, worker = entries[entry]
+            sim = inter / (n + len(other) - inter)
             if sim < self.threshold:
                 continue
             if best is None or sim > best[0] or (sim == best[0] and worker < best[1]):
                 best = (sim, worker)
         if best is not None:
             worker = best[1]
+        elif self.threshold <= 0 and self._in_window:
+            worker = min(self._in_window)
         else:
             worker = min(self.query_workers, key=lambda w: (self.load[w], w))
         self.load[worker] += 1
-        self.recent.append((cells, worker))
+        self._remember(cells, worker)
         return worker
+
+    def _remember(self, cells: set[CellId], worker: int) -> None:
+        """Append an entry; past the window, the oldest one leaves."""
+        entry = self._next
+        self._next += 1
+        self._entries[entry] = (cells, worker)
+        holders = self._holders
+        for cell in cells:
+            holders.setdefault(cell, set()).add(entry)
+        self._in_window[worker] += 1
+        if len(self._entries) > self.window:
+            oldest = self._next - len(self._entries)
+            old_cells, old_worker = self._entries.pop(oldest)
+            for cell in old_cells:
+                held = holders[cell]
+                held.discard(oldest)
+                if not held:
+                    del holders[cell]
+            self._in_window[old_worker] -= 1
+            if not self._in_window[old_worker]:
+                del self._in_window[old_worker]
 
     def release(self, worker: int) -> None:
         self.load[worker] -= 1
@@ -577,8 +622,9 @@ class QueryWorker(Node):
     for its id.  A partial its awaiting state rejects (from a worker it was
     not promised, or a second from one that answered) is counted in the
     barrier's ``errors`` and dropped, so the fault stays in its tick.  A
-    partial of an id expired this tick is dropped, and one still held once
-    the tick's barriers are in is a fault: it is counted and dropped.
+    partial still held once the tick's barriers are in (no partial of a
+    query expired this tick is ever sent) is a fault: it is counted and
+    dropped.
 
     Query moves never reach this worker: a cell the moved circle leaves
     loses its contribution by a RESULT_DELTA from the cell's owner.
@@ -595,7 +641,6 @@ class QueryWorker(Node):
         super().__init__(node_id)
         self.queries: dict[int, QueryCounts] = {}
         self._stash: dict[int, list[PartialResult]] = {}  # query id -> partials held for its next state
-        self._expired: set[int] = set()  # query ids expired this tick
         self._expected_barriers = {ENTRANCE} | set(iw_ids)
         self._got_barriers: set[int] = set()
         self.errors = 0  # partials and spans rejected this tick
@@ -617,7 +662,6 @@ class QueryWorker(Node):
         elif isinstance(body, QueryExpire):
             self.queries.pop(body.q_id, None)
             self._encoded.pop(body.q_id, None)
-            self._expired.add(body.q_id)
         elif isinstance(body, TickBarrier):
             self._on_barrier(msg.sender, body)
         else:
@@ -629,7 +673,7 @@ class QueryWorker(Node):
             if not self.collect_partial(state, body.key, body.ids):
                 self.errors += 1  # a faulty partial is dropped
             self._encoded.pop(body.q_id, None)
-        elif body.q_id not in self._expired:
+        else:
             # held until the registration it belongs to lands
             self._stash.setdefault(body.q_id, []).append(body)
 
@@ -662,7 +706,6 @@ class QueryWorker(Node):
         self._got_barriers = set()
         # every edge has drained: no late traffic is left, and a partial
         # still held belongs to no registration
-        self._expired.clear()
         errors = self.errors + sum(len(held) for held in self._stash.values())
         self.errors = 0
         self._stash.clear()
@@ -703,6 +746,8 @@ class ClusterSpec:
             raise ValueError(f"unknown transport {self.transport!r}")
         if self.index_workers < 1 or self.query_workers < 1:
             raise ValueError("need at least one index worker and one query worker")
+        if math.isnan(self.jaccard_threshold):
+            raise ValueError("jaccard_threshold is NaN")
 
 
 class Cluster:

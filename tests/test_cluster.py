@@ -1,7 +1,9 @@
 import hashlib
 import random
+from collections import deque
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rangemon.baselines import ns_search
 from rangemon.cells import CellDelta
@@ -18,6 +20,7 @@ from rangemon.cluster import (
 from rangemon.geometry import Circle, Coverage, Point
 from rangemon.grid import CandidateCells, CellId, GridIndex
 from rangemon.cluster import QueryWorker
+from rangemon.config import Config
 from rangemon.transport import LoopbackTransport
 from rangemon.workload import Workload, WorkloadSpec
 from rangemon.wire import (
@@ -65,6 +68,84 @@ def test_routing_no_workers():
     rt = RoutingTable([], threshold=0.5)
     with pytest.raises(ValueError):
         rt.route(gr_of((0, 0)))
+
+
+class WindowScanRouting:
+    """The reference for RoutingTable: the same routing as one jaccard
+    computation against every entry of the window."""
+
+    def __init__(self, query_workers, threshold, window):
+        self.query_workers = list(query_workers)
+        self.threshold = threshold
+        self.load = {w: 0 for w in self.query_workers}
+        self.recent = deque(maxlen=window)
+
+    def route(self, gr):
+        cells = frozenset(gr.all_cells())
+        best = None
+        for other, worker in self.recent:
+            union = len(cells | other)
+            sim = len(cells & other) / union if union else 0.0
+            if sim < self.threshold:
+                continue
+            if best is None or sim > best[0] or (sim == best[0] and worker < best[1]):
+                best = (sim, worker)
+        if best is not None:
+            worker = best[1]
+        else:
+            worker = min(self.query_workers, key=lambda w: (self.load[w], w))
+        self.load[worker] += 1
+        self.recent.append((cells, worker))
+        return worker
+
+    def release(self, worker):
+        self.load[worker] -= 1
+
+
+cell_sets = st.frozensets(st.builds(CellId, st.integers(0, 3), st.integers(0, 3)), max_size=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    window=st.integers(1, 16),
+    threshold=st.sampled_from([0.0, 1 / 3, 0.5, 0.9, 1.0]),
+    n_workers=st.integers(1, 3),
+    data=st.data(),
+)
+def test_routing_index_matches_a_window_scan(window, threshold, n_workers, data):
+    workers = [10 + w for w in range(n_workers)]
+    table = RoutingTable(workers, threshold, window=window)
+    reference = WindowScanRouting(workers, threshold, window)
+    seen = [frozenset()]  # candidate sets routed so far, and the empty one
+    routed = []  # workers routed and not yet released
+    for _ in range(data.draw(st.integers(1, 60), label="calls")):
+        op = data.draw(st.sampled_from(["new", "repeat", "release"]), label="op")
+        if op == "release" and routed:
+            worker = routed.pop(data.draw(st.integers(0, len(routed) - 1), label="released"))
+            table.release(worker)
+            reference.release(worker)
+        else:
+            if op == "repeat":
+                cells = data.draw(st.sampled_from(seen), label="repeated")
+            else:
+                cells = data.draw(cell_sets, label="cells")
+                seen.append(cells)
+            full = data.draw(st.sets(st.sampled_from(sorted(cells))), label="full") if cells else set()
+            gr = CandidateCells(set(full), set(cells) - full)
+            worker = table.route(gr)
+            assert worker == reference.route(gr)
+            routed.append(worker)
+        assert table.load == reference.load
+
+
+def test_nan_jaccard_threshold_is_rejected(tmp_path):
+    # sim < NaN is always False, so a NaN threshold would admit every entry
+    with pytest.raises(ValueError):
+        ClusterSpec(jaccard_threshold=float("nan"))
+    p = tmp_path / "c.conf"
+    p.write_text("routing.jaccard_threshold = nan\n")
+    with pytest.raises(ValueError):
+        Config.load(p).cluster_spec()
 
 
 def test_collect_partial_protocol():
@@ -270,7 +351,7 @@ def test_per_query_id_state_is_bounded_by_live_queries():
             for iw in cluster.index_workers:
                 assert iw.route_of.keys() <= circles.keys() and iw.cells_of.keys() <= circles.keys(), (mode, tick)
                 assert not any(iw._outbox.values()), (mode, tick)
-            assert all(not qw._expired and not qw._stash for qw in cluster.query_workers), (mode, tick)
+            assert all(not qw._stash for qw in cluster.query_workers), (mode, tick)
         # an id expired in an earlier tick registers afresh
         circles[0] = Circle(Point(0.5, 0.5), 0.2)
         cluster.run_tick([QueryRegister(0, circles[0], 0, 100)] + random_moves(rng, positions, 100))
