@@ -5,7 +5,9 @@ index workers own disjoint sets of cells; query workers own query states
 and assemble results.  Workers share nothing and communicate only through
 messages.  A tick is: feed the batch, flood a barrier, and drain to
 quiescence; barrier acknowledgements carry per-worker counters, so the
-tick report is computed the same way on both transports.  The entrance
+tick report is computed the same way on both transports.  The client
+sends the entrance the tick's object reports as one frame, then its query
+events one message each, in client order.  The entrance
 only records the client's events, and sends when the client's barrier
 arrives: each index worker one frame of its object reports, with the
 cells the entrance located (the index workers locate nothing), then the
@@ -47,6 +49,7 @@ from .wire import (
     CellSearch,
     Message,
     ObjectBatch,
+    ObjectReports,
     ObjectUpdate,
     PartialResult,
     QueryExpire,
@@ -216,8 +219,9 @@ class EntranceWorker(Node):
     def handle(self, msg: Message) -> None:
         body = msg.body
         try:
-            if isinstance(body, ObjectUpdate):
-                self._dispatch_object(body)
+            if isinstance(body, ObjectReports):
+                for report in body.reports:
+                    self._dispatch_object(report)
             elif isinstance(body, QueryRegister):
                 self._dispatch_register(body)
             elif isinstance(body, QueryMove):
@@ -229,8 +233,8 @@ class EntranceWorker(Node):
             else:
                 raise ValueError(f"entrance: unexpected message kind {body.kind!r}")
         except OutOfDomainError:
-            # each dispatch locates its points before it records anything,
-            # so the event is rejected alone and the tick drains
+            # a registration or move computes its cells before it records
+            # anything, so the event is rejected alone and the tick drains
             self.errors += 1
 
     # -- fan-out ---------------------------------------------------------
@@ -239,10 +243,15 @@ class EntranceWorker(Node):
         """Record the report for the owners of its cells, with the cells.
         A report with neither point, or whose old side disagrees with the
         object's recorded cell (an insertion of a live id, a move or removal
-        of an unknown id, an old point in another cell), is rejected alone."""
+        of an unknown id, an old point in another cell), or with a point
+        outside the domain, is rejected alone."""
         obj_id, old, new = body.obj_id, body.old, body.new
-        old_cell = self.grid.locate(old) if old is not None else None
-        new_cell = self.grid.locate(new) if new is not None else None
+        try:
+            old_cell = self.grid.locate(old) if old is not None else None
+            new_cell = self.grid.locate(new) if new is not None else None
+        except OutOfDomainError:
+            self.errors += 1
+            return
         if (old is None and new is None) or self.object_cells.get(obj_id) != old_cell:
             self.errors += 1
             return
@@ -782,8 +791,20 @@ class Cluster:
     # -- driving ----------------------------------------------------------
 
     def run_tick(self, events: list[Body], timeout: float = 60.0) -> TickReport:
+        """Send the tick's events to the entrance and wait for its barrier.
+        The object reports go first, as one frame, and the query events
+        follow one message each, in client order.  The entrance sends
+        nothing before the barrier, and reports and query events touch
+        disjoint entrance state, so the reordering changes no frame it
+        sends."""
         self._tick += 1
+        reports: list[ObjectUpdate] = []
+        queries: list[Body] = []
         for event in events:
+            (reports if isinstance(event, ObjectUpdate) else queries).append(event)
+        if reports:
+            self._transport.send(CLIENT, ENTRANCE, ObjectReports(tuple(reports)))
+        for event in queries:
             self._transport.send(CLIENT, ENTRANCE, event)
         self._transport.send(CLIENT, ENTRANCE, TickBarrier(self._tick))
         if isinstance(self._transport, LoopbackTransport):

@@ -59,7 +59,9 @@ class GridIndex:
         h = domain.height / n
         self._xs = [domain.x_lo + j * w for j in range(n)] + [domain.x_hi]
         self._ys = [domain.y_lo + i * h for i in range(n)] + [domain.y_hi]
+        self._scale = (n / domain.width, n / domain.height)
         self._bounds: dict[CellId, Rect] = {}
+        self._interned: dict[int, CellId] = {}  # row * n + col -> the one CellId of that cell
 
     def cell_bounds(self, cell: CellId) -> Rect:
         rect = self._bounds.get(cell)
@@ -71,10 +73,38 @@ class GridIndex:
 
     def locate(self, p: Point) -> CellId:
         """Cell owning p; the domain's maximum edges belong to the last
-        row/column."""
-        if not (self.domain.x_lo <= p.x <= self.domain.x_hi and self.domain.y_lo <= p.y <= self.domain.y_hi):
-            raise OutOfDomainError(f"point {p} outside domain {self.domain}")
-        return CellId(slot(self._ys, p.y), slot(self._xs, p.x))
+        row/column.  This is :func:`slot` on each axis, inlined: the slot is
+        guessed arithmetically and corrected against the edge arrays, which
+        stay the truth.  Every point of a cell gets the same CellId object,
+        built when the cell is first located."""
+        x, y = p
+        d = self.domain
+        if not (d.x_lo <= x <= d.x_hi and d.y_lo <= y <= d.y_hi):
+            raise OutOfDomainError(f"point {p} outside domain {d}")
+        n = self.n
+        last = n - 1
+        sx, sy = self._scale
+        xs = self._xs
+        col = int((x - d.x_lo) * sx)
+        if col > last:
+            col = last
+        while col < last and xs[col + 1] <= x:
+            col += 1
+        while col and xs[col] > x:
+            col -= 1
+        ys = self._ys
+        row = int((y - d.y_lo) * sy)
+        if row > last:
+            row = last
+        while row < last and ys[row + 1] <= y:
+            row += 1
+        while row and ys[row] > y:
+            row -= 1
+        key = row * n + col
+        cell = self._interned.get(key)
+        if cell is None:
+            cell = self._interned[key] = CellId(row, col)
+        return cell
 
     def candidate_cells(self, c: Circle) -> CandidateCells:
         """Classify every cell within one cell of the circle's bounding box;

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from .geometry import Circle, Point
 from .grid import CellId
 
-WIRE_VERSION = 7
+WIRE_VERSION = 8
 
 _HEADER = struct.Struct("<BBQQQ")
 _U32 = struct.Struct("<I")
@@ -28,9 +28,11 @@ _SPAN = struct.Struct("<QII")  # RESULT_DELTA span: q_id, n_add, n_remove
 _POINT = struct.Struct("<dd")
 _REPORT = struct.Struct("<QB")  # OBJECT_UPDATE report: obj_id, flags
 
-# the leading byte of a kind-1 body: one client report, or an entrance batch
+# the leading byte of a kind-1 body: one client report, an entrance batch,
+# or the client's reports of one tick
 _FORM_REPORT = 0
 _FORM_BATCH = 1
+_FORM_REPORTS = 2
 
 
 class Kind(enum.IntEnum):
@@ -50,6 +52,15 @@ class ObjectUpdate:
     obj_id: int
     old: Point | None
     new: Point | None
+
+
+@dataclass(frozen=True)
+class ObjectReports:
+    """The client's object reports of one tick, as one frame to the
+    entrance, which applies each alone and in order."""
+
+    kind = Kind.OBJECT_UPDATE
+    reports: tuple[ObjectUpdate, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -115,10 +126,6 @@ class ResultDelta:
     add: tuple[int, ...] = ()
     remove: tuple[int, ...] = ()
 
-    @classmethod
-    def single(cls, q_id: int, add: tuple[int, ...] = (), remove: tuple[int, ...] = ()) -> ResultDelta:
-        return cls(((q_id, len(add), len(remove)),), add, remove)
-
     def per_query(self):
         """Yield ``(q_id, add, remove)`` for each span, in order."""
         a = r = 0
@@ -147,7 +154,7 @@ class TickBarrier:
 
 
 Body = (
-    ObjectUpdate | ObjectBatch | QueryRegister | QueryMove | CellSearch
+    ObjectUpdate | ObjectReports | ObjectBatch | QueryRegister | QueryMove | CellSearch
     | PartialResult | ResultDelta | QueryExpire | TickBarrier
 )
 
@@ -187,6 +194,9 @@ def _report(obj_id: int, old: Point | None, old_cell: CellId | None,
 def _encode_body(body: Body) -> bytes:
     if isinstance(body, ObjectUpdate):
         return bytes([_FORM_REPORT]) + _report(body.obj_id, body.old, None, body.new, None, cells=False)
+    if isinstance(body, ObjectReports):
+        return (bytes([_FORM_REPORTS]) + _U32.pack(len(body.reports))
+                + b"".join(_report(r.obj_id, r.old, None, r.new, None, cells=False) for r in body.reports))
     if isinstance(body, ObjectBatch):
         return (bytes([_FORM_BATCH]) + _U32.pack(len(body.parts))
                 + b"".join(_report(*part, cells=True) for part in body.parts))
@@ -283,6 +293,13 @@ def decode_payload(payload: bytes) -> Message:
         if form == _FORM_REPORT:
             obj_id, old, _, new, _ = r.report(cells=False)
             body: Body = ObjectUpdate(obj_id, old, new)
+        elif form == _FORM_REPORTS:
+            (count,) = r.unpack(_U32)
+            reports = []
+            for _ in range(count):
+                obj_id, old, _, new, _ = r.report(cells=False)
+                reports.append(ObjectUpdate(obj_id, old, new))
+            body = ObjectReports(tuple(reports))
         elif form == _FORM_BATCH:
             (count,) = r.unpack(_U32)
             body = ObjectBatch(tuple(r.report(cells=True) for _ in range(count)))

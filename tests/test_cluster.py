@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 from collections import deque
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from rangemon.baselines import ns_search
 from rangemon.cells import CellDelta
 from rangemon.cluster import (
+    CLIENT,
     ENGINE_MODES,
     ENTRANCE,
     Cluster,
@@ -27,6 +29,7 @@ from rangemon.wire import (
     CellSearch,
     Message,
     ObjectBatch,
+    ObjectReports,
     ObjectUpdate,
     PartialResult,
     QueryExpire,
@@ -35,6 +38,11 @@ from rangemon.wire import (
     ResultDelta,
     TickBarrier,
 )
+
+
+def single_span(q_id, add=(), remove=()):
+    """A RESULT_DELTA frame with one span, for injecting a query's changes."""
+    return ResultDelta(((q_id, len(add), len(remove)),), add, remove)
 
 
 def gr_of(*cells):
@@ -818,7 +826,7 @@ def test_count_invariant_makes_query_unready():
 
     def inject(q_id, add=(), remove=()):
         qw = next(w for w in cluster.query_workers if q_id in w.queries)
-        qw.handle(Message(cluster.iw_ids[0], qw.id, 0, ResultDelta.single(q_id, add, remove)))
+        qw.handle(Message(cluster.iw_ids[0], qw.id, 0, single_span(q_id, add, remove)))
 
     inject(0, add=(member,))  # a second ENTER: count 2
     assert cluster.run_tick([]).queries_ready == 2
@@ -1122,7 +1130,7 @@ def test_unclaimed_traffic_is_counted_and_dropped():
     member = min(cluster.query_result(0))
     owner = next(w for w in cluster.query_workers if 0 in w.queries)
     key = cluster.iw_ids[0]  # query 0 is complete: it awaits no partial
-    injected = [(cluster.query_workers[0], ResultDelta.single(99, add=(member,))),
+    injected = [(cluster.query_workers[0], single_span(99, add=(member,))),
                 (owner, PartialResult(0, key, (member,)))]
     for qw, body in injected:
         qw.handle(Message(key, qw.id, 0, body))
@@ -1336,6 +1344,116 @@ def test_each_edge_gets_its_batched_traffic_once_per_tick():
                      if m.sender == ENTRANCE and isinstance(m.body, QueryMove) and m.body.q_id == 1]
             assert sorted(set(moves)) == sorted(moves), where
             assert bool(moves) == (mode == "drqa"), where
+
+
+def interleaved_ticks(rng, n_objects=900, n_queries=6, ticks=3):
+    """Client event lists whose reports are interleaved with query events,
+    each with the positions and circles after it.  The first tick inserts
+    the objects among the registrations; each later one moves objects
+    among a registration, a move, a registration of a live id and an
+    expiry."""
+    positions, inserts = seed_events(rng, n_objects)
+    circles = {q: Circle(Point(rng.random(), rng.random()), rng.uniform(0.1, 0.25)) for q in range(n_queries)}
+
+    def interleave(reports, queries):
+        events = list(reports)
+        for event in queries:
+            events.insert(rng.randrange(len(events) + 1), event)
+        return events
+
+    out = [(interleave(inserts, [QueryRegister(q, c, 0, 100) for q, c in circles.items()]),
+            dict(positions), dict(circles))]
+    for tick in range(1, ticks):
+        moves = random_moves(rng, positions, n_objects // 6)
+        new_q = 100 + tick
+        moved_q, rereg_q, expired_q = rng.sample(sorted(circles), 3)
+        for q in (new_q, moved_q, rereg_q):
+            circles[q] = Circle(Point(rng.random(), rng.random()), rng.uniform(0.1, 0.25))
+        del circles[expired_q]
+        queries = [QueryRegister(new_q, circles[new_q], 0, 100), QueryMove(moved_q, circles[moved_q]),
+                   QueryRegister(rereg_q, circles[rereg_q], 0, 100), QueryExpire(expired_q)]
+        out.append((interleave(moves, queries), dict(positions), dict(circles)))
+    return out
+
+
+def test_client_sends_one_report_frame_per_tick():
+    # the client -> entrance edge carries a tick's reports as one kind-1
+    # frame, ahead of its query events, which keep the client's order; a
+    # tick without reports carries no frame
+    for policy in ("fifo", "random"):
+        rng = random.Random(47)
+        cluster = make_cluster(loopback_policy=policy, seed=5)
+        trace = []
+        cluster._transport.trace = trace
+        ticks = interleaved_ticks(rng)
+        _, positions, circles = ticks[-1]
+        moved = Circle(Point(0.5, 0.5), 0.2)
+        ticks.append(([QueryMove(min(circles), moved)], positions, {**circles, min(circles): moved}))
+        for tick, (events, positions, circles) in enumerate(ticks, start=1):
+            del trace[:]
+            report = cluster.run_tick(events)
+            edge = [m.body for m in trace if (m.sender, m.receiver) == (CLIENT, ENTRANCE)]
+            reports = tuple(e for e in events if isinstance(e, ObjectUpdate))
+            queries = [e for e in events if not isinstance(e, ObjectUpdate)]
+            assert edge == ([ObjectReports(reports)] if reports else []) + queries + [TickBarrier(tick)], \
+                (policy, tick)
+            assert sum(b.kind is ObjectReports.kind for b in edge) == (1 if reports else 0), (policy, tick)
+            assert (report.errors, report.queries_ready) == (0, len(circles)), (policy, tick)
+            assert cluster.results() == {q: ns_search(positions, c) for q, c in circles.items()}, (policy, tick)
+
+
+def test_reports_listed_anywhere_in_a_tick_give_the_same_report():
+    # the reports go ahead of the query events whatever the client's order:
+    # interleaved with them or listed last, a tick gives the same report and
+    # results, and they are the oracle's, in every engine on both pumps
+    for mode in ENGINE_MODES:
+        for policy in ("fifo", "random"):
+            ticks = interleaved_ticks(random.Random(53))
+            interleaved = make_cluster(engine=mode, loopback_policy=policy, seed=7)
+            reports_last = make_cluster(engine=mode, loopback_policy=policy, seed=7)
+            for events, positions, circles in ticks:
+                last = ([e for e in events if not isinstance(e, ObjectUpdate)]
+                        + [e for e in events if isinstance(e, ObjectUpdate)])
+                assert last != events
+                report = interleaved.run_tick(events)
+                assert report == reports_last.run_tick(last), (mode, policy, report.tick)
+                assert report.errors == 0, (mode, policy, report.tick)
+                expected = {q: ns_search(positions, c) for q, c in circles.items()}
+                assert interleaved.results() == reports_last.results() == expected, (mode, policy, report.tick)
+
+
+def test_bad_reports_in_the_client_frame_are_rejected_alone():
+    # inside the one frame, a report with a point outside the domain (NaN
+    # among them), a move of an unknown id, an insertion of a live id and a
+    # report with neither point are each counted and dropped; the good
+    # reports around them apply
+    for mode in ENGINE_MODES:
+        for policy in ("fifo", "random"):
+            rng = random.Random(59)
+            cluster = make_cluster(engine=mode, loopback_policy=policy, seed=9)
+            positions, events = seed_events(rng, 400)
+            cluster.run_tick(events)
+            circles = {q: Circle(Point(rng.random(), rng.random()), 0.2) for q in range(4)}
+            cluster.run_tick([QueryRegister(q, c, 0, 100) for q, c in circles.items()])
+            trace = []
+            cluster._transport.trace = trace
+            bad = [ObjectUpdate(500, None, Point(1.5, 0.5)), ObjectUpdate(501, None, Point(math.nan, 0.5)),
+                   ObjectUpdate(3, positions[3], Point(0.5, -0.25)), ObjectUpdate(502, Point(0.5, 0.5), Point(0.6, 0.6)),
+                   ObjectUpdate(4, None, Point(0.5, 0.5)), ObjectUpdate(503, None, None)]
+            events = random_moves(rng, positions, 60)
+            for i, b in enumerate(bad):
+                events.insert(10 * i + 5, b)
+            report = cluster.run_tick(events)
+            frames = [m.body for m in trace if m.sender == CLIENT and isinstance(m.body, ObjectReports)]
+            assert frames == [ObjectReports(tuple(events))], (mode, policy)
+            assert (report.errors, report.queries_ready) == (len(bad), len(circles)), (mode, policy)
+            assert cluster.entrance.object_cells.keys() == positions.keys(), (mode, policy)
+            for q, c in circles.items():
+                assert cluster.query_result(q) == ns_search(positions, c), (mode, policy, q)
+            report = cluster.run_tick(random_moves(rng, positions, 60))
+            assert (report.errors, report.queries_ready) == (0, len(circles)), (mode, policy)
+            for q, c in circles.items():
+                assert cluster.query_result(q) == ns_search(positions, c), (mode, policy, q)
 
 
 def test_index_workers_never_locate(monkeypatch):

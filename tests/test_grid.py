@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from rangemon.errors import OutOfDomainError
-from rangemon.geometry import Circle, Coverage, Point, classify
+from rangemon.geometry import Circle, Coverage, Point, Rect, classify, slot
 from rangemon.grid import CellId, GridIndex
 
 
@@ -34,6 +34,80 @@ def test_locate_rejects_outside():
         g.locate(Point(1.5, 0.5))
     with pytest.raises(OutOfDomainError):
         g.locate(Point(0.5, -0.01))
+
+
+# grids for the locate equivalence tests: n in {1, 3, 7, 100} on the unit
+# square, and one grid on a domain that is neither unit-sized nor at 0
+LOCATE_GRIDS = [GridIndex(1), GridIndex(3), GridIndex(7), GridIndex(100),
+                GridIndex(13, Rect(-3.7, 2.1, 5.3, 9.0))]
+
+
+def edges(g, axis):
+    """The grid's cell edges on one axis (0: x, 1: y), from its cell bounds."""
+    rects = [g.cell_bounds(CellId(0, j) if axis == 0 else CellId(j, 0)) for j in range(g.n)]
+    lo = [r.x_lo if axis == 0 else r.y_lo for r in rects]
+    return lo + [rects[-1].x_hi if axis == 0 else rects[-1].y_hi]
+
+
+def slot_rule_cell(g, p):
+    """The cell the slot rule gives: each axis bucketed by geometry.slot."""
+    return CellId(slot(edges(g, 1), p.y), slot(edges(g, 0), p.x))
+
+
+def boundary_values(g, axis):
+    """Every edge of an axis, the domain's minimum and maximum among them,
+    and each interior edge's float neighbours on both sides."""
+    es = edges(g, axis)
+    out = list(es)
+    for e in es[1:-1]:
+        out += [math.nextafter(e, -math.inf), math.nextafter(e, math.inf)]
+    out += [math.nextafter(es[0], math.inf), math.nextafter(es[-1], -math.inf)]
+    return out
+
+
+@st.composite
+def grid_points(draw):
+    g = draw(st.sampled_from(LOCATE_GRIDS))
+    d = g.domain
+    x = draw(st.one_of(st.floats(min_value=d.x_lo, max_value=d.x_hi), st.sampled_from(boundary_values(g, 0))))
+    y = draw(st.one_of(st.floats(min_value=d.y_lo, max_value=d.y_hi), st.sampled_from(boundary_values(g, 1))))
+    return g, Point(x, y)
+
+
+@given(grid_points())
+@settings(max_examples=500, deadline=None)
+def test_locate_matches_slot_rule(case):
+    g, p = case
+    cell = g.locate(p)
+    assert cell == slot_rule_cell(g, p)
+    # the cell's lower corner lies in it: the same interned object
+    b = g.cell_bounds(cell)
+    assert g.locate(Point(b.x_lo, b.y_lo)) is cell
+
+
+def test_locate_matches_slot_rule_on_every_boundary():
+    for g in LOCATE_GRIDS:
+        xs, ys = boundary_values(g, 0), boundary_values(g, 1)
+        mid_x, mid_y = (g.domain.x_lo + g.domain.x_hi) / 2, (g.domain.y_lo + g.domain.y_hi) / 2
+        points = ([Point(x, y) for x in (xs[0], xs[g.n]) for y in (ys[0], ys[g.n])]  # corners
+                  + [Point(x, mid_y) for x in xs] + [Point(mid_x, y) for y in ys]
+                  + [Point(x, y) for x, y in zip(xs, reversed(ys))])
+        for p in points:
+            cell = g.locate(p)
+            assert cell == slot_rule_cell(g, p), (g.n, p)
+            assert g.locate(Point(p.x, p.y)) is cell
+
+
+def test_locate_rejects_outside_every_grid():
+    for g in LOCATE_GRIDS:
+        d = g.domain
+        inside_x, inside_y = d.x_lo, d.y_hi
+        for x, y in ((math.nextafter(d.x_lo, -math.inf), inside_y), (math.nextafter(d.x_hi, math.inf), inside_y),
+                     (inside_x, math.nextafter(d.y_lo, -math.inf)), (inside_x, math.nextafter(d.y_hi, math.inf)),
+                     (math.nan, inside_y), (inside_x, math.nan), (math.nan, math.nan),
+                     (math.inf, inside_y), (inside_x, -math.inf)):
+            with pytest.raises(OutOfDomainError):
+                g.locate(Point(x, y))
 
 
 def test_partition_property():

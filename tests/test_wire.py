@@ -16,6 +16,7 @@ from rangemon.wire import (
     Kind,
     Message,
     ObjectBatch,
+    ObjectReports,
     ObjectUpdate,
     PartialResult,
     QueryExpire,
@@ -52,6 +53,13 @@ BODIES = [
         (9, None, None, Point(0.5, 0.6), CellId(5, 6)),                       # insertion only
         (10, Point(0.1, 0.2), CellId(1, 2), Point(0.9, 0.2), CellId(1, 9)),   # across cells
     )),
+    ObjectReports(),
+    ObjectReports((
+        ObjectUpdate(7, Point(0.1, 0.2), Point(0.3, 0.4)),
+        ObjectUpdate(8, None, Point(0.3, 0.4)),
+        ObjectUpdate(9, Point(0.1, 0.2), None),
+        ObjectUpdate(10, None, None),  # the entrance rejects it; the wire carries it
+    )),
 ]
 
 
@@ -73,7 +81,7 @@ def test_frame_layout_golden():
     frame = encode_message(msg)
     assert frame[:4] == (len(frame) - 4).to_bytes(4, "big")
     payload = frame[4:]
-    assert payload[0] == 7                      # wire version
+    assert payload[0] == 8                      # wire version
     assert payload[1] == int(Kind.QUERY_EXPIRE)  # kind tag
     assert payload[2:10] == (3).to_bytes(8, "little")   # seq
     assert payload[10:18] == (1).to_bytes(8, "little")  # sender
@@ -93,15 +101,16 @@ _GOLDEN_HEAD = (
 
 # each test is named for the version that gave its kind the fields it
 # pins; version 6 then dropped the registration epoch from kinds 2 to 6
-# (and the scan flag from kind 4), and version 7 gave kind 1 its leading
-# form byte.  Each frame carries the current version byte
+# (and the scan flag from kind 4), version 7 gave kind 1 its leading
+# form byte, and version 8 added kind 1's form 2.  Each frame carries the
+# current version byte
 
 
 def test_object_update_golden_v7():
     # form 0: one client report, points only
     body = ObjectUpdate(7, None, Point(0.5, 0.25))
     expected = bytes.fromhex(
-        "00000034" "07" "01"                                    # length, version 7, kind 1
+        "00000034" "08" "01"                                    # length, version 8, kind 1
         "0300000000000000" "0000000000000000" "0100000000000000"  # seq, sender 0, receiver 1
         "00"                                                    # form: one report
         "0700000000000000" "02"                                 # obj_id 7, flags: new only
@@ -117,7 +126,7 @@ def test_object_batch_golden_v7():
         (8, Point(0.25, 0.5), CellId(2, 1), None, None),
     ))
     expected = bytes.fromhex(
-        "00000091" "07" "01"                                    # length, version 7, kind 1
+        "00000091" "08" "01"                                    # length, version 8, kind 1
         "0300000000000000" "0100000000000000" "0200000000000000"  # seq, sender 1, receiver 2
         "01" "02000000"                                         # form: batch, two parts
         "0700000000000000" "03"                                 # obj_id 7, flags: old and new
@@ -132,9 +141,28 @@ def test_object_batch_golden_v7():
     assert encode_message(Message(1, 2, 3, body)) == expected
 
 
+def test_object_reports_golden_v8():
+    # form 2: the client's reports of one tick, points only
+    body = ObjectReports((
+        ObjectUpdate(7, Point(0.5, 0.25), Point(0.5, 0.5)),
+        ObjectUpdate(8, Point(0.25, 0.5), None),
+    ))
+    expected = bytes.fromhex(
+        "00000061" "08" "01"                                    # length, version 8, kind 1
+        "0300000000000000" "0000000000000000" "0100000000000000"  # seq, sender 0, receiver 1
+        "02" "02000000"                                         # form: client reports, two
+        "0700000000000000" "03"                                 # obj_id 7, flags: old and new
+        "000000000000e03f" "000000000000d03f"                   # old (0.5, 0.25)
+        "000000000000e03f" "000000000000e03f"                   # new (0.5, 0.5)
+        "0800000000000000" "01"                                 # obj_id 8, flags: old only
+        "000000000000d03f" "000000000000e03f"                   # old (0.25, 0.5)
+    )
+    assert encode_message(Message(0, 1, 3, body)) == expected
+
+
 def test_unknown_object_update_form_rejected():
     frame = bytearray(encode_message(Message(1, 2, 3, ObjectBatch())))
-    frame[4 + 26] = 2  # the form byte after the header
+    frame[4 + 26] = 3  # the form byte after the header; forms 0 to 2 are taken
     with pytest.raises(ValueError):
         decode_message(bytes(frame))
 
@@ -143,7 +171,7 @@ def test_query_register_golden_v4():
     # version 4 made the keys the index workers' ids
     body = QueryRegister(3, Circle(Point(0.5, 0.5), 0.25), 0, 100, (2, 5))
     expected = bytes.fromhex(
-        "0000005e" "07" "02" + _GOLDEN_HEAD                     # length, version 7, kind 2
+        "0000005e" "08" "02" + _GOLDEN_HEAD                     # length, version 8, kind 2
         + "0000000000000000" "6400000000000000"                 # t_start 0, t_end 100
         + "02000000" "0200000000000000" "0500000000000000"      # keys: index workers 2, 5
     )
@@ -154,7 +182,7 @@ def test_query_move_golden_v3():
     # version 6 dropped the registration epoch that version 3 appended
     body = QueryMove(3, Circle(Point(0.5, 0.5), 0.25), ((CellId(1, 2), 1, 2),), 6)
     expected = bytes.fromhex(
-        "00000058" "07" "03" + _GOLDEN_HEAD                     # length, version 7, kind 3
+        "00000058" "08" "03" + _GOLDEN_HEAD                     # length, version 8, kind 3
         + "01000000" "0100000000000000" "0200000000000000"      # one transition: cell (1, 2)
         + "01" "02"                                             # partial -> full
         + "0600000000000000"                                    # query worker
@@ -166,7 +194,7 @@ def test_cell_search_golden_v6():
     # version 6 dropped the scan flag: an ns index worker scans all it holds
     body = CellSearch(3, Circle(Point(0.5, 0.5), 0.25), ((CellId(1, 2), 2),), 6)
     expected = bytes.fromhex(
-        "00000057" "07" "04" + _GOLDEN_HEAD                     # length, version 7, kind 4
+        "00000057" "08" "04" + _GOLDEN_HEAD                     # length, version 8, kind 4
         + "01000000" "0100000000000000" "0200000000000000"      # one entry: cell (1, 2)
         + "02"                                                  # full
         + "0600000000000000"                                    # query worker
@@ -178,7 +206,7 @@ def test_partial_result_golden_v4():
     # version 4 keyed a partial by the sending index worker
     body = PartialResult(3, 2, (10, 11))
     expected = bytes.fromhex(
-        "0000003e" "07" "05"                                    # length, version 7, kind 5
+        "0000003e" "08" "05"                                    # length, version 8, kind 5
         "0300000000000000" "0100000000000000" "0600000000000000"  # seq, sender, receiver
         "0300000000000000"                                      # q_id
         "0200000000000000"                                      # key: index worker 2
@@ -191,7 +219,7 @@ def test_result_delta_golden_v5():
     # version 5 batched a tick's changes for many queries into one frame
     body = ResultDelta(((3, 2, 1), (5, 0, 1)), (10, 11), (12, 13))
     expected = bytes.fromhex(
-        "00000066" "07" "06"                                    # length, version 7, kind 6
+        "00000066" "08" "06"                                    # length, version 8, kind 6
         "0300000000000000" "0100000000000000" "0600000000000000"  # seq, sender, receiver
         "02000000"                                              # two spans
         "0300000000000000" "02000000" "01000000"                # q 3, 2 adds, 1 remove
@@ -207,7 +235,7 @@ def test_tick_barrier_golden_v4():
     # version 4 added the rejected-report count before the digest
     body = TickBarrier(5, 1, 2, 3, 4, 6, b"\xab")
     expected = bytes.fromhex(
-        "0000004c" "07" "08"                                    # length, version 7, kind 8
+        "0000004c" "08" "08"                                    # length, version 8, kind 8
         "0300000000000000" "0100000000000000" "0600000000000000"  # seq, sender, receiver
         "0500000000000000"                                      # tick
         "0100000000000000" "0200000000000000"                   # messages, objects
