@@ -86,7 +86,7 @@ def parse_experiment(cfg: Config) -> ExperimentSpec:
         values = cfg.get_floats(f"sweep.{param}")
         if values:
             sweeps[param] = values
-    return ExperimentSpec(
+    exp = ExperimentSpec(
         name=cfg.get("experiment.name", "experiment"),
         engine=cfg.get("experiment.engine", "drqa"),
         repetitions=cfg.get_int("experiment.repetitions", 1),
@@ -99,6 +99,10 @@ def parse_experiment(cfg: Config) -> ExperimentSpec:
         workload_file=cfg.get("workload.file"),
         output=cfg.get("experiment.output", "results.csv"),
     )
+    unknown = sorted(cfg.values.keys() - cfg.read)
+    if unknown:
+        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+    return exp
 
 
 def _apply_point(exp: ExperimentSpec, param: str | None, value: float) -> tuple[WorkloadSpec, ClusterSpec]:

@@ -619,40 +619,25 @@ class QueryWorker(Node):
     report per query before buffering it, so a move between two cells of
     one owner that both report to a query sends nothing.
 
-    Messages travel on FIFO edges, but different edges interleave freely:
-    a partial routed entrance -> index worker -> here can overtake the
-    registration on the direct edge.  A query id names at most one
-    registration per tick (the entrance turns a registration of a live id
-    into a move, and rejects one of an id expired earlier in the tick), so
-    traffic needs no tag beyond its query id.  A partial folds into its
-    query's state while that state awaits partials; otherwise it is held,
-    because a complete query's partial belongs to its next search (a
-    ``gi``/``ns`` re-search), and the registration replays what was held
-    for its id.  A partial its awaiting state rejects (from a worker it was
-    not promised, or a second from one that answered) is counted in the
-    barrier's ``errors`` and dropped, so the fault stays in its tick.  A
-    partial still held once the tick's barriers are in (no partial of a
-    query expired this tick is ever sent) is a fault: it is counted and
-    dropped.
+    The entrance's registrations and expiries apply on arrival.  The index
+    workers' partials and RESULT_DELTA frames are kept in arrival order and
+    applied when the tick's last barrier is in: every edge has drained by
+    then, so the tick's registrations have landed however the edges
+    interleaved.  A partial no awaiting state claims (query not held,
+    worker not promised, or a second answer from one worker) and a span
+    for a query this worker does not hold are faults: each is counted in
+    that barrier's ``errors`` and dropped, so a fault stays in its tick.
 
     Query moves never reach this worker: a cell the moved circle leaves
     loses its contribution by a RESULT_DELTA from the cell's owner.
-
-    An index worker sends its deltas for this worker as one RESULT_DELTA
-    just before the tick's barrier: one span per query, with the tick's
-    ENTERs and LEAVEs.  A span's adds are folded before its removes.  A
-    query registered this tick has no deltas in it, and one registered
-    earlier landed before the last tick drained, so every span finds its
-    state: a span for a query this worker does not hold is a fault.
     """
 
     def __init__(self, node_id: int, iw_ids: list[int]):
         super().__init__(node_id)
         self.queries: dict[int, QueryCounts] = {}
-        self._stash: dict[int, list[PartialResult]] = {}  # query id -> partials held for its next state
+        self._stash: list[PartialResult | ResultDelta] = []  # the index workers' traffic this tick
         self._expected_barriers = {ENTRANCE} | set(iw_ids)
         self._got_barriers: set[int] = set()
-        self.errors = 0  # partials and spans rejected this tick
         # query id -> its part of the results digest, as of the last
         # barrier; dropped whenever the query's counts may have changed
         self._encoded: dict[int, bytes] = {}
@@ -662,12 +647,8 @@ class QueryWorker(Node):
         if isinstance(body, QueryRegister):
             self.queries[body.q_id] = QueryCounts(body.q_id, body.keys)
             self._encoded.pop(body.q_id, None)
-            for held in self._stash.pop(body.q_id, []):
-                self._on_partial(held)
-        elif isinstance(body, PartialResult):
-            self._on_partial(body)
-        elif isinstance(body, ResultDelta):
-            self._on_delta(body)
+        elif isinstance(body, (PartialResult, ResultDelta)):
+            self._stash.append(body)
         elif isinstance(body, QueryExpire):
             self.queries.pop(body.q_id, None)
             self._encoded.pop(body.q_id, None)
@@ -675,26 +656,6 @@ class QueryWorker(Node):
             self._on_barrier(msg.sender, body)
         else:
             raise ValueError(f"query worker {self.id}: unexpected kind {body.kind!r}")
-
-    def _on_partial(self, body: PartialResult) -> None:
-        state = self.queries.get(body.q_id)
-        if state is not None and state.pending:
-            if not self.collect_partial(state, body.key, body.ids):
-                self.errors += 1  # a faulty partial is dropped
-            self._encoded.pop(body.q_id, None)
-        else:
-            # held until the registration it belongs to lands
-            self._stash.setdefault(body.q_id, []).append(body)
-
-    def _on_delta(self, body: ResultDelta) -> None:
-        encoded = self._encoded
-        for q_id, add, remove in body.per_query():
-            state = self.queries.get(q_id)
-            if state is None:
-                self.errors += 1  # a span no registration claims is dropped
-            else:
-                state.apply_delta(add, remove)
-                encoded.pop(q_id, None)
 
     @staticmethod
     def collect_partial(state: QueryCounts, key: int, ids: tuple[int, ...]) -> bool:
@@ -713,20 +674,33 @@ class QueryWorker(Node):
         if self._got_barriers != self._expected_barriers:
             return
         self._got_barriers = set()
-        # every edge has drained: no late traffic is left, and a partial
-        # still held belongs to no registration
-        errors = self.errors + sum(len(held) for held in self._stash.values())
-        self.errors = 0
+        queries = self.queries
+        encoded = self._encoded
+        errors = 0
+        for item in self._stash:
+            if isinstance(item, PartialResult):
+                state = queries.get(item.q_id)
+                if state is not None and self.collect_partial(state, item.key, item.ids):
+                    encoded.pop(item.q_id, None)
+                else:
+                    errors += 1  # a partial no awaiting state claims is dropped
+            else:
+                for q_id, add, remove in item.per_query():
+                    state = queries.get(q_id)
+                    if state is None:
+                        errors += 1  # a span for a query not held is dropped
+                    else:
+                        state.apply_delta(add, remove)
+                        encoded.pop(q_id, None)
         self._stash.clear()
-        ready = sum(1 for s in self.queries.values() if s.ready())
+        ready = sum(1 for s in queries.values() if s.ready())
         # only the queries whose counts changed since the last barrier are
         # encoded again; the digest is the same hash of every result
-        encoded = self._encoded
         digest = hashlib.sha256()
-        for q_id in sorted(self.queries):
+        for q_id in sorted(queries):
             part = encoded.get(q_id)
             if part is None:
-                part = encoded[q_id] = repr((q_id, sorted(self.queries[q_id].counts))).encode()
+                part = encoded[q_id] = repr((q_id, sorted(queries[q_id].counts))).encode()
             digest.update(part)
         self.send(ENTRANCE, TickBarrier(
             body.tick, messages=self.sent_messages, ready=ready, errors=errors,

@@ -1,11 +1,12 @@
 """Key-value config files: one ``key = value`` per line, ``#`` comments.
 
-The same format carries both cluster topology (grid.n, grid.workers,
-tree.alpha, tree.m, routing.jaccard_threshold, rng.seed,
-cluster.index_workers, cluster.query_workers, cluster.transport) and
-experiment definitions (experiment.*, workload.*, sweep.*, queues.*,
-measure.*).  The engine under test is ``experiment.engine``; the
-cluster's engine is set from it for each run.
+The same format carries both cluster topology (grid.n, tree.alpha,
+tree.m, routing.jaccard_threshold, rng.seed, cluster.index_workers,
+cluster.query_workers, cluster.transport) and experiment definitions
+(experiment.*, workload.*, sweep.*, queues.*, measure.*).  The engine
+under test is ``experiment.engine``; the cluster's engine is set from it
+for each run.  A :class:`Config` records every key its getters are asked
+for, so a key that nothing reads (a typo) can be rejected.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .cluster import ClusterSpec
 class Config:
     def __init__(self, values: dict[str, str] | None = None):
         self.values = dict(values or {})
+        self.read: set[str] = set()  # every key a getter was asked for
 
     @classmethod
     def load(cls, path: str | Path) -> "Config":
@@ -38,18 +40,19 @@ class Config:
         return Config(out)
 
     def get(self, key: str, default: str | None = None) -> str | None:
+        self.read.add(key)
         return self.values.get(key, default)
 
     def get_int(self, key: str, default: int) -> int:
-        raw = self.values.get(key)
+        raw = self.get(key)
         return default if raw is None else int(raw)
 
     def get_float(self, key: str, default: float) -> float:
-        raw = self.values.get(key)
+        raw = self.get(key)
         return default if raw is None else float(raw)
 
     def get_bool(self, key: str, default: bool) -> bool:
-        raw = self.values.get(key)
+        raw = self.get(key)
         if raw is None:
             return default
         if raw.lower() in ("1", "true", "yes", "on"):
@@ -59,16 +62,15 @@ class Config:
         raise ValueError(f"{key}: expected a boolean, got {raw!r}")
 
     def get_floats(self, key: str) -> list[float]:
-        raw = self.values.get(key)
+        raw = self.get(key)
         if raw is None:
             return []
         return [float(part) for part in raw.split(",") if part.strip()]
 
     def cluster_spec(self) -> ClusterSpec:
-        grid_workers = self.get_int("grid.workers", 4)
         return ClusterSpec(
             grid_n=self.get_int("grid.n", 100),
-            index_workers=self.get_int("cluster.index_workers", grid_workers),
+            index_workers=self.get_int("cluster.index_workers", 4),
             query_workers=self.get_int("cluster.query_workers", 2),
             alpha=self.get_int("tree.alpha", 20),
             m=self.get_int("tree.m", 6),

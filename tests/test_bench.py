@@ -1,5 +1,6 @@
 import csv
 import io
+from pathlib import Path
 
 import pytest
 
@@ -146,6 +147,22 @@ def test_parse_experiment_defaults(tmp_path):
     assert exp.workload.gauss_sigma == (0.1, 0.3)
     assert exp.sweeps == {"alpha": [5.0, 10.0]}
     assert exp.query_queue_cap == 5000
+
+
+def test_unknown_config_keys_are_rejected_by_name(tmp_path, capsys):
+    demo = Path(__file__).resolve().parent.parent / "experiments" / "demo.conf"
+    exp = parse_experiment(Config.load(demo))
+    assert exp.name == "demo-alpha-sweep" and exp.cluster.index_workers == 4
+    # a mistyped key used to be ignored, and grid.workers was a second
+    # name for cluster.index_workers; each now fails, naming the key
+    for key in ("workload.radious", "grid.workers"):
+        p = tmp_path / "e.conf"
+        p.write_text(f"workload.radius = 0.05\n{key} = 4\n")
+        with pytest.raises(ValueError, match=f"unknown config keys: {key}$"):
+            parse_experiment(Config.load(p))
+        assert main(["--experiment", str(p), "--out", str(tmp_path / "out.csv")]) == 1
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
 
 
 def test_cli_end_to_end(tmp_path, capsys):

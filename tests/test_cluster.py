@@ -1118,9 +1118,9 @@ def test_reregistration_after_expiry_within_a_tick_is_rejected():
 
 
 def test_unclaimed_traffic_is_counted_and_dropped():
-    # a span for an id that was never registered is counted as a fault at
-    # once, and a second partial for a complete query is held until the
-    # barrier and then counted; each is dropped, and the next tick is clean
+    # a span for an id that was never registered and a second partial for a
+    # complete query are each counted as a fault at the next barrier; each
+    # is dropped, and the next tick is clean
     rng = random.Random(29)
     cluster = make_cluster()
     positions, events = seed_events(rng, 500)
@@ -1162,6 +1162,41 @@ def test_faulty_partial_stays_in_its_tick():
     assert cluster.query_result(9) == {1, 2}
     report = cluster.run_tick([])
     assert (report.tick, report.errors, report.queries_ready) == (3, 0, 1)
+
+
+def test_lost_partial_stays_in_its_tick():
+    # index worker 0 loses one partial of a gi/ns re-search: that tick's
+    # query is unready, and the next tick's search, whose partials may
+    # overtake its registration on a reordering pump, starts clean
+    for mode in ("gi", "ns"):
+        for policy, seed in [("fifo", 0)] + [("random", s) for s in range(30)]:
+            key = (mode, policy, seed)
+            rng = random.Random(seed)
+            cluster = Cluster(ClusterSpec(grid_n=10, index_workers=3, query_workers=2, engine=mode,
+                                          loopback_policy=policy, seed=seed))
+            positions, events = seed_events(rng, 400)
+            cluster.run_tick(events)
+            circles = {0: Circle(Point(0.5, 0.15), 0.3)}  # in index worker 0's rows
+            circles.update((q, Circle(Point(rng.random(), rng.random()), 0.3)) for q in range(1, 8))
+            report = cluster.run_tick([QueryRegister(q, c, 0, 100) for q, c in circles.items()])
+            assert report.queries_ready == 8, key
+            iw = cluster.index_workers[0]
+            dropped = []
+
+            def lossy_send(receiver, body, send=iw.send):
+                if not dropped and isinstance(body, PartialResult) and body.q_id == 0:
+                    dropped.append(body)
+                else:
+                    send(receiver, body)
+
+            iw.send = lossy_send
+            report = cluster.run_tick(random_moves(rng, positions, 50))
+            assert dropped and report.queries_ready == 7, key
+            for tick in range(3):
+                report = cluster.run_tick(random_moves(rng, positions, 50))
+                assert (report.queries_ready, report.errors) == (8, 0), key + (tick,)
+                for q, c in circles.items():
+                    assert cluster.query_result(q) == ns_search(positions, c), key + (tick, q)
 
 
 def test_drqa_ships_no_more_result_ids_than_gi():
