@@ -13,8 +13,10 @@ the incremental and the register phase) and the message and id counts.
 Then each checkout runs one fixed mixed workload (object reports,
 registrations, moves and expiries, shuffled each tick by a seeded RNG)
 under every engine, on the fifo loopback and on the random pump, and the
-script compares each tick's ``results_digest``, ``queries_ready`` and
-``errors``.  Last, each checkout runs every workload's first round (the
+script compares each tick's answers (the ``result_hash`` of every
+query's result, ``queries_ready`` and ``errors``) and, apart from them,
+its ``results_digest``, which also moves when queries move between query
+workers.  Last, each checkout runs every workload's first round (the
 traced run's inputs) untraced, and the script compares the final query id
 -> query worker map of the entrance's registry.  Exits 1 if a
 ``result_hash``, a tick or a route differs:
@@ -53,9 +55,10 @@ def traced_run(checkout: Path, workload: str) -> tuple[list[str], dict]:
 
 
 # runs in a subprocess on the checkout's own src/; prints one JSON list of
-# [results_digest, queries_ready, errors] per tick, over every run
+# [result_hash, queries_ready, errors, results_digest] per tick, over every run
 TICKS_SCRIPT = """
 import json, random
+from rangemon.bench import result_hash
 from rangemon.cluster import ENGINE_MODES, Cluster, ClusterSpec
 from rangemon.geometry import Circle, Point
 from rangemon.wire import ObjectUpdate, QueryExpire, QueryMove, QueryRegister
@@ -87,7 +90,8 @@ for engine in ENGINE_MODES:
             next_q += 10
             rng.shuffle(events)
             report = cluster.run_tick(events)
-            rows.append([report.results_digest, report.queries_ready, report.errors])
+            rows.append([result_hash(cluster.results()), report.queries_ready, report.errors,
+                         report.results_digest])
             events = []
         cluster.close()
 print(json.dumps(rows))
@@ -153,14 +157,17 @@ def main(argv: list[str] | None = None) -> int:
         work = sum(1 for name in differ if name.removeprefix("register.").startswith(WORK_COUNTERS))
         print(f"  work counters: {f'{work} differ' if work else 'same'}")
     parent_rows, change_rows = (script_output(side, TICKS_SCRIPT) for side in (args.parent, args.change))
-    ticks = sum(p != c for p, c in zip(parent_rows, change_rows)) + abs(len(parent_rows) - len(change_rows))
-    print(f"tick digests: {f'{ticks} differ' if ticks else 'same'}")
+    missing = abs(len(parent_rows) - len(change_rows))
+    answers = sum(p[:3] != c[:3] for p, c in zip(parent_rows, change_rows)) + missing
+    digests = sum(p[3] != c[3] for p, c in zip(parent_rows, change_rows)) + missing
+    print(f"tick results: {f'{answers} differ' if answers else 'same'}")
+    print(f"tick digests: {f'{digests} differ' if digests else 'same'}")
     parent_routes, change_routes = (script_output(side, ROUTES_SCRIPT, json.dumps(workloads))
                                     for side in (args.parent, args.change))
     routes = sum(parent_routes[w].get(q) != change_routes[w].get(q)
                  for w in workloads for q in parent_routes[w].keys() | change_routes[w].keys())
     print(f"routes: {f'{routes} differ' if routes else 'same'}")
-    return 1 if hashes_differ or ticks or routes else 0
+    return 1 if hashes_differ or answers or digests or routes else 0
 
 
 if __name__ == "__main__":

@@ -4,21 +4,22 @@
 import argparse
 import sys
 
-from rangemon.workload import WorkloadSpec, iter_event_records, write_events
+from rangemon.workload import DISTRIBUTIONS, WorkloadSpec, iter_event_records, write_events
 
 
 def main() -> int:
+    d = WorkloadSpec()
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--distribution", choices=("UD", "GD", "ZIPF"), default="UD")
-    parser.add_argument("--objects", type=int, default=10_000)
-    parser.add_argument("--queries", type=int, default=100)
-    parser.add_argument("--radius", type=float, default=0.02)
-    parser.add_argument("--object-speed", type=float, default=0.005)
-    parser.add_argument("--query-speed", type=float, default=0.0)
-    parser.add_argument("--ticks", type=int, default=10)
-    parser.add_argument("--zipf-s", type=float, default=1.0)
-    parser.add_argument("--grid-n", type=int, default=100)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--distribution", choices=DISTRIBUTIONS, default=d.distribution)
+    parser.add_argument("--objects", type=int, default=d.n_objects)
+    parser.add_argument("--queries", type=int, default=d.n_queries)
+    parser.add_argument("--radius", type=float, default=d.radius)
+    parser.add_argument("--object-speed", type=float, default=d.object_speed)
+    parser.add_argument("--query-speed", type=float, default=d.query_speed)
+    parser.add_argument("--ticks", type=int, default=d.ticks)
+    parser.add_argument("--zipf-s", type=float, default=d.zipf_s)
+    parser.add_argument("--grid-n", type=int, default=d.grid_n)
+    parser.add_argument("--seed", type=int, default=d.seed)
     parser.add_argument("--out", default="-", help="output path, '-' for stdout")
     args = parser.parse_args()
 

@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .baselines import GridStore, gi_search, ns_search
 from .cluster import Cluster, ClusterSpec, ENGINE_MODES
-from .config import Config
+from .config import CLUSTER_KEYS, Config
 from .engine import Engine
 from .geometry import Circle, Point
 from .grid import GridIndex
@@ -35,7 +35,41 @@ CSV_COLUMNS = [
     "throughput", "objects_examined", "messages_sent", "result_hash",
 ]
 
-SWEEPABLE = ("m", "alpha", "radius", "objects", "queries", "object_speed", "query_speed")
+# sweep parameter -> (the ExperimentSpec part it varies, that part's field)
+SWEEPABLE = {
+    "m": ("cluster", "m"),
+    "alpha": ("cluster", "alpha"),
+    "radius": ("workload", "radius"),
+    "objects": ("workload", "n_objects"),
+    "queries": ("workload", "n_queries"),
+    "object_speed": ("workload", "object_speed"),
+    "query_speed": ("workload", "query_speed"),
+}
+
+WORKLOAD_KEYS = {
+    "workload.distribution": "distribution",
+    "workload.objects": "n_objects",
+    "workload.queries": "n_queries",
+    "workload.radius": "radius",
+    "workload.object_speed": "object_speed",
+    "workload.query_speed": "query_speed",
+    "workload.ticks": "ticks",
+    "rng.seed": "seed",
+    "workload.zipf_s": "zipf_s",
+    "workload.gauss_mean": "gauss_mean",
+    "workload.gauss_sigma": "gauss_sigma",
+    "grid.n": "grid_n",
+}
+
+EXPERIMENT_KEYS = {
+    "experiment.name": "name",
+    "experiment.engine": "engine",
+    "experiment.repetitions": "repetitions",
+    "queues.query_cap": "query_queue_cap",
+    "measure.throughput": "measure_throughput",
+    "workload.file": "workload_file",
+    "experiment.output": "output",
+}
 
 
 @dataclass
@@ -46,7 +80,6 @@ class ExperimentSpec:
     workload: WorkloadSpec = field(default_factory=WorkloadSpec)
     cluster: ClusterSpec = field(default_factory=ClusterSpec)
     sweeps: dict[str, list[float]] = field(default_factory=dict)
-    object_queue_cap: int = 50_000
     query_queue_cap: int = 10_000
     measure_throughput: bool = False
     workload_file: str | None = None
@@ -59,70 +92,38 @@ class ExperimentSpec:
             raise ValueError(f"unknown engine {self.engine!r}")
         for param, values in self.sweeps.items():
             if param not in SWEEPABLE:
-                raise ValueError(f"cannot sweep {param!r}; one of {SWEEPABLE}")
+                raise ValueError(f"cannot sweep {param!r}; one of {tuple(SWEEPABLE)}")
             if any(v <= 0 for v in values):
                 raise ValueError(f"sweep values for {param} must be positive")
 
 
 def parse_experiment(cfg: Config) -> ExperimentSpec:
-    mean = cfg.get_floats("workload.gauss_mean") or [0.5, 0.5]
-    sigma = cfg.get_floats("workload.gauss_sigma") or [0.2, 0.2]
-    workload = WorkloadSpec(
-        distribution=cfg.get("workload.distribution", "UD"),
-        n_objects=cfg.get_int("workload.objects", 10_000),
-        n_queries=cfg.get_int("workload.queries", 100),
-        radius=cfg.get_float("workload.radius", 0.02),
-        object_speed=cfg.get_float("workload.object_speed", 0.005),
-        query_speed=cfg.get_float("workload.query_speed", 0.0),
-        ticks=cfg.get_int("workload.ticks", 5),
-        seed=cfg.get_int("rng.seed", 0),
-        zipf_s=cfg.get_float("workload.zipf_s", 1.0),
-        gauss_mean=(mean[0], mean[1]),
-        gauss_sigma=(sigma[0], sigma[1]),
-        grid_n=cfg.get_int("grid.n", 100),
-    )
-    sweeps = {}
-    for param in SWEEPABLE:
-        values = cfg.get_floats(f"sweep.{param}")
-        if values:
-            sweeps[param] = values
-    exp = ExperimentSpec(
-        name=cfg.get("experiment.name", "experiment"),
-        engine=cfg.get("experiment.engine", "drqa"),
-        repetitions=cfg.get_int("experiment.repetitions", 1),
-        workload=workload,
-        cluster=cfg.cluster_spec(),
-        sweeps=sweeps,
-        object_queue_cap=cfg.get_int("queues.object_cap", 50_000),
-        query_queue_cap=cfg.get_int("queues.query_cap", 10_000),
-        measure_throughput=cfg.get_bool("measure.throughput", False),
-        workload_file=cfg.get("workload.file"),
-        output=cfg.get("experiment.output", "results.csv"),
-    )
-    unknown = sorted(cfg.values.keys() - cfg.read)
+    sweep_keys = {f"sweep.{param}": param for param in SWEEPABLE}
+    known = CLUSTER_KEYS.keys() | WORKLOAD_KEYS.keys() | EXPERIMENT_KEYS.keys() | sweep_keys.keys()
+    unknown = sorted(cfg.values.keys() - known)
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-    return exp
+    sweeps = {}
+    for key, param in sweep_keys.items():
+        try:
+            values = [float(v) for v in cfg.values.get(key, "").split(",") if v.strip()]
+        except ValueError:
+            raise ValueError(f"{key}: expected comma-separated numbers, got {cfg.values[key]!r}") from None
+        if values:
+            sweeps[param] = values
+    base = ExperimentSpec(workload=cfg.applied(WorkloadSpec(), WORKLOAD_KEYS),
+                          cluster=cfg.cluster_spec(), sweeps=sweeps)
+    return cfg.applied(base, EXPERIMENT_KEYS)
 
 
 def _apply_point(exp: ExperimentSpec, param: str | None, value: float) -> tuple[WorkloadSpec, ClusterSpec]:
-    wl, cl = exp.workload, replace(exp.cluster, engine=exp.engine)
-    if param == "m":
-        cl = replace(cl, m=int(value))
-    elif param == "alpha":
-        cl = replace(cl, alpha=int(value))
-    elif param == "radius":
-        wl = replace(wl, radius=value)
-    elif param == "objects":
-        wl = replace(wl, n_objects=int(value))
-    elif param == "queries":
-        wl = replace(wl, n_queries=int(value))
-    elif param == "object_speed":
-        wl = replace(wl, object_speed=value)
-    elif param == "query_speed":
-        wl = replace(wl, query_speed=value)
-    wl = replace(wl, grid_n=cl.grid_n)
-    return wl, cl
+    parts = {"workload": exp.workload, "cluster": replace(exp.cluster, engine=exp.engine)}
+    if param is not None:
+        part, name = SWEEPABLE[param]
+        spec = parts[part]
+        parts[part] = replace(spec, **{name: type(getattr(spec, name))(value)})
+    cl = parts["cluster"]
+    return replace(parts["workload"], grid_n=cl.grid_n), cl
 
 
 def result_hash(results: dict[int, set[int]]) -> str:
@@ -147,13 +148,7 @@ class RunMetrics:
     n_queries: int | None = None
 
 
-def _chunks(seq, size):
-    for i in range(0, len(seq), size):
-        yield seq[i:i + size]
-
-
-def run_single(workload_spec: WorkloadSpec, cluster_spec: ClusterSpec,
-               object_queue_cap: int = 50_000) -> RunMetrics:
+def run_single(workload_spec: WorkloadSpec, cluster_spec: ClusterSpec) -> RunMetrics:
     """One full pass: build, maintenance ticks, register queries, movement
     ticks with live queries."""
     metrics = RunMetrics()
@@ -162,9 +157,7 @@ def run_single(workload_spec: WorkloadSpec, cluster_spec: ClusterSpec,
     try:
         inserts = [ObjectUpdate(o, None, p) for o, p in sorted(wl.objects.items())]
         t0 = time.monotonic()
-        for chunk in _chunks(inserts, object_queue_cap):
-            report = cluster.run_tick(chunk)
-            metrics.messages_sent += report.messages
+        metrics.messages_sent += cluster.run_tick(inserts).messages
         metrics.build_time = time.monotonic() - t0
 
         t0 = time.monotonic()
@@ -265,7 +258,7 @@ def run_experiment(exp: ExperimentSpec, out_path: str | Path | None = None) -> l
             if exp.workload_file is not None:
                 metrics = run_replay(exp.workload_file, cl)
             else:
-                metrics = run_single(wl, cl, exp.object_queue_cap)
+                metrics = run_single(wl, cl)
             if exp.measure_throughput:
                 metrics.throughput = measure_throughput(exp, wl, cl)
             rows.append({

@@ -7,6 +7,7 @@ import sys
 from dataclasses import replace
 
 from .bench import parse_experiment, run_experiment
+from .cluster import ENGINE_MODES
 from .config import Config
 
 
@@ -17,7 +18,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", metavar="PATH", help="cluster/topology config file")
     parser.add_argument("--experiment", metavar="PATH", required=True, help="experiment spec file")
-    parser.add_argument("--engine", choices=("drqa", "gi", "ns"), help="override the engine under test")
+    parser.add_argument("--engine", choices=ENGINE_MODES, help="override the engine under test")
     parser.add_argument("--out", metavar="PATH", help="override the CSV output path")
     parser.add_argument("--seed", type=int, metavar="N", help="override the RNG seed")
     parser.add_argument("--transport", choices=("loopback", "socket"), help="override the transport")

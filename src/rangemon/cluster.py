@@ -460,11 +460,16 @@ class IndexWorker(Node, CellStore):
                 except RangemonError:
                     self.errors += 1
         else:
-            for obj_id, _, _, new, _ in parts:
-                if new is None:
-                    self.owned.pop(obj_id, None)
+            owned = self.owned
+            for obj_id, old, _, new, _ in parts:
+                if (old is None) == (obj_id in owned):
+                    # an insertion of a held id, or a move or removal of
+                    # one not held, as GridStore rejects under gi
+                    self.errors += 1
+                elif new is None:
+                    del owned[obj_id]
                 else:
-                    self.owned[obj_id] = new
+                    owned[obj_id] = new
 
     def _on_cell_search(self, body: CellSearch) -> None:
         """Search every listed cell (under ``ns``, every object this worker

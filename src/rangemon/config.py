@@ -3,23 +3,56 @@
 The same format carries both cluster topology (grid.n, tree.alpha,
 tree.m, routing.jaccard_threshold, rng.seed, cluster.index_workers,
 cluster.query_workers, cluster.transport) and experiment definitions
-(experiment.*, workload.*, sweep.*, queues.*, measure.*).  The engine
-under test is ``experiment.engine``; the cluster's engine is set from it
-for each run.  A :class:`Config` records every key its getters are asked
-for, so a key that nothing reads (a typo) can be rejected.
+(experiment.*, workload.*, sweep.*, queues.*, measure.*).  Each key names
+one field of a spec dataclass, in one table per spec (:data:`CLUSTER_KEYS`
+here, the workload and experiment tables in :mod:`rangemon.bench`); a key
+a file leaves out keeps that field's default.  The engine under test is
+``experiment.engine``; the cluster's engine is set from it for each run.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from pathlib import Path
+from typing import TypeVar
 
 from .cluster import ClusterSpec
+
+S = TypeVar("S")
+
+CLUSTER_KEYS = {
+    "grid.n": "grid_n",
+    "cluster.index_workers": "index_workers",
+    "cluster.query_workers": "query_workers",
+    "tree.alpha": "alpha",
+    "tree.m": "m",
+    "routing.jaccard_threshold": "jaccard_threshold",
+    "cluster.transport": "transport",
+    "rng.seed": "seed",
+}
+
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
+_KINDS = {bool: "a boolean", tuple: "an x,y pair", int: "an integer", float: "a number"}
+
+
+def _parse(key: str, raw: str, like):
+    """``raw`` read as the type of ``like``, a field's default: a boolean,
+    an ``x,y`` pair of floats, a number, or text."""
+    try:
+        if isinstance(like, bool):
+            return _BOOLS[raw.lower()]
+        if isinstance(like, tuple):
+            x, y = map(float, raw.split(","))
+            return (x, y)
+        return raw if like is None else type(like)(raw)
+    except (KeyError, ValueError):
+        raise ValueError(f"{key}: expected {_KINDS[type(like)]}, got {raw!r}") from None
 
 
 class Config:
     def __init__(self, values: dict[str, str] | None = None):
         self.values = dict(values or {})
-        self.read: set[str] = set()  # every key a getter was asked for
 
     @classmethod
     def load(cls, path: str | Path) -> "Config":
@@ -39,42 +72,11 @@ class Config:
         out.update(other.values)
         return Config(out)
 
-    def get(self, key: str, default: str | None = None) -> str | None:
-        self.read.add(key)
-        return self.values.get(key, default)
-
-    def get_int(self, key: str, default: int) -> int:
-        raw = self.get(key)
-        return default if raw is None else int(raw)
-
-    def get_float(self, key: str, default: float) -> float:
-        raw = self.get(key)
-        return default if raw is None else float(raw)
-
-    def get_bool(self, key: str, default: bool) -> bool:
-        raw = self.get(key)
-        if raw is None:
-            return default
-        if raw.lower() in ("1", "true", "yes", "on"):
-            return True
-        if raw.lower() in ("0", "false", "no", "off"):
-            return False
-        raise ValueError(f"{key}: expected a boolean, got {raw!r}")
-
-    def get_floats(self, key: str) -> list[float]:
-        raw = self.get(key)
-        if raw is None:
-            return []
-        return [float(part) for part in raw.split(",") if part.strip()]
+    def applied(self, spec: S, keys: dict[str, str]) -> S:
+        """``spec`` with each field that ``keys`` maps a key of this file
+        to set from it, read as that field is typed in ``spec``."""
+        return replace(spec, **{name: _parse(key, self.values[key], getattr(spec, name))
+                                for key, name in keys.items() if key in self.values})
 
     def cluster_spec(self) -> ClusterSpec:
-        return ClusterSpec(
-            grid_n=self.get_int("grid.n", 100),
-            index_workers=self.get_int("cluster.index_workers", 4),
-            query_workers=self.get_int("cluster.query_workers", 2),
-            alpha=self.get_int("tree.alpha", 20),
-            m=self.get_int("tree.m", 6),
-            jaccard_threshold=self.get_float("routing.jaccard_threshold", 0.5),
-            transport=self.get("cluster.transport", "loopback"),
-            seed=self.get_int("rng.seed", 0),
-        )
+        return self.applied(ClusterSpec(), CLUSTER_KEYS)

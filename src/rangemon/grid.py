@@ -60,16 +60,11 @@ class GridIndex:
         self._xs = [domain.x_lo + j * w for j in range(n)] + [domain.x_hi]
         self._ys = [domain.y_lo + i * h for i in range(n)] + [domain.y_hi]
         self._scale = (n / domain.width, n / domain.height)
-        self._bounds: dict[CellId, Rect] = {}
         self._interned: dict[int, CellId] = {}  # row * n + col -> the one CellId of that cell
 
     def cell_bounds(self, cell: CellId) -> Rect:
-        rect = self._bounds.get(cell)
-        if rect is None:
-            rect = Rect(self._xs[cell.col], self._ys[cell.row],
-                        self._xs[cell.col + 1], self._ys[cell.row + 1])
-            self._bounds[cell] = rect
-        return rect
+        return Rect(self._xs[cell.col], self._ys[cell.row],
+                    self._xs[cell.col + 1], self._ys[cell.row + 1])
 
     def locate(self, p: Point) -> CellId:
         """Cell owning p; the domain's maximum edges belong to the last

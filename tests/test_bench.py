@@ -1,12 +1,15 @@
 import csv
 import io
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from rangemon.bench import (
     CSV_COLUMNS,
+    SWEEPABLE,
     ExperimentSpec,
+    _apply_point,
     measure_throughput,
     parse_experiment,
     result_hash,
@@ -153,9 +156,10 @@ def test_unknown_config_keys_are_rejected_by_name(tmp_path, capsys):
     demo = Path(__file__).resolve().parent.parent / "experiments" / "demo.conf"
     exp = parse_experiment(Config.load(demo))
     assert exp.name == "demo-alpha-sweep" and exp.cluster.index_workers == 4
-    # a mistyped key used to be ignored, and grid.workers was a second
-    # name for cluster.index_workers; each now fails, naming the key
-    for key in ("workload.radious", "grid.workers"):
+    # a mistyped key used to be ignored, grid.workers was a second name
+    # for cluster.index_workers, and queues.object_cap split the build
+    # into ticks; each now fails, naming the key
+    for key in ("workload.radious", "grid.workers", "queues.object_cap"):
         p = tmp_path / "e.conf"
         p.write_text(f"workload.radius = 0.05\n{key} = 4\n")
         with pytest.raises(ValueError, match=f"unknown config keys: {key}$"):
@@ -163,6 +167,34 @@ def test_unknown_config_keys_are_rejected_by_name(tmp_path, capsys):
         assert main(["--experiment", str(p), "--out", str(tmp_path / "out.csv")]) == 1
         assert key in capsys.readouterr().err
         assert not (tmp_path / "out.csv").exists()
+
+
+def test_config_defaults_are_the_spec_defaults():
+    # a key a file leaves out keeps the default of the field it sets
+    assert parse_experiment(Config()) == ExperimentSpec()
+
+
+def test_malformed_config_values_fail_by_key(tmp_path, capsys):
+    for key, raw in (("workload.gauss_mean", "0.4"), ("workload.gauss_sigma", "0.1,0.2,0.3"),
+                     ("tree.m", "6.5"), ("workload.radius", "wide"),
+                     ("measure.throughput", "maybe"), ("sweep.alpha", "5,ten")):
+        p = tmp_path / "e.conf"
+        p.write_text(f"{key} = {raw}\n")
+        with pytest.raises(ValueError, match=f"^{key}: "):
+            parse_experiment(Config.load(p))
+        assert main(["--experiment", str(p), "--out", str(tmp_path / "out.csv")]) == 1
+        assert f"rangemon: {key}: " in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
+
+def test_each_sweep_parameter_sets_its_field():
+    exp = ExperimentSpec()
+    base = dict(zip(("workload", "cluster"), _apply_point(exp, None, 0.0)))
+    for param, (part, name) in SWEEPABLE.items():
+        point = dict(zip(("workload", "cluster"), _apply_point(exp, param, 7.0)))
+        assert point == {**base, part: replace(base[part], **{name: 7})}, param
+        counts = ("m", "alpha", "objects", "queries")
+        assert type(getattr(point[part], name)) is (int if param in counts else float), param
 
 
 def test_cli_end_to_end(tmp_path, capsys):

@@ -786,6 +786,26 @@ def test_failing_insert_still_sends_the_removal():
     assert 999 not in cluster.query_result(1)
 
 
+def test_ns_index_workers_reject_inconsistent_parts():
+    # a frame the entrance would never send: a removal of an unknown id,
+    # an insertion of a live id into another cell, and a move of an
+    # unknown id; each part is counted and skipped, and object 1 stays put
+    for mode in ("gi", "ns"):
+        cluster = make_cluster(engine=mode, index_workers=1, query_workers=1)
+        here = Point(0.15, 0.15)
+        cluster.run_tick([ObjectUpdate(1, None, here)])
+        grid = cluster.grid
+        a, b, c = Point(0.35, 0.35), Point(0.55, 0.55), Point(0.75, 0.75)
+        parts = ((2, a, grid.locate(a), None, None),
+                 (1, None, None, b, grid.locate(b)),
+                 (3, a, grid.locate(a), c, grid.locate(c)))
+        iw = cluster.index_workers[0]
+        iw.handle(Message(ENTRANCE, iw.id, 0, ObjectBatch(parts)))
+        report = cluster.run_tick([QueryRegister(1, Circle(here, 0.05), 0, 100)])
+        assert (report.errors, report.queries_ready) == (3, 1), mode
+        assert cluster.query_result(1) == {1}, mode
+
+
 def test_reregistration_replaces_the_old_circle():
     rng = random.Random(17)
     cluster = make_cluster(index_workers=4)
