@@ -20,21 +20,25 @@ one: building it in every cell cost +21% peak RSS, +35% ``tick_p50_s`` and
 alternating pairs of 10 s runs, 2 cores).
 
 Every object mutation of a cell becomes one :class:`CellDelta`, the sets
-of query ids the object entered and left; fully covering queries join it
-as one set union, so an index worker nets a cross-cell move by difference.
+of query ids the object entered and left, so an index worker nets a
+cross-cell move by difference.  Fully covering queries join it as one set
+union, and so, under a tree, do the queries on the interior nodes of the
+object's path, which cover their node.  Only the queries of the object's
+leaf (without a tree, every partially covering query) are tested against
+its point, by inlined distance arithmetic.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import AbstractSet, Iterator
+from typing import AbstractSet, Collection, Iterator
 
 from .baselines import ns_search
-from .errors import InconsistentUpdateError, StateMismatchError
-from .geometry import Circle, Coverage, Point, Rect, contains
+from .errors import InconsistentUpdateError, RangemonError, StateMismatchError
+from .geometry import Circle, Coverage, Point, Rect
 from .grid import CellId, GridIndex
-from .mtree import MTree, SearchStats, SplitConfig, SubtreeCache, member_changes
+from .mtree import NO_IDS, MTree, SearchStats, SplitConfig, SubtreeCache, member_changes
 
 
 class Change(enum.Enum):
@@ -54,7 +58,6 @@ class CellDelta:
         return len(self.entered) + len(self.left)
 
 
-NO_IDS: AbstractSet[int] = frozenset()
 NO_CHANGE = CellDelta(NO_IDS, NO_IDS)  # shared: never mutated
 
 
@@ -72,10 +75,13 @@ class Cell:
 
     # -- objects -----------------------------------------------------------
 
-    def _insert_object(self, obj_id: int, p: Point) -> None:
+    # Insertion and removal return the (certain, tested) queries of the
+    # object's crossing: those that hold its point without a test, and
+    # those whose circle must be tested against it.
+
+    def _insert_object(self, obj_id: int, p: Point) -> tuple[AbstractSet[int], Collection[int]]:
         if self.tree is not None:
-            self.tree.insert(obj_id, p)
-            return
+            return self.tree.insert(obj_id, p)
         self.objects[obj_id] = p
         if len(self.objects) >= self.cfg.alpha:
             self.cache = SubtreeCache()
@@ -88,12 +94,13 @@ class Cell:
             # and of the partial-query map
             self.objects = self.tree.positions
             self.partial_queries = self.tree.query_circles
+        return NO_IDS, self.partial_queries
 
-    def _remove_object(self, obj_id: int) -> None:
+    def _remove_object(self, obj_id: int) -> tuple[AbstractSet[int], Collection[int]]:
         if self.tree is not None:
-            self.tree.remove(obj_id)
-        else:
-            del self.objects[obj_id]
+            return self.tree.remove(obj_id)
+        del self.objects[obj_id]
+        return NO_IDS, self.partial_queries
 
     def object_ids(self) -> set[int]:
         return set(self.objects)
@@ -133,11 +140,14 @@ class Cell:
     def apply_object_update(self, obj_id: int, old: Point | None, new: Point | None) -> CellDelta:
         """Insert (old None), remove (new None), or move within the cell.
 
-        Queries fully covering the cell see membership change only on
-        entry/exit; partially covering ones are re-tested against their
-        circle.  For within-cell moves under a tree, the candidate queries
-        are narrowed to those recorded along the two root-to-leaf paths,
-        which :meth:`MTree.move` collects while it walks them.
+        An object entering or leaving the cell enters or leaves every fully
+        covering query, every query on an interior node of its tree path,
+        and each query of its leaf (without a tree, each partially covering
+        query) whose circle holds the point.  A move within the cell tests
+        the queries :meth:`MTree.move` returns (without a tree, every
+        partially covering one).  The distance tests inline the arithmetic
+        of :func:`.geometry.contains`: they run once per (object, query)
+        pair.
         """
         if old is None and new is None:
             raise InconsistentUpdateError("update with neither old nor new position")
@@ -145,14 +155,14 @@ class Cell:
             assert new is not None
             if obj_id in self.objects:
                 raise InconsistentUpdateError(f"object {obj_id} already in cell {self.id}")
-            self._insert_object(obj_id, new)
-            return self._crossing(new, entering=True)
+            certain, tested = self._insert_object(obj_id, new)
+            return self._crossing(new, True, certain, tested)
         if obj_id not in self.objects:
             raise InconsistentUpdateError(f"object {obj_id} not in cell {self.id}")
         old_pos = self.objects[obj_id]
         if new is None:
-            self._remove_object(obj_id)
-            return self._crossing(old_pos, entering=False)
+            certain, tested = self._remove_object(obj_id)
+            return self._crossing(old_pos, False, certain, tested)
         if self.tree is not None:
             candidates = self.tree.move(obj_id, new)
         else:
@@ -160,23 +170,40 @@ class Cell:
             self.objects[obj_id] = new
         if not candidates:
             return NO_CHANGE
+        circles = self.partial_queries
+        ox, oy = old_pos
+        nx, ny = new
         entered, left = set(), set()
         for q_id in candidates:
-            circle = self.partial_queries[q_id]
-            was_in = contains(circle, old_pos)
-            if was_in != contains(circle, new):
+            (cx, cy), r = circles[q_id]
+            rr = r * r
+            dx = ox - cx
+            dy = oy - cy
+            was_in = dx * dx + dy * dy <= rr
+            dx = nx - cx
+            dy = ny - cy
+            if was_in != (dx * dx + dy * dy <= rr):
                 (left if was_in else entered).add(q_id)
         return CellDelta(entered, left)
 
-    def _crossing(self, p: Point, entering: bool) -> CellDelta:
+    def _crossing(self, p: Point, entering: bool, certain: AbstractSet[int],
+                  tested: Collection[int]) -> CellDelta:
         """An object at p enters or leaves this cell: every fully covering
-        query, and each partially covering one whose circle contains p."""
-        if not self.full_queries and not self.partial_queries:
+        query and every certain one, and each tested query whose circle
+        contains p."""
+        full = self.full_queries
+        if not (full or certain or tested):
             return NO_CHANGE
-        holding = self.full_queries.copy()  # never the live set
-        for q_id, circle in self.partial_queries.items():
-            if contains(circle, p):
-                holding.add(q_id)
+        holding = full | certain  # a fresh set, never a live one
+        if tested:
+            circles = self.partial_queries
+            x, y = p
+            for q_id in tested:
+                (cx, cy), r = circles[q_id]
+                dx = x - cx
+                dy = y - cy
+                if dx * dx + dy * dy <= r * r:
+                    holding.add(q_id)
         return CellDelta(holding, NO_IDS) if entering else CellDelta(NO_IDS, holding)
 
     # -- query bookkeeping ---------------------------------------------------
@@ -274,6 +301,10 @@ class CellStore:
         self.grid = grid
         self.cfg = cfg
         self.cells: dict[CellId, Cell] = {}
+        # every object id held in one of the cells: a cell checks only its
+        # own objects, so this is what rejects an insertion of an id that
+        # another cell of the store holds
+        self.held: set[int] = set()
 
     def cell(self, cell_id: CellId) -> Cell:
         cell = self.cells.get(cell_id)
@@ -288,11 +319,26 @@ class CellStore:
         in old_cell and new_cell, and yield each touched cell's delta.
         A move across cells is a removal from the old cell followed by an
         insertion into the new one.  Deltas are yielded lazily, so the old
-        cell's delta reaches the caller even if the insertion then fails."""
+        cell's delta reaches the caller even if the insertion then fails.
+        An insertion of an id the store holds already raises
+        :class:`InconsistentUpdateError` and changes nothing; only a report
+        that adds an id to the store or drops one from it touches ``held``."""
         if old_cell is not None and old_cell == new_cell:
             yield self.cell(old_cell).apply_object_update(obj_id, old, new)
             return
         if old_cell is not None:
-            yield self.cell(old_cell).apply_object_update(obj_id, old, None)
+            delta = self.cell(old_cell).apply_object_update(obj_id, old, None)
+            if new_cell is None:
+                self.held.discard(obj_id)
+            yield delta
         if new_cell is not None:
-            yield self.cell(new_cell).apply_object_update(obj_id, None, new)
+            if old_cell is None and obj_id in self.held:
+                raise InconsistentUpdateError(f"object {obj_id} already held in another cell")
+            try:
+                delta = self.cell(new_cell).apply_object_update(obj_id, None, new)
+            except RangemonError:
+                self.held.discard(obj_id)  # after the removal above, the store holds it no more
+                raise
+            if old_cell is None:
+                self.held.add(obj_id)
+            yield delta

@@ -36,13 +36,14 @@ import queue as queue_mod
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass
+from typing import AbstractSet
 
 from .baselines import GridStore, ns_search
 from .cells import CellStore
 from .errors import OutOfDomainError, RangemonError, TransportError
 from .geometry import Circle, Coverage, Point
 from .grid import CandidateCells, CellId, GridIndex
-from .mtree import SearchStats, SplitConfig
+from .mtree import NO_IDS, SearchStats, SplitConfig
 from .transport import LoopbackTransport, SocketTransport
 from .wire import (
     Body,
@@ -66,6 +67,8 @@ ENGINE_MODES = ("drqa", "gi", "ns")
 
 # a coverage class from its wire value; any other value raises KeyError
 _COVERAGE = {cov.value: cov for cov in Coverage}
+# the wire values, read once: the entrance writes one per (query, cell)
+_DISJOINT, _PARTIAL, _FULL = Coverage.DISJOINT.value, Coverage.PARTIAL.value, Coverage.FULL.value
 
 
 class RoutingTable:
@@ -278,9 +281,9 @@ class EntranceWorker(Node):
             by_owner = {iw: [] for iw in self.iw_ids}
         else:
             for cell in gr.full:
-                by_owner.setdefault(self.owner(cell), []).append((cell, Coverage.FULL.value))
+                by_owner.setdefault(self.owner(cell), []).append((cell, _FULL))
             for cell in gr.partial:
-                by_owner.setdefault(self.owner(cell), []).append((cell, Coverage.PARTIAL.value))
+                by_owner.setdefault(self.owner(cell), []).append((cell, _PARTIAL))
         keys = sorted(by_owner)
         for iw in keys:
             self.send(iw, CellSearch(q_id, circle, tuple(sorted(by_owner[iw])), qw))
@@ -346,10 +349,11 @@ class EntranceWorker(Node):
             # membership: its owner is told nothing about it, and an owner
             # left with no other cell gets no QUERY_MOVE
             by_owner: dict[int, list[tuple[CellId, int, int]]] = {}
-            for cell in sorted((held.all_cells() | gr.all_cells()) - (held.full & gr.full)):
-                old_cov = held.coverage_of(cell)
-                new_cov = gr.coverage_of(cell)
-                by_owner.setdefault(self.owner(cell), []).append((cell, old_cov.value, new_cov.value))
+            held_full, held_partial, gr_full, gr_partial = held.full, held.partial, gr.full, gr.partial
+            for cell in sorted((held.all_cells() | gr.all_cells()) - (held_full & gr_full)):
+                old_val = _FULL if cell in held_full else _PARTIAL if cell in held_partial else _DISJOINT
+                new_val = _FULL if cell in gr_full else _PARTIAL if cell in gr_partial else _DISJOINT
+                by_owner.setdefault(self.owner(cell), []).append((cell, old_val, new_val))
             for iw in sorted(by_owner):
                 self.send(iw, QueryMove(q_id, circle, tuple(by_owner[iw]), qw))
         self._touched = {}
@@ -429,24 +433,34 @@ class IndexWorker(Node, CellStore):
         counted in the barrier."""
         self.objects_processed += len(parts)
         if self.mode == "drqa":
+            outbox = self._outbox
+            route_of = self.route_of
             for part in parts:
-                entered: set[int] = set()
-                left: set[int] = set()
+                # the cells' delta sets are fresh or the shared empty ones,
+                # so a lone delta is taken as it is; only a move across
+                # cells unions two
+                entered: AbstractSet[int] = NO_IDS
+                left: AbstractSet[int] = NO_IDS
                 try:
                     for delta in self.move_object(*part):
-                        entered |= delta.entered
-                        left |= delta.left
+                        entered = entered | delta.entered if entered else delta.entered
+                        left = left | delta.left if left else delta.left
                 except RangemonError:
                     # if its insertion raised, the removal's LEAVEs still go out
                     self.errors += 1
                 if entered or left:
                     # a query the object left in the old cell and entered
-                    # in the new one keeps it in its result: it gets nothing
+                    # in the new one keeps it in its result: it gets nothing.
+                    # The outbox lookup is _buffered's, inlined: it runs
+                    # once per (object, query) pair
                     obj_id = part[0]
-                    for q_id in entered - left:
-                        self._buffered(q_id)[0].append(obj_id)
-                    for q_id in left - entered:
-                        self._buffered(q_id)[1].append(obj_id)
+                    for side, q_ids in ((0, entered - left), (1, left - entered)):
+                        for q_id in q_ids:
+                            box = outbox[route_of[q_id]]
+                            entry = box.get(q_id)
+                            if entry is None:
+                                entry = box[q_id] = ([], [])
+                            entry[side].append(obj_id)
         elif self.mode == "gi":
             store = self.store
             for obj_id, old, _, new, new_cell in parts:
@@ -604,7 +618,7 @@ class QueryCounts:
         for obj_id in remove:
             n = counts.get(obj_id, 0)
             if n == 1:
-                del counts[obj_id]
+                counts.pop(obj_id)  # not del: Counter.__delitem__ is a Python call
             elif n == 0:
                 self.stray_leaves += 1
             else:

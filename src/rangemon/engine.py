@@ -22,7 +22,7 @@ class QueryState:
     """A result partitioned by contributing cell.  Nothing in the package
     calls it: it stays only because the benchmark's tracer hooks
     :meth:`set_cell` and :meth:`apply` by name, and goes with the
-    benchmark change that re-points those layers (ROADMAP item 5)."""
+    benchmark change that re-points those layers (ROADMAP item 1)."""
 
     q_id: int
     by_cell: dict[CellId, set[int]] = field(default_factory=dict)

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import OutOfDomainError
-from .geometry import Circle, Coverage, Point, Rect, UNIT_SQUARE, slot
+from .geometry import Circle, Point, Rect, UNIT_SQUARE, slot
 
 
 def _axis_terms(c: float, lo: float, hi: float) -> tuple[float, float]:
@@ -36,13 +36,6 @@ class CandidateCells:
 
     def all_cells(self) -> set[CellId]:
         return self.full | self.partial
-
-    def coverage_of(self, cell: CellId) -> Coverage:
-        if cell in self.full:
-            return Coverage.FULL
-        if cell in self.partial:
-            return Coverage.PARTIAL
-        return Coverage.DISJOINT
 
 
 class GridIndex:

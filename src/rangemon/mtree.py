@@ -10,8 +10,13 @@ intersected leaf, so both searches and per-object membership updates only
 ever touch the region a circle actually overlaps.
 
 The tree owns the position map of its objects (a cell's registry, once
-the cell has a tree).  A move walks the old and the new root-to-leaf path
-once each and returns the queries recorded on them.
+the cell has a tree).  Every object mutation walks each root-to-leaf path
+it touches once and returns the queries recorded on it, read before a
+split or a merge changes the path.  A query on an interior node covers
+that node and holds the point without a test, so an insertion or a
+removal returns those as one union beside the leaf's queries, the only
+ones its cell tests; a move returns the queries on the nodes its two
+paths do not share.
 
 One walk (:meth:`MTree._walk`) serves every query-side operation.  It
 moves a query from an old to a new side, each a circle or a bool settled
@@ -42,6 +47,9 @@ from .geometry import Circle, Coverage, Point, Rect, classify, slot
 # Co-located objects can exceed alpha in a single leaf; without a depth cap
 # they would split forever.  At the cap a leaf is allowed to grow past alpha.
 MAX_DEPTH = 12
+
+NO_IDS: AbstractSet[int] = frozenset()
+_NO_QUERIES = (NO_IDS, NO_IDS)  # shared: never mutated
 
 # how a node relates to one side of MTree._walk
 _GEO, _NONE, _CUT, _FULL, _ALL = "geo", "none", "cut", "full", "all"
@@ -199,33 +207,63 @@ class MTree:
 
     # -- object mutations --------------------------------------------------
 
-    def insert(self, obj_id: int, p: Point) -> None:
+    def insert(self, obj_id: int, p: Point) -> tuple[AbstractSet[int], AbstractSet[int]]:
+        """Add an object; returns its path's :meth:`_path_queries`."""
         if obj_id in self.positions:
             raise DuplicateObjectError(f"object {obj_id} already present")
         self._check_domain(p)
-        self._insert_along(obj_id, p, self._path_to_leaf(p))
+        path = self._path_to_leaf(p)
+        # read before a split pushes the leaf's cut queries down
+        found = self._path_queries(path) if self.query_circles else _NO_QUERIES
+        self._insert_along(obj_id, p, path)
+        return found
 
-    def remove(self, obj_id: int) -> None:
+    def remove(self, obj_id: int) -> tuple[AbstractSet[int], AbstractSet[int]]:
+        """Drop an object; returns its path's :meth:`_path_queries`."""
         if obj_id not in self.positions:
             raise ObjectNotFoundError(f"object {obj_id} not present")
-        self._remove_along(obj_id, self._path_to_leaf(self.positions[obj_id]))
+        path = self._path_to_leaf(self.positions[obj_id])
+        # read before a merge lifts the leaf's queries
+        found = self._path_queries(path) if self.query_circles else _NO_QUERIES
+        self._remove_along(obj_id, path)
+        return found
 
-    def move(self, obj_id: int, p_new: Point) -> set[int]:
-        """Relocate an object; returns the queries recorded along its old
-        and new root-to-leaf paths, the only ones whose membership can
-        change.  Each path is walked once, before anything changes.  A move
-        within its current leaf touches no structure and no versions (the
-        per-node object sets are unchanged); otherwise it is a removal along
-        the old path followed by an insertion along the new one."""
+    def _path_queries(self, path: list[MTreeNode]) -> tuple[AbstractSet[int], AbstractSet[int]]:
+        """The (certain, tested) queries of a root-to-leaf path: the
+        interior nodes' queries as one union (each covers its node, so it
+        holds every point below it) and the leaf's own set, to be read
+        before the tree changes again.  Its callers skip it for a tree
+        without queries and take one shared empty pair, so a build pays
+        neither a union nor this call."""
+        if len(path) == 1:
+            return NO_IDS, path[0].queries
+        return set().union(*[n.queries for n in path[:-1]]), path[-1].queries
+
+    def move(self, obj_id: int, p_new: Point) -> AbstractSet[int]:
+        """Relocate an object; returns the queries whose membership can
+        change: those on the nodes of its old and new root-to-leaf paths
+        that the paths do not share (a query on a shared node covers both
+        points), or within one leaf that leaf's own set.  Each path is
+        walked once, before anything changes.  A move within its current
+        leaf touches no structure and no versions (the per-node object sets
+        are unchanged); otherwise it is a removal along the old path
+        followed by an insertion along the new one."""
         if obj_id not in self.positions:
             raise ObjectNotFoundError(f"object {obj_id} not present")
         old_path = self._path_to_leaf(self.positions[obj_id])
         self._check_domain(p_new)
         new_path = self._path_to_leaf(p_new)
-        candidates = set().union(*[n.queries for n in old_path + new_path])
         if new_path[-1] is old_path[-1]:
             self.positions[obj_id] = p_new
-            return candidates
+            return new_path[-1].queries
+        candidates: AbstractSet[int] = NO_IDS
+        if self.query_circles:
+            # the leaves differ, so the paths part below the root and
+            # before either ends
+            i = 1
+            while old_path[i] is new_path[i]:
+                i += 1
+            candidates = set().union(*[n.queries for n in old_path[i:]], *[n.queries for n in new_path[i:]])
         merged = self._remove_along(obj_id, old_path)
         if merged in new_path:
             # the merge made a node of the new path a leaf: it ends there
@@ -285,13 +323,16 @@ class MTree:
         """Let ancestors on ``path`` absorb all-leaf child groups that fell
         below alpha/m; returns the highest node that absorbed one, if any."""
         merged = None
+        m, alpha = self.cfg.m, self.cfg.alpha
         for i in range(len(path) - 2, -1, -1):
             parent = path[i]
-            if any(not c.is_leaf() for c in parent.children):
-                break
-            total = sum(len(c.objects) for c in parent.children)
-            if not self.cfg.should_merge(total):
-                break
+            total = 0
+            for child in parent.children:
+                total += len(child.objects)
+                # a group with an interior child stays, and so does one of
+                # alpha/m objects or more (SplitConfig.should_merge)
+                if child.children or total * m >= alpha:
+                    return merged
             for child in parent.children:
                 parent.objects |= child.objects
                 parent.queries |= child.queries

@@ -106,6 +106,87 @@ def test_inconsistent_updates_with_tree():
     check_tree_invariants(cell.tree)
 
 
+# Two queries around the corner of the cell's south-west quarter: SMALL
+# cuts the quarter, QUARTER covers it.  SW_POINTS build a tree (alpha 5,
+# m 4) whose south-west quarter holds four objects; SW_LAST is its fifth,
+# which splits the quarter into four leaves, each cut by SMALL.
+SMALL = Circle(Point(0.5025, 0.5025), 0.002)
+QUARTER = Circle(Point(0.5025, 0.5025), 0.004)
+SW_POINTS = [Point(0.507, 0.502), Point(0.502, 0.507), Point(0.507, 0.507), Point(0.5025, 0.5025),
+             Point(0.5024, 0.5026), Point(0.5026, 0.5024), Point(0.5025, 0.5026)]
+SW_LAST = Point(0.5024, 0.5024)
+
+
+def south_west_cell(circles):
+    cell = make_cell(alpha=5, m=4)
+    for q, c in circles.items():
+        cell.register(q, Coverage.PARTIAL, c)
+    for i, p in enumerate(SW_POINTS):
+        cell.apply_object_update(i, None, p)
+    return cell
+
+
+def spy(tree, name):
+    """Record every return value of one of the tree's methods."""
+    returned = []
+    method = getattr(tree, name)
+
+    def recorded(*args):
+        out = method(*args)
+        returned.append(out)
+        return out
+
+    setattr(tree, name, recorded)
+    return returned
+
+
+def test_insertion_that_splits_its_leaf_reports_the_query_pushed_down():
+    # the leaf's queries are read before the split moves SMALL off the leaf
+    cell = south_west_cell({1: SMALL})
+    sw = cell.tree.root.children[0]
+    assert sw.is_leaf() and sw.queries == {1}
+    assert cell.apply_object_update(7, None, SW_LAST) == CellDelta({1}, set())
+    assert not sw.is_leaf() and 1 not in sw.queries
+    check_tree_invariants(cell.tree)
+
+
+def test_crossing_joins_the_interior_path_queries_without_a_test():
+    # QUARTER sits on the quarter, an interior node at depth 1 of a depth-2
+    # tree: it holds every point below it, so it is certain, not tested
+    cell = south_west_cell({1: SMALL, 2: QUARTER})
+    cell.apply_object_update(7, None, SW_LAST)
+    assert cell.tree.root.children[0].queries == {2}
+    inserted = spy(cell.tree, "insert")
+    assert cell.apply_object_update(8, None, Point(0.501, 0.501)) == CellDelta({2}, set())
+    (certain, tested), = inserted
+    assert certain == {2} and set(tested) == {1}
+
+
+def test_move_between_leaves_under_a_covered_node_skips_its_query():
+    cell = south_west_cell({1: SMALL, 2: QUARTER})
+    cell.apply_object_update(7, None, SW_LAST)
+    moved = spy(cell.tree, "move")
+    delta = cell.apply_object_update(7, SW_LAST, Point(0.504, 0.504))
+    assert moved == [{1}]  # QUARTER covers both leaves' parent: not a candidate
+    assert delta == CellDelta(set(), {1})
+
+
+def test_removals_that_merge_report_the_brute_force_leaves():
+    circles = {1: SMALL, 2: QUARTER}
+    cell = south_west_cell(circles)
+    positions = dict(enumerate(SW_POINTS))
+    positions[7] = SW_LAST
+    cell.apply_object_update(7, None, SW_LAST)
+    sizes = [len(cell.tree.nodes())]
+    for obj in (3, 4, 5, 6, 7, 0, 1, 2):
+        p = positions.pop(obj)
+        delta = cell.apply_object_update(obj, p, None)
+        assert delta == CellDelta(set(), {q for q, c in circles.items() if contains(c, p)})
+        check_tree_invariants(cell.tree)
+        sizes.append(len(cell.tree.nodes()))
+    assert sizes[0] == 9 and sizes[-1] == 1  # the quarter merged, then the root
+
+
 def test_within_move_deltas_match_oracle_with_tree():
     rng = random.Random(3)
     cell = make_cell(alpha=6, m=6)

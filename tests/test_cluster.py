@@ -790,7 +790,9 @@ def test_ns_index_workers_reject_inconsistent_parts():
     # a frame the entrance would never send: a removal of an unknown id,
     # an insertion of a live id into another cell, and a move of an
     # unknown id; each part is counted and skipped, and object 1 stays put
-    for mode in ("gi", "ns"):
+    # in every engine (under drqa each cell checks only its own objects,
+    # so the index worker's own set of held ids rejects the insertion)
+    for mode in ("gi", "ns", "drqa"):
         cluster = make_cluster(engine=mode, index_workers=1, query_workers=1)
         here = Point(0.15, 0.15)
         cluster.run_tick([ObjectUpdate(1, None, here)])
@@ -801,9 +803,11 @@ def test_ns_index_workers_reject_inconsistent_parts():
                  (3, a, grid.locate(a), c, grid.locate(c)))
         iw = cluster.index_workers[0]
         iw.handle(Message(ENTRANCE, iw.id, 0, ObjectBatch(parts)))
-        report = cluster.run_tick([QueryRegister(1, Circle(here, 0.05), 0, 100)])
-        assert (report.errors, report.queries_ready) == (3, 1), mode
+        report = cluster.run_tick([QueryRegister(1, Circle(here, 0.05), 0, 100),
+                                    QueryRegister(2, Circle(b, 0.05), 0, 100)])
+        assert (report.errors, report.queries_ready) == (3, 2), mode
         assert cluster.query_result(1) == {1}, mode
+        assert cluster.query_result(2) == set(), mode
 
 
 def test_reregistration_replaces_the_old_circle():

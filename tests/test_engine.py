@@ -5,6 +5,7 @@ import pytest
 
 from rangemon.baselines import ns_search
 from rangemon.engine import Engine
+from rangemon.errors import InconsistentUpdateError, OutOfDomainError
 from rangemon.geometry import Circle, Point
 from rangemon.grid import GridIndex
 from rangemon.mtree import SplitConfig
@@ -105,6 +106,31 @@ def test_move_errors_do_not_abort_batch():
     ])
     assert len(errors) == 1 and errors[0][0] == 1
     assert engine.cell(engine.grid.locate(p)).objects[2] == p
+
+
+def test_insertion_of_an_id_held_in_another_cell_is_rejected():
+    # each cell checks only its own objects; the store's held ids reject
+    # the second insertion, which changes nothing
+    engine = make_engine()
+    a, b, c = Point(0.15, 0.15), Point(0.55, 0.55), Point(0.86, 0.86)
+    engine.on_objects_moved([(1, None, a)])
+    errors = engine.on_objects_moved([(1, None, b)])
+    assert len(errors) == 1 and isinstance(errors[0][1], InconsistentUpdateError)
+    assert engine.submit_query(1, Circle(b, 0.05)) == set()
+    # a move across cells keeps the id held; a removal frees it
+    assert engine.on_objects_moved([(1, a, c)]) == []
+    assert len(engine.on_objects_moved([(1, None, b)])) == 1
+    assert engine.on_objects_moved([(1, c, None), (1, None, b)]) == []
+    assert engine.submit_query(2, Circle(b, 0.05)) == {1}
+    # a move whose insertion fails after its removal leaves the id free:
+    # the point lies outside the tree cell it is said to enter
+    tree_cell = engine.grid.locate(c)
+    for i in range(10, 18):
+        engine.on_objects_moved([(i, None, Point(0.861 + 0.001 * (i - 10), 0.861))])
+    assert engine.cell(tree_cell).tree is not None
+    with pytest.raises(OutOfDomainError):
+        list(engine.move_object(1, b, engine.grid.locate(b), a, tree_cell))
+    assert engine.on_objects_moved([(1, None, a)]) == []
 
 
 def test_expiry_removes_all_registrations():

@@ -9,7 +9,7 @@ from rangemon.errors import (
     ObjectNotFoundError,
     OutOfDomainError,
 )
-from rangemon.geometry import Circle, Coverage, Point, Rect, UNIT_SQUARE, classify
+from rangemon.geometry import Circle, Coverage, Point, Rect, UNIT_SQUARE, classify, contains
 from rangemon.mtree import MAX_DEPTH, MTree, SearchStats, SplitConfig, SubtreeCache
 
 from conftest import brute_filter, check_tree_invariants
@@ -88,6 +88,21 @@ def test_no_merge_when_group_still_big_enough():
     assert not t.root.is_leaf()
     t.remove(0)  # 8 left, 8*3 >= 9: no merge
     assert not t.root.is_leaf()
+    check_tree_invariants(t)
+
+
+def test_merge_boundary_is_alpha_over_m():
+    # alpha 8, m 4: a group of 2 (2 * 4 == alpha) stays split, one of 1 merges
+    t = make_tree(alpha=8, m=4)
+    for i in range(8):
+        t.insert(i, Point(0.1 + 0.5 * (i % 2) + 0.01 * i, 0.1 + 0.5 * (i // 2 % 2)))
+    assert not t.root.is_leaf()
+    for i in range(6):
+        t.remove(i)
+    assert not t.root.is_leaf()
+    check_tree_invariants(t)
+    t.remove(6)
+    assert t.root.is_leaf() and t.root.objects == {7}
     check_tree_invariants(t)
 
 
@@ -327,6 +342,17 @@ def reference_move(t, obj_id, p):
         t.insert(obj_id, p)
 
 
+def changeable_queries(t, a, b):
+    """The queries a move from a to b must test: those on the nodes of the
+    two root-to-leaf paths that the paths do not share (a query on a
+    shared node covers both points), or the common leaf's."""
+    pa, pb = t._path_to_leaf(a), t._path_to_leaf(b)
+    if pa[-1] is pb[-1]:
+        return set(pa[-1].queries)
+    shared = {n.id for n in pa} & {n.id for n in pb}
+    return {q for n in pa + pb if n.id not in shared for q in n.queries}
+
+
 def assert_same_tree(a, b):
     assert a.positions == b.positions
     stack = [(a.root, b.root)]
@@ -342,7 +368,9 @@ def assert_same_tree(a, b):
 def test_move_matches_remove_then_insert(seed, m):
     """`move` walks each endpoint once and cuts the new path where a merge
     made it end early; node ids, versions, splits and merges must come out
-    exactly as a removal followed by an insertion would leave them."""
+    exactly as a removal followed by an insertion would leave them.  It
+    returns the queries on the nodes its two paths do not share, a
+    superset of the queries whose membership changes."""
     rng = random.Random(seed)
     cfg = SplitConfig(alpha=rng.choice([4, 5, 8]), m=m)
     moved, reference = MTree(UNIT_SQUARE, cfg), MTree(UNIT_SQUARE, cfg)
@@ -369,7 +397,9 @@ def test_move_matches_remove_then_insert(seed, m):
             old = moved.positions[obj]
             p = Point(min(max(old.x + rng.uniform(-0.05, 0.05), 0.0), 1.0),
                       min(max(old.y + rng.uniform(-0.05, 0.05), 0.0), 1.0))
-            expected = reference.queries_on_path(old) | reference.queries_on_path(p)
+            expected = changeable_queries(reference, old, p)
+            changed = {q for q, c in reference.query_circles.items() if contains(c, old) != contains(c, p)}
+            assert changed <= expected
             assert moved.move(obj, p) == expected
             reference_move(reference, obj, p)
         assert_same_tree(moved, reference)
