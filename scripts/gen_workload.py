@@ -1,40 +1,35 @@
 #!/usr/bin/env python3
-"""Materialize a synthetic workload as JSONL (file or stdout, pipeable)."""
+"""Materialize a synthetic workload as JSONL (file or stdout, pipeable).
+
+The workload is set by ``key=value`` arguments named as in an experiment
+file (the ``workload.*`` keys, ``rng.seed`` and ``grid.n``); a key left
+out keeps its ``WorkloadSpec`` default:
+
+    python3 scripts/gen_workload.py workload.distribution=GD \\
+        workload.gauss_sigma=0.1,0.1 rng.seed=3 --out gd.jsonl
+"""
 
 import argparse
 import sys
 
-from rangemon.workload import DISTRIBUTIONS, WorkloadSpec, iter_event_records, write_events
+from rangemon.bench import WORKLOAD_KEYS
+from rangemon.config import Config
+from rangemon.workload import WorkloadSpec, iter_event_records, write_events
 
 
-def main() -> int:
-    d = WorkloadSpec()
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--distribution", choices=DISTRIBUTIONS, default=d.distribution)
-    parser.add_argument("--objects", type=int, default=d.n_objects)
-    parser.add_argument("--queries", type=int, default=d.n_queries)
-    parser.add_argument("--radius", type=float, default=d.radius)
-    parser.add_argument("--object-speed", type=float, default=d.object_speed)
-    parser.add_argument("--query-speed", type=float, default=d.query_speed)
-    parser.add_argument("--ticks", type=int, default=d.ticks)
-    parser.add_argument("--zipf-s", type=float, default=d.zipf_s)
-    parser.add_argument("--grid-n", type=int, default=d.grid_n)
-    parser.add_argument("--seed", type=int, default=d.seed)
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("settings", nargs="*", metavar="KEY=VALUE", help=f"one of {', '.join(WORKLOAD_KEYS)}")
     parser.add_argument("--out", default="-", help="output path, '-' for stdout")
-    args = parser.parse_args()
-
-    spec = WorkloadSpec(
-        distribution=args.distribution,
-        n_objects=args.objects,
-        n_queries=args.queries,
-        radius=args.radius,
-        object_speed=args.object_speed,
-        query_speed=args.query_speed,
-        ticks=args.ticks,
-        zipf_s=args.zipf_s,
-        grid_n=args.grid_n,
-        seed=args.seed,
-    )
+    args = parser.parse_args(argv)
+    values = dict(s.partition("=")[::2] for s in args.settings)
+    unknown = sorted(values.keys() - WORKLOAD_KEYS.keys())
+    if unknown:
+        parser.error(f"unknown keys: {', '.join(unknown)}")
+    try:
+        spec = Config(values).applied(WorkloadSpec(), WORKLOAD_KEYS)
+    except ValueError as exc:
+        parser.error(str(exc))
     if args.out == "-":
         count = write_events(sys.stdout, iter_event_records(spec))
     else:

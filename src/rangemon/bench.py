@@ -3,10 +3,11 @@ emits one CSV row per sweep point per repetition.
 
 A run has four timed phases: build (initial object inserts), maintenance
 (movement ticks with no queries registered), initial query (all
-registrations), and incremental (movement ticks with queries live).  The
-correctness columns (objects_examined, messages_sent, result_hash) are
-deterministic for a fixed seed on the loopback transport; the timing
-columns are machine-relative.
+registrations), and incremental (movement ticks with queries live).  A
+phase's time covers only its ``Cluster.run_tick`` calls, not the building
+of their events.  The correctness columns (objects_examined,
+messages_sent, result_hash) are deterministic for a fixed seed on the
+loopback transport; the timing columns are machine-relative.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import csv
 import hashlib
 import time
 from collections import deque
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -148,58 +150,55 @@ class RunMetrics:
     n_queries: int | None = None
 
 
-def run_single(workload_spec: WorkloadSpec, cluster_spec: ClusterSpec) -> RunMetrics:
-    """One full pass: build, maintenance ticks, register queries, movement
-    ticks with live queries."""
+def _run(ticks: Iterable[tuple[str, list]], cluster_spec: ClusterSpec) -> RunMetrics:
+    """Run each ``(phase, events)`` tick on a fresh cluster.  Only the
+    ``run_tick`` call is timed, into the phase's field; the events are
+    built outside the timer."""
     metrics = RunMetrics()
-    wl = Workload(workload_spec)
     cluster = Cluster(cluster_spec)
     try:
-        inserts = [ObjectUpdate(o, None, p) for o, p in sorted(wl.objects.items())]
-        t0 = time.monotonic()
-        metrics.messages_sent += cluster.run_tick(inserts).messages
-        metrics.build_time = time.monotonic() - t0
-
-        t0 = time.monotonic()
-        for _ in range(workload_spec.ticks):
-            report = cluster.run_tick([ObjectUpdate(o, old, new) for o, old, new in wl.step_objects()])
-            metrics.messages_sent += report.messages
-        metrics.maintenance_time = time.monotonic() - t0
-
-        registrations = [QueryRegister(q, c, t0_, t1) for q, c, t0_, t1 in wl.queries]
-        t0 = time.monotonic()
-        report = cluster.run_tick(registrations)
-        metrics.query_time_initial = time.monotonic() - t0
-        metrics.messages_sent += report.messages
-        metrics.objects_examined += report.objects_examined
-
-        t0 = time.monotonic()
-        for _ in range(workload_spec.ticks):
-            events: list = [ObjectUpdate(o, old, new) for o, old, new in wl.step_objects()]
-            events.extend(QueryMove(q, c) for q, c in wl.step_queries())
+        for phase, events in ticks:
+            t0 = time.monotonic()
             report = cluster.run_tick(events)
+            setattr(metrics, phase, getattr(metrics, phase) + time.monotonic() - t0)
             metrics.messages_sent += report.messages
             metrics.objects_examined += report.objects_examined
-        metrics.query_time_incremental = time.monotonic() - t0
         metrics.result_hash = result_hash(cluster.results())
     finally:
         cluster.close()
     return metrics
 
 
+def run_single(workload_spec: WorkloadSpec, cluster_spec: ClusterSpec) -> RunMetrics:
+    """One full pass: build, maintenance ticks, register queries, movement
+    ticks with live queries."""
+    wl = Workload(workload_spec)
+
+    def ticks():
+        yield "build_time", [ObjectUpdate(o, None, p) for o, p in sorted(wl.objects.items())]
+        for _ in range(workload_spec.ticks):
+            yield "maintenance_time", [ObjectUpdate(o, old, new) for o, old, new in wl.step_objects()]
+        yield "query_time_initial", [QueryRegister(q, c, t0, t1) for q, c, t0, t1 in wl.queries]
+        for _ in range(workload_spec.ticks):
+            events: list = [ObjectUpdate(o, old, new) for o, old, new in wl.step_objects()]
+            events.extend(QueryMove(q, c) for q, c in wl.step_queries())
+            yield "query_time_incremental", events
+
+    return _run(ticks(), cluster_spec)
+
+
 def run_replay(path: str, cluster_spec: ClusterSpec) -> RunMetrics:
-    """Replay a JSONL workload file; all ticks count as incremental time."""
-    metrics = RunMetrics()
+    """Replay a JSONL workload file: tick 0 counts as build time, every
+    later tick as incremental time."""
     by_tick: dict[int, list] = {}
-    positions: dict[int, Point] = {}
-    query_radius: dict[int, float] = {}
-    query_end: dict[int, int] = {}
-    registered = 0
     with open(path) as fp:
         for rec in read_events(fp):
             by_tick.setdefault(rec["tick"], []).append(rec)
-    cluster = Cluster(cluster_spec)
-    try:
+    positions: dict[int, Point] = {}
+    query_radius: dict[int, float] = {}
+    query_end: dict[int, int] = {}
+
+    def ticks():
         for tick in sorted(by_tick):
             events = []
             for q_id in sorted(q for q, end in query_end.items() if end <= tick):
@@ -214,7 +213,6 @@ def run_replay(path: str, cluster_spec: ClusterSpec) -> RunMetrics:
                 elif rec["kind"] == "query":
                     query_radius[rec["id"]] = rec["r"]
                     query_end[rec["id"]] = rec["t_end"]
-                    registered += 1
                     events.append(QueryRegister(
                         rec["id"], Circle(Point(rec["x"], rec["y"]), rec["r"]),
                         rec["tick"], rec["t_end"],
@@ -224,19 +222,11 @@ def run_replay(path: str, cluster_spec: ClusterSpec) -> RunMetrics:
                     events.append(QueryMove(rec["id"], circle))
                 else:
                     raise ValueError(f"unknown event kind {rec['kind']!r}")
-            t0 = time.monotonic()
-            report = cluster.run_tick(events)
-            if tick == 0:
-                metrics.build_time += time.monotonic() - t0
-            else:
-                metrics.query_time_incremental += time.monotonic() - t0
-            metrics.messages_sent += report.messages
-            metrics.objects_examined += report.objects_examined
-        metrics.result_hash = result_hash(cluster.results())
-        metrics.n_objects = len(positions)
-        metrics.n_queries = registered
-    finally:
-        cluster.close()
+            yield "build_time" if tick == 0 else "query_time_incremental", events
+
+    metrics = _run(ticks(), cluster_spec)
+    metrics.n_objects = len(positions)
+    metrics.n_queries = sum(rec["kind"] == "query" for recs in by_tick.values() for rec in recs)
     return metrics
 
 

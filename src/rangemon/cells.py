@@ -322,7 +322,10 @@ class CellStore:
         cell's delta reaches the caller even if the insertion then fails.
         An insertion of an id the store holds already raises
         :class:`InconsistentUpdateError` and changes nothing; only a report
-        that adds an id to the store or drops one from it touches ``held``."""
+        that adds an id to the store or drops one from it touches ``held``.
+        A report with neither cell raises it too."""
+        if old_cell is None and new_cell is None:
+            raise InconsistentUpdateError(f"object {obj_id}: a report with neither point")
         if old_cell is not None and old_cell == new_cell:
             yield self.cell(old_cell).apply_object_update(obj_id, old, new)
             return

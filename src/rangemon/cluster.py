@@ -464,6 +464,9 @@ class IndexWorker(Node, CellStore):
         elif self.mode == "gi":
             store = self.store
             for obj_id, old, _, new, new_cell in parts:
+                if old is None and new is None:
+                    self.errors += 1  # a part with neither point
+                    continue
                 try:
                     if new is None:
                         store.remove(obj_id)
@@ -476,9 +479,10 @@ class IndexWorker(Node, CellStore):
         else:
             owned = self.owned
             for obj_id, old, _, new, _ in parts:
-                if (old is None) == (obj_id in owned):
-                    # an insertion of a held id, or a move or removal of
-                    # one not held, as GridStore rejects under gi
+                if (old is None) == (obj_id in owned) or old is None and new is None:
+                    # an insertion of a held id, a move or removal of one
+                    # not held, or a part with neither point, as the gi
+                    # branch rejects
                     self.errors += 1
                 elif new is None:
                     del owned[obj_id]

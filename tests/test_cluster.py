@@ -788,10 +788,11 @@ def test_failing_insert_still_sends_the_removal():
 
 def test_ns_index_workers_reject_inconsistent_parts():
     # a frame the entrance would never send: a removal of an unknown id,
-    # an insertion of a live id into another cell, and a move of an
-    # unknown id; each part is counted and skipped, and object 1 stays put
-    # in every engine (under drqa each cell checks only its own objects,
-    # so the index worker's own set of held ids rejects the insertion)
+    # an insertion of a live id into another cell, a move of an unknown
+    # id, and a part with neither point for a live and an unknown id; each
+    # part is counted and skipped, and object 1 stays put in every engine
+    # (under drqa each cell checks only its own objects, so the index
+    # worker's own set of held ids rejects the insertion)
     for mode in ("gi", "ns", "drqa"):
         cluster = make_cluster(engine=mode, index_workers=1, query_workers=1)
         here = Point(0.15, 0.15)
@@ -800,12 +801,14 @@ def test_ns_index_workers_reject_inconsistent_parts():
         a, b, c = Point(0.35, 0.35), Point(0.55, 0.55), Point(0.75, 0.75)
         parts = ((2, a, grid.locate(a), None, None),
                  (1, None, None, b, grid.locate(b)),
-                 (3, a, grid.locate(a), c, grid.locate(c)))
+                 (3, a, grid.locate(a), c, grid.locate(c)),
+                 (1, None, None, None, None),
+                 (2, None, None, None, None))
         iw = cluster.index_workers[0]
         iw.handle(Message(ENTRANCE, iw.id, 0, ObjectBatch(parts)))
         report = cluster.run_tick([QueryRegister(1, Circle(here, 0.05), 0, 100),
                                     QueryRegister(2, Circle(b, 0.05), 0, 100)])
-        assert (report.errors, report.queries_ready) == (3, 2), mode
+        assert (report.errors, report.queries_ready) == (5, 2), mode
         assert cluster.query_result(1) == {1}, mode
         assert cluster.query_result(2) == set(), mode
 

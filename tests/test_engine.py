@@ -108,6 +108,18 @@ def test_move_errors_do_not_abort_batch():
     assert engine.cell(engine.grid.locate(p)).objects[2] == p
 
 
+def test_report_with_neither_point_is_rejected():
+    # a report that names no cell is an error, for a held id and an
+    # unknown one alike, and the held object stays where it is
+    engine = make_engine()
+    a = Point(0.15, 0.15)
+    engine.on_objects_moved([(1, None, a)])
+    errors = engine.on_objects_moved([(1, None, None), (2, None, None)])
+    assert [(obj_id, type(exc)) for obj_id, exc in errors] == [
+        (1, InconsistentUpdateError), (2, InconsistentUpdateError)]
+    assert engine.submit_query(1, Circle(a, 0.05)) == {1}
+
+
 def test_insertion_of_an_id_held_in_another_cell_is_rejected():
     # each cell checks only its own objects; the store's held ids reject
     # the second insertion, which changes nothing
