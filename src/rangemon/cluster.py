@@ -336,6 +336,7 @@ class EntranceWorker(Node):
             if self.mode == "drqa":
                 for iw in sorted({self.owner(c) for c in held.all_cells()}):
                     self.send(iw, QueryExpire(q_id))
+        assignment = self.assignment
         touched = self._touched
         if self.mode != "drqa" and had_updates:
             touched = dict.fromkeys(self.registry)  # reports may change any result
@@ -347,15 +348,21 @@ class EntranceWorker(Node):
             # one QUERY_MOVE per owner, from the held cells to the final
             # ones; a cell fully covered by both circles keeps its
             # membership: its owner is told nothing about it, and an owner
-            # left with no other cell gets no QUERY_MOVE
+            # left with no other cell gets no QUERY_MOVE.  Each of the
+            # seven other (old, new) class pairs is one set operation over
+            # the interned cells; each owner's list is sorted by cell
             by_owner: dict[int, list[tuple[CellId, int, int]]] = {}
-            held_full, held_partial, gr_full, gr_partial = held.full, held.partial, gr.full, gr.partial
-            for cell in sorted((held.all_cells() | gr.all_cells()) - (held_full & gr_full)):
-                old_val = _FULL if cell in held_full else _PARTIAL if cell in held_partial else _DISJOINT
-                new_val = _FULL if cell in gr_full else _PARTIAL if cell in gr_partial else _DISJOINT
-                by_owner.setdefault(self.owner(cell), []).append((cell, old_val, new_val))
+            hf, hp, gf, gp = held.full, held.partial, gr.full, gr.partial
+            for cells, old_val, new_val in (
+                (hf.difference(gf, gp), _FULL, _DISJOINT), (hf & gp, _FULL, _PARTIAL),
+                (hp.difference(gf, gp), _PARTIAL, _DISJOINT), (hp & gp, _PARTIAL, _PARTIAL),
+                (hp & gf, _PARTIAL, _FULL), (gf.difference(hf, hp), _DISJOINT, _FULL),
+                (gp.difference(hf, hp), _DISJOINT, _PARTIAL),
+            ):
+                for cell in cells:
+                    by_owner.setdefault(assignment[cell], []).append((cell, old_val, new_val))
             for iw in sorted(by_owner):
-                self.send(iw, QueryMove(q_id, circle, tuple(by_owner[iw]), qw))
+                self.send(iw, QueryMove(q_id, circle, tuple(sorted(by_owner[iw])), qw))
         self._touched = {}
         self._expiries = []
         self._expired = set()
@@ -513,19 +520,19 @@ class IndexWorker(Node, CellStore):
 
     def _on_query_move(self, body: QueryMove) -> None:
         q_id = body.q_id
+        circle = body.circle
+        stats = self.stats
+        cells = self.cells
         self.route_of[q_id] = body.query_worker
         owned = self.cells_of.setdefault(q_id, set())
         # cells hold disjoint objects, so the per-cell changes never cancel
+        # and every cell adds into one pair of sets
         entered: set[int] = set()
         left: set[int] = set()
         for cell_id, old_val, new_val in body.transitions:
-            new_cov = _COVERAGE[new_val]
-            add, remove = self.cell(cell_id).move_query(
-                q_id, _COVERAGE[old_val], new_cov, body.circle, self.stats,
-            )
-            entered |= add
-            left |= remove
-            if new_cov is Coverage.DISJOINT:
+            cell = cells.get(cell_id) or self.cell(cell_id)
+            cell.move_query(q_id, _COVERAGE[old_val], _COVERAGE[new_val], circle, stats, entered, left)
+            if new_val == _DISJOINT:
                 owned.discard(cell_id)
             else:
                 owned.add(cell_id)

@@ -100,13 +100,16 @@ class GridIndex:
 
         :func:`classify` sums one squared term per axis, so the terms are
         computed once per candidate column and once per row, and each cell
-        only adds a pair: the result is classify's, bit for bit."""
+        only adds a pair: the result is classify's, bit for bit.  The cells
+        are the interned CellIds that :meth:`locate` hands out."""
         if not (self.domain.x_lo <= c.center.x <= self.domain.x_hi
                 and self.domain.y_lo <= c.center.y <= self.domain.y_hi):
             raise OutOfDomainError(f"query center {c.center} outside domain")
         cx, cy = c.center
         r = c.radius
         rr = r * r
+        n = self.n
+        interned = self._interned
         out = CandidateCells()
         col_lo = max(0, slot(self._xs, max(cx - r, self.domain.x_lo)) - 1)
         col_hi = min(self.n - 1, slot(self._xs, min(cx + r, self.domain.x_hi)) + 1)
@@ -126,10 +129,14 @@ class GridIndex:
             for col, near_x, far_x in cols:
                 if near_x + near_y > rr:
                     continue
+                key = row * n + col
+                cell = interned.get(key)
+                if cell is None:
+                    cell = interned[key] = CellId(row, col)
                 if far_x + far_y <= rr:
-                    out.full.add(CellId(row, col))
+                    out.full.add(cell)
                 else:
-                    out.partial.add(CellId(row, col))
+                    out.partial.add(cell)
         return out
 
     def assign_cells(self, workers: Sequence[int]) -> dict[CellId, int]:

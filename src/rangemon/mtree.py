@@ -415,13 +415,16 @@ class MTree:
         return self._walk(q_id if register else None, False, circle, cache.sets, stats)[0]
 
     def move_query(self, q_id: int, old: Circle | bool, new: Circle | bool,
-                   stats: SearchStats | None = None) -> tuple[set[int], set[int]]:
+                   stats: SearchStats | None = None, entered: set[int] | None = None,
+                   left: set[int] | None = None) -> tuple[set[int], set[int]]:
         """Move a query from ``old`` to ``new`` in one walk; returns the
-        (entered, left) object ids.  A side is a circle, or a bool settled
-        for the whole tree: True covers it (the query is not placed in it;
-        its cell holds it as fully covering), False misses it.  So a move
-        from False is a registration and one to False an unregistration."""
-        return self._walk(q_id, old, new, self.cache.sets if self.cache is not None else None, stats)
+        (entered, left) object ids, added into the given sets (fresh ones
+        when None).  A side is a circle, or a bool settled for the whole
+        tree: True covers it (the query is not placed in it; its cell holds
+        it as fully covering), False misses it.  So a move from False is a
+        registration and one to False an unregistration."""
+        return self._walk(q_id, old, new, self.cache.sets if self.cache is not None else None, stats,
+                          entered, left)
 
     def _walk(
         self,
@@ -430,9 +433,12 @@ class MTree:
         new: Circle | bool,
         sets: dict[int, tuple[int, frozenset[int]]] | None,
         stats: SearchStats | None,
+        entered: set[int] | None = None,
+        left: set[int] | None = None,
     ) -> tuple[set[int], set[int]]:
         """The one tree walk: the (entered, left) ids of a move from ``old``
-        to ``new`` (sides as in :meth:`move_query`).  ``sets`` is a subtree
+        to ``new`` (sides as in :meth:`move_query`), added into ``entered``
+        and ``left`` (fresh sets when None).  ``sets`` is a subtree
         cache's store (None: materialize every covered node afresh).  With
         a ``q_id``, the walk moves that query's placement to exactly the
         nodes a fresh registration of ``new`` would choose; with None it
@@ -450,8 +456,8 @@ class MTree:
             stats = SearchStats()
         pos = self.positions
         placements = self.query_nodes.setdefault(q_id, set()) if q_id is not None else None
-        entered: set[int] = set()
-        left: set[int] = set()
+        if entered is None or left is None:
+            entered, left = set(), set()
         if not isinstance(old, bool):
             (ox, oy), o_r = old
             orr = o_r * o_r

@@ -495,3 +495,61 @@ def test_two_circle_move_is_the_membership_change(seed, cap):
                     cell.unregister_query(twin)
     assert len(seen) == 8
     assert (cell.tree is not None) == (cap >= cell.cfg.alpha)
+
+
+@pytest.mark.parametrize("count", [5, 40])
+def test_moves_into_shared_sets_across_two_cells(count):
+    # one query walks two cells through every class pair at once, in
+    # different orders, each step adding both cells' changes into one
+    # shared pair of sets; with 5 objects the cells scan (alpha=6), with
+    # 40 they have trees.  The shared sets are the union of the brute-force
+    # membership changes, each cell's lists match a twin that registered
+    # the new circle fresh, and a wrong old class raises before anything
+    # changes
+    rng = random.Random(23 + count)
+    walks = (CLASS_WALK, CLASS_WALK[::-1])
+    positions = [{k * 1000 + i: pt(rng) for i in range(count)} for k in range(2)]
+
+    def filled(k):
+        cell = Cell(CellId(50, 50 + k), BOUNDS, SplitConfig(alpha=6, m=4))
+        for obj, p in positions[k].items():
+            cell.apply_object_update(obj, None, p)
+        return cell
+
+    def lists(cell, q):
+        placed = {n.id for n in cell.tree.nodes() if q in n.queries} if cell.tree is not None else None
+        return q in cell.full_queries, cell.partial_queries.get(q), placed
+
+    cells = [filled(0), filled(1)]
+    assert all((cell.tree is None) == (count < cell.cfg.alpha) for cell in cells)
+    circles = [circle_of_class(rng, Coverage.DISJOINT) for _ in cells]
+    seen = set()
+    for step in range(len(CLASS_WALK) - 1):
+        entered: set[int] = set()
+        left: set[int] = set()
+        want_entered: set[int] = set()
+        want_left: set[int] = set()
+        for k, cell in enumerate(cells):
+            old_cov, new_cov = walks[k][step], walks[k][step + 1]
+            seen.add((old_cov, new_cov))
+            new = circle_of_class(rng, new_cov)
+            before, after = brute_filter(positions[k], circles[k]), brute_filter(positions[k], new)
+            assert cell.move_query(1, old_cov, new_cov, new, None, entered, left) == (entered, left)
+            want_entered |= after - before
+            want_left |= before - after
+            circles[k] = new
+            twin = filled(k)
+            if new_cov is not Coverage.DISJOINT:
+                twin.register(1, new_cov, new)
+            assert lists(cell, 1) == lists(twin, 1)
+        assert (entered, left) == (want_entered, want_left)
+        for k, cell in enumerate(cells):
+            cov = walks[k][step + 1]
+            held = lists(cell, 1)
+            for wrong in set(Coverage) - {cov}:
+                for new_cov in Coverage:
+                    shared: tuple[set[int], set[int]] = (set(), set())
+                    with pytest.raises(StateMismatchError):
+                        cell.move_query(1, wrong, new_cov, circle_of_class(rng, new_cov), None, *shared)
+                    assert shared == (set(), set()) and lists(cell, 1) == held
+    assert len(seen) == 8  # the seven class pairs that move, and FULL to FULL

@@ -590,6 +590,71 @@ def test_query_move_omits_cells_full_under_both_circles():
             assert not cell.full_queries and not cell.partial_queries
 
 
+def test_query_moves_carry_the_per_cell_reference_transitions():
+    # seeded random moves of six queries on a grid whose five index workers
+    # own two rows each, with circles clipped at the domain edge and live
+    # ids registered again at a new radius.  Each query's QUERY_MOVEs are
+    # the per-cell transitions from its held to its final CandidateCells,
+    # grouped by owner: each owner's list sorted, non-empty, and without a
+    # cell that both circles cover fully
+    rng = random.Random(41)
+    cluster = make_cluster(index_workers=5)
+    grid = cluster.grid
+    positions, events = seed_events(rng, 600)
+    cluster.run_tick(events)
+    circles = {q: Circle(Point(rng.random(), rng.random()), rng.uniform(0.02, 0.3)) for q in range(6)}
+    cluster.run_tick([QueryRegister(q, c, 0, 100) for q, c in circles.items()])
+
+    def cov_value(gr, cell):
+        cov = Coverage.FULL if cell in gr.full else Coverage.PARTIAL if cell in gr.partial else Coverage.DISJOINT
+        return cov.value
+
+    seen = set()
+    for _ in range(15):
+        moved = {}
+        events = []
+        for q in rng.sample(sorted(circles), 3):
+            old = circles[q]
+            roll = rng.random()
+            if roll < 0.3:  # to the domain edge, clipped there
+                new = Circle(Point(rng.choice([0.0, 1.0]), rng.random()), rng.uniform(0.05, 0.3))
+                events.append(QueryMove(q, new))
+                seen.add("clipped")
+            elif roll < 0.5:  # the live id again, at a new radius
+                new = Circle(old.center, rng.uniform(0.02, 0.3))
+                events.append(QueryRegister(q, new, 0, 100))
+                seen.add("reregistered")
+            else:
+                new = Circle(Point(min(max(old.center.x + rng.uniform(-0.3, 0.3), 0.0), 1.0),
+                                   min(max(old.center.y + rng.uniform(-0.3, 0.3), 0.0), 1.0)), old.radius)
+                events.append(QueryMove(q, new))
+            moved[q] = new
+        trace = []
+        cluster._transport.trace = trace
+        report = cluster.run_tick(events)
+        assert report.errors == 0
+        for q, new in moved.items():
+            held, final = grid.candidate_cells(circles[q]), grid.candidate_cells(new)
+            want: dict[int, list] = {}
+            for cell in sorted((held.all_cells() | final.all_cells()) - (held.full & final.full)):
+                want.setdefault(cluster.entrance.owner(cell), []).append(
+                    (cell, cov_value(held, cell), cov_value(final, cell)))
+            got = {m.receiver: list(m.body.transitions) for m in trace
+                   if isinstance(m.body, QueryMove) and m.sender == ENTRANCE and m.body.q_id == q}
+            assert got == want
+            full = Coverage.FULL.value
+            for entries in got.values():
+                assert entries and entries == sorted(entries)
+                assert all((old_val, new_val) != (full, full) for _, old_val, new_val in entries)
+            if {cluster.entrance.owner(c) for c in held.all_cells()} != {
+                    cluster.entrance.owner(c) for c in final.all_cells()}:
+                seen.add("crossed")
+            circles[q] = new
+        for q, c in circles.items():
+            assert cluster.query_result(q) == ns_search(positions, c)
+    assert seen == {"clipped", "reregistered", "crossed"}
+
+
 def entrance_searches(trace):
     """Query ids of the registrations the entrance sent, in send order."""
     return [m.body.q_id for m in trace if isinstance(m.body, QueryRegister) and m.sender == ENTRANCE]

@@ -240,3 +240,25 @@ def test_assign_cells_sizes(n, workers):
     for w in a.values():
         counts[w] += 1
     assert max(counts) - min(counts) <= 1
+
+
+@pytest.mark.parametrize("locate_first", [False, True])
+def test_candidate_cells_hands_out_the_located_cells(locate_first):
+    # candidate cells are the CellId objects locate interns, whichever of
+    # the two touches a cell first, and a repeated call hands out the same
+    # objects
+    rng = random.Random(5)
+    g = GridIndex(n=10)
+    if locate_first:
+        for _ in range(200):
+            g.locate(Point(rng.random(), rng.random()))
+    for _ in range(50):
+        c = Circle(Point(rng.random(), rng.random()), rng.uniform(0.01, 0.4))
+        gr = g.candidate_cells(c)
+        for cell in gr.all_cells():
+            b = g.cell_bounds(cell)
+            assert g.locate(Point((b.x_lo + b.x_hi) / 2, (b.y_lo + b.y_hi) / 2)) is cell
+        again = g.candidate_cells(c)
+        assert again == gr
+        for mine, theirs in ((gr.full, again.full), (gr.partial, again.partial)):
+            assert {id(cell) for cell in mine} == {id(cell) for cell in theirs}
