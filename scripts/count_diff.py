@@ -18,7 +18,8 @@ query's result, ``queries_ready`` and ``errors``) and, apart from them,
 its ``results_digest``, which also moves when queries move between query
 workers.  Last, each checkout runs every workload's first round (the
 traced run's inputs) untraced, and the script compares the final query id
--> query worker map of the entrance's registry.  Exits 1 if a
+-> query worker map of the entrance's registry, and prints the line
+total of ``src/rangemon/*.py`` in each checkout.  Exits 1 if a
 ``result_hash``, a tick or a route differs:
 
     python3 scripts/count_diff.py ../parent .
@@ -119,6 +120,12 @@ print(json.dumps(routes))
 """
 
 
+def src_lines(checkout: Path) -> int:
+    """The line total of the checkout's ``src/rangemon/*.py``, as
+    ``cat src/rangemon/*.py | wc -l`` counts it."""
+    return sum(path.read_bytes().count(b"\n") for path in (checkout / "src" / "rangemon").glob("*.py"))
+
+
 def script_output(checkout: Path, script: str, *args: str):
     """The JSON that one of the scripts above prints, run in the checkout
     on its own src/."""
@@ -167,6 +174,7 @@ def main(argv: list[str] | None = None) -> int:
     routes = sum(parent_routes[w].get(q) != change_routes[w].get(q)
                  for w in workloads for q in parent_routes[w].keys() | change_routes[w].keys())
     print(f"routes: {f'{routes} differ' if routes else 'same'}")
+    print(f"src lines: parent {src_lines(args.parent)} -> change {src_lines(args.change)}")
     return 1 if hashes_differ or answers or digests or routes else 0
 
 

@@ -53,6 +53,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from rangemon.bench import ExperimentSpec, _apply_point, run_single  # noqa: E402
+from rangemon.cluster import ClusterSpec  # noqa: E402
 from rangemon.workload import WorkloadSpec  # noqa: E402
 
 ENGINES = ("drqa", "gi", "ns")
@@ -83,7 +84,7 @@ def sweep(text: str) -> tuple[str, list[float]]:
 def child(shape: str, engine: str, point: tuple[str, list[float]] | None) -> None:
     """One run, in this process; prints its RunMetrics as one JSON line."""
     param, value = (point[0], point[1][0]) if point else (None, 0.0)
-    exp = ExperimentSpec(engine=engine, workload=WorkloadSpec(**SHAPES[shape]))
+    exp = ExperimentSpec(workload=WorkloadSpec(**SHAPES[shape]), cluster=ClusterSpec(engine=engine))
     print(json.dumps(asdict(run_single(*_apply_point(exp, param, value)))))
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .baselines import GridStore, gi_search, ns_search
-from .cluster import Cluster, ClusterSpec, ENGINE_MODES
+from .cluster import Cluster, ClusterSpec
 from .config import CLUSTER_KEYS, Config
 from .engine import Engine
 from .geometry import Circle, Point
@@ -65,9 +65,7 @@ WORKLOAD_KEYS = {
 
 EXPERIMENT_KEYS = {
     "experiment.name": "name",
-    "experiment.engine": "engine",
     "experiment.repetitions": "repetitions",
-    "queues.query_cap": "query_queue_cap",
     "measure.throughput": "measure_throughput",
     "workload.file": "workload_file",
     "experiment.output": "output",
@@ -77,12 +75,10 @@ EXPERIMENT_KEYS = {
 @dataclass
 class ExperimentSpec:
     name: str = "experiment"
-    engine: str = "drqa"
     repetitions: int = 1
     workload: WorkloadSpec = field(default_factory=WorkloadSpec)
     cluster: ClusterSpec = field(default_factory=ClusterSpec)
     sweeps: dict[str, list[float]] = field(default_factory=dict)
-    query_queue_cap: int = 10_000
     measure_throughput: bool = False
     workload_file: str | None = None
     output: str = "results.csv"
@@ -90,8 +86,6 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
-        if self.engine not in ENGINE_MODES:
-            raise ValueError(f"unknown engine {self.engine!r}")
         for param, values in self.sweeps.items():
             if param not in SWEEPABLE:
                 raise ValueError(f"cannot sweep {param!r}; one of {tuple(SWEEPABLE)}")
@@ -119,7 +113,7 @@ def parse_experiment(cfg: Config) -> ExperimentSpec:
 
 
 def _apply_point(exp: ExperimentSpec, param: str | None, value: float) -> tuple[WorkloadSpec, ClusterSpec]:
-    parts = {"workload": exp.workload, "cluster": replace(exp.cluster, engine=exp.engine)}
+    parts = {"workload": exp.workload, "cluster": exp.cluster}
     if param is not None:
         part, name = SWEEPABLE[param]
         spec = parts[part]
@@ -253,7 +247,7 @@ def run_experiment(exp: ExperimentSpec, out_path: str | Path | None = None) -> l
                 metrics.throughput = measure_throughput(exp, wl, cl)
             rows.append({
                 "experiment": exp.name,
-                "engine": exp.engine,
+                "engine": cl.engine,
                 "distribution": "file" if exp.workload_file else wl.distribution,
                 "param": param or "-",
                 "value": value,
@@ -282,6 +276,8 @@ def run_experiment(exp: ExperimentSpec, out_path: str | Path | None = None) -> l
 
 
 # -- throughput ---------------------------------------------------------------
+
+QUERY_QUEUE_CAP = 10_000  # the saturation probe's bounded query queue
 
 
 class _QueryFeed:
@@ -352,14 +348,13 @@ def measure_throughput(exp: ExperimentSpec, wl: WorkloadSpec | None = None,
     """Saturation search: double the offered rate until the queue grows,
     then bisect between the last sustainable and first unsustainable rate."""
     wl = wl if wl is not None else exp.workload
-    cl = cl if cl is not None else replace(exp.cluster, engine=exp.engine)
+    cl = cl if cl is not None else exp.cluster
     process = _make_query_processor(cl.engine, wl, cl)
     feed = _QueryFeed(wl)
-    cap = exp.query_queue_cap
     rate = 32.0
     last_ok = 0.0
     while rate <= 2 ** 22:
-        if _rate_sustainable(process, feed, rate, cap):
+        if _rate_sustainable(process, feed, rate, QUERY_QUEUE_CAP):
             last_ok = rate
             rate *= 2
         else:
@@ -369,7 +364,7 @@ def measure_throughput(exp: ExperimentSpec, wl: WorkloadSpec | None = None,
     lo, hi = last_ok, rate
     for _ in range(3):
         mid = (lo + hi) / 2
-        if _rate_sustainable(process, feed, mid, cap):
+        if _rate_sustainable(process, feed, mid, QUERY_QUEUE_CAP):
             lo = mid
         else:
             hi = mid

@@ -11,9 +11,10 @@ and query-circle maps, which only the tree writes.  A first partial
 placement goes through :meth:`Cell.register_partial_and_search`, one walk
 that both places and answers the query.  A query move reads the query's
 recorded class once; between fully covering and disjoint it hands over
-every object, and any other move is one tree walk (:meth:`MTree.move_query`)
-or one inlined pass over the cell's objects.  It adds the changed ids into
-sets its caller passes, one pair for all of an index worker's cells.
+every object; any other move is one tree walk (:meth:`MTree.move_query`),
+or without a tree the walk's cut-leaf pass (:func:`.mtree.member_changes`)
+over the cell's objects.  It adds the changed ids into sets its caller
+passes, one pair for all of an index worker's cells.
 
 The tree stays lazy because most cells of a sparse workload never need
 one: building it in every cell cost +21% peak RSS, +35% ``tick_p50_s`` and
@@ -39,7 +40,7 @@ from .baselines import ns_search
 from .errors import InconsistentUpdateError, RangemonError, StateMismatchError
 from .geometry import Circle, Coverage, Point, Rect
 from .grid import CellId, GridIndex
-from .mtree import NO_IDS, MTree, SearchStats, SplitConfig, SubtreeCache
+from .mtree import NO_IDS, MTree, SearchStats, SplitConfig, SubtreeCache, member_changes
 
 
 class Change(enum.Enum):
@@ -232,7 +233,7 @@ class Cell:
         changes.  A side is then a circle (PARTIAL) or a bool settled for
         every object (True: FULL, False: DISJOINT).  Between FULL and
         DISJOINT every object changes; any other move is one tree walk, or
-        one pass over the objects with the distance tests inlined."""
+        without a tree its cut-leaf pass (:func:`.mtree.member_changes`)."""
         in_full = q_id in self.full_queries
         old = self.partial_queries.get(q_id)
         if (in_full, old is not None) != (old_cov is Coverage.FULL, old_cov is Coverage.PARTIAL):
@@ -250,37 +251,9 @@ class Cell:
         elif self.tree is not None:
             self.tree.move_query(q_id, old, new, stats, entered, left)
         else:
-            objects = self.objects
             if stats is not None:
-                stats.objects_examined += len(objects)
-            if old_settled or new is True or new is False:
-                # one side settled: the changes are the objects the circle
-                # holds (want True) against DISJOINT, or misses against FULL
-                if old_settled:
-                    (cx, cy), r = new
-                    out, want = (left, False) if old else (entered, True)
-                else:
-                    (cx, cy), r = old
-                    out, want = (entered, False) if new else (left, True)
-                rr = r * r
-                for obj_id, (px, py) in objects.items():
-                    dx = px - cx
-                    dy = py - cy
-                    if (dx * dx + dy * dy <= rr) is want:
-                        out.add(obj_id)
-            else:
-                (ox, oy), r = old
-                orr = r * r
-                (nx, ny), r = new
-                nrr = r * r
-                for obj_id, (px, py) in objects.items():
-                    dx = px - ox
-                    dy = py - oy
-                    was_in = dx * dx + dy * dy <= orr
-                    dx = px - nx
-                    dy = py - ny
-                    if was_in != (dx * dx + dy * dy <= nrr):
-                        (left if was_in else entered).add(obj_id)
+                stats.objects_examined += len(self.objects)
+            member_changes(self.objects, self.objects, old, new, entered, left)
             if new_cov is Coverage.PARTIAL:
                 self.partial_queries[q_id] = circle
             elif not old_settled:

@@ -34,7 +34,7 @@ def main(argv: list[str] | None = None) -> int:
         cfg = cfg.merged(Config.load(args.experiment))
         exp = parse_experiment(cfg)
         if args.engine:
-            exp = replace(exp, engine=args.engine)
+            exp = replace(exp, cluster=replace(exp.cluster, engine=args.engine))
         if args.seed is not None:
             exp = replace(exp, workload=replace(exp.workload, seed=args.seed))
         if args.transport:

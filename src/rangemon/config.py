@@ -3,11 +3,11 @@
 The same format carries both cluster topology (grid.n, tree.alpha,
 tree.m, routing.jaccard_threshold, rng.seed, cluster.index_workers,
 cluster.query_workers, cluster.transport) and experiment definitions
-(experiment.*, workload.*, sweep.*, queues.*, measure.*).  Each key names
-one field of a spec dataclass, in one table per spec (:data:`CLUSTER_KEYS`
-here, the workload and experiment tables in :mod:`rangemon.bench`); a key
-a file leaves out keeps that field's default.  The engine under test is
-``experiment.engine``; the cluster's engine is set from it for each run.
+(experiment.*, workload.*, sweep.*, measure.*).  Each key names one field
+of a spec dataclass, in one table per spec (:data:`CLUSTER_KEYS` here, the
+workload and experiment tables in :mod:`rangemon.bench`); a key a file
+leaves out keeps that field's default.  The engine under test,
+``experiment.engine``, is the cluster's ``ClusterSpec.engine``.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ CLUSTER_KEYS = {
     "tree.m": "m",
     "routing.jaccard_threshold": "jaccard_threshold",
     "cluster.transport": "transport",
+    "experiment.engine": "engine",
     "rng.seed": "seed",
 }
 

@@ -101,10 +101,13 @@ class GridIndex:
         :func:`classify` sums one squared term per axis, so the terms are
         computed once per candidate column and once per row, and each cell
         only adds a pair: the result is classify's, bit for bit.  The cells
-        are the interned CellIds that :meth:`locate` hands out."""
+        are the interned CellIds that :meth:`locate` hands out.  A centre
+        outside the domain, or a negative or NaN radius, raises."""
         if not (self.domain.x_lo <= c.center.x <= self.domain.x_hi
                 and self.domain.y_lo <= c.center.y <= self.domain.y_hi):
             raise OutOfDomainError(f"query center {c.center} outside domain")
+        if not c.radius >= 0.0:  # also false for NaN
+            raise OutOfDomainError(f"query radius {c.radius} is negative or NaN")
         cx, cy = c.center
         r = c.radius
         rr = r * r

@@ -21,9 +21,11 @@ paths do not share.
 One walk (:meth:`MTree._walk`) serves every query-side operation.  It
 moves a query from an old to a new side, each a circle or a bool settled
 for the whole tree, and descends only where either circle cuts a node, so
-its cost follows the change in the answer.  A search is a walk from False
-(nothing) that places nothing; a registration is one from False that
-places the query; a query move walks both circles at once.
+its cost follows the change in the answer; a cut leaf's objects go through
+:func:`member_changes`, the per-object pass a cell without a tree also
+runs.  A search is a walk from False (nothing) that places nothing; a
+registration is one from False that places the query; a query move walks
+both circles at once.
 
 Subtree materializations for fully-covered nodes are memoized in a
 :class:`SubtreeCache` keyed by (node id, node version); any object
@@ -55,36 +57,27 @@ _NO_QUERIES = (NO_IDS, NO_IDS)  # shared: never mutated
 _GEO, _NONE, _CUT, _FULL, _ALL = "geo", "none", "cut", "full", "all"
 
 
-def _inside(ids: Iterable[int], pos: Mapping[int, Point], circle: Circle) -> set[int]:
-    (cx, cy), r = circle
-    rr = r * r
-    out = set()
-    for obj_id in ids:
-        px, py = pos[obj_id]
-        ex = px - cx
-        ey = py - cy
-        if ex * ex + ey * ey <= rr:
-            out.add(obj_id)
-    return out
-
-
-def member_changes(ids: AbstractSet[int], pos: Mapping[int, Point], old: Circle | bool,
+def member_changes(ids: Iterable[int], pos: Mapping[int, Point], old: Circle | bool,
                    new: Circle | bool, entered: set[int], left: set[int]) -> None:
     """Add to ``entered`` the ids inside ``new`` but not ``old``, and to
-    ``left`` the reverse, in one pass over ``ids``.  A side that is a bool
-    is settled for every id: True holds them all, False none."""
-    if isinstance(old, bool):
-        inside = _inside(ids, pos, new)
-        if old:
-            left |= ids - inside
+    ``left`` the reverse, in one pass over ``ids``; a point on a circle is
+    inside it.  A side that is a bool is settled for every id: True holds
+    them all, False none.  At most one side is a bool."""
+    if isinstance(old, bool) or isinstance(new, bool):
+        # the changes: the circle's hits (want True) against False, misses against True
+        if isinstance(old, bool):
+            (cx, cy), r = new
+            out, want = (left, False) if old else (entered, True)
         else:
-            entered |= inside
-    elif isinstance(new, bool):
-        inside = _inside(ids, pos, old)
-        if new:
-            entered |= ids - inside
-        else:
-            left |= inside
+            (cx, cy), r = old
+            out, want = (entered, False) if new else (left, True)
+        rr = r * r
+        for obj_id in ids:
+            px, py = pos[obj_id]
+            ex = px - cx
+            ey = py - cy
+            if (ex * ex + ey * ey <= rr) is want:
+                out.add(obj_id)
     else:
         (ox, oy), r = old
         orr = r * r

@@ -351,8 +351,7 @@ def test_7_throughput_ordering():
         rates = {}
         for engine_kind in ("ns", "gi", "drqa"):
             exp = ExperimentSpec(
-                name="throughput", engine=engine_kind, workload=spec,
-                cluster=ClusterSpec(grid_n=100, engine=engine_kind),
+                name="throughput", workload=spec, cluster=ClusterSpec(grid_n=100, engine=engine_kind),
             )
             rates[engine_kind] = measure_throughput(exp)
         work = {}

@@ -23,14 +23,13 @@ from rangemon.workload import WorkloadSpec, iter_event_records, write_events
 SMALL = dict(grid_n=10, index_workers=2, query_workers=2, alpha=6, m=4)
 
 
-def small_experiment(**kw):
+def small_experiment(engine="drqa", **kw):
     defaults = dict(
         name="t",
-        engine="drqa",
         repetitions=1,
         workload=WorkloadSpec(n_objects=500, n_queries=10, ticks=2,
                               radius=0.05, object_speed=0.01, grid_n=10, seed=3),
-        cluster=ClusterSpec(**SMALL),
+        cluster=ClusterSpec(**SMALL, engine=engine),
     )
     defaults.update(kw)
     return ExperimentSpec(**defaults)
@@ -139,17 +138,15 @@ def test_parse_experiment_defaults(tmp_path):
         "workload.radius = 0.04\n"
         "workload.gauss_sigma = 0.1,0.3\n"
         "sweep.alpha = 5,10\n"
-        "queues.query_cap = 5000\n"
     )
     exp = parse_experiment(Config.load(p))
     assert exp.name == "alpha-sweep"
-    assert exp.engine == "gi"
+    assert exp.cluster.engine == "gi"
     assert exp.repetitions == 2
     assert exp.workload.distribution == "GD"
     assert exp.workload.n_objects == 1000
     assert exp.workload.gauss_sigma == (0.1, 0.3)
     assert exp.sweeps == {"alpha": [5.0, 10.0]}
-    assert exp.query_queue_cap == 5000
 
 
 def test_unknown_config_keys_are_rejected_by_name(tmp_path, capsys):
@@ -157,9 +154,10 @@ def test_unknown_config_keys_are_rejected_by_name(tmp_path, capsys):
     exp = parse_experiment(Config.load(demo))
     assert exp.name == "demo-alpha-sweep" and exp.cluster.index_workers == 4
     # a mistyped key used to be ignored, grid.workers was a second name
-    # for cluster.index_workers, and queues.object_cap split the build
-    # into ticks; each now fails, naming the key
-    for key in ("workload.radious", "grid.workers", "queues.object_cap"):
+    # for cluster.index_workers, queues.object_cap split the build into
+    # ticks, and queues.query_cap sized the throughput probe's queue; each
+    # now fails, naming the key
+    for key in ("workload.radious", "grid.workers", "queues.object_cap", "queues.query_cap"):
         p = tmp_path / "e.conf"
         p.write_text(f"workload.radius = 0.05\n{key} = 4\n")
         with pytest.raises(ValueError, match=f"unknown config keys: {key}$"):

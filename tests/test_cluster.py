@@ -1041,6 +1041,27 @@ def test_out_of_domain_events_stay_in_their_tick():
                 assert cluster.query_result(q) == ns_search(positions, c), (mode, q)
 
 
+def test_negative_or_nan_radius_is_rejected_alone():
+    # a circle of negative or NaN radius names no region: the entrance
+    # rejects its registration or move alone under every engine, and the
+    # good query beside it keeps its result
+    positions = {o: Point(0.455 + 0.01 * o, 0.5) for o in range(10)}
+    good = Circle(Point(0.5, 0.5), 0.02)
+    for mode in ENGINE_MODES:
+        cluster = Cluster(ClusterSpec(grid_n=10, index_workers=2, query_workers=1, engine=mode))
+        cluster.run_tick([ObjectUpdate(o, None, p) for o, p in positions.items()])
+        report = cluster.run_tick([QueryRegister(1, Circle(Point(0.5, 0.5), -0.2), 0, 100),
+                                   QueryRegister(2, Circle(Point(0.5, 0.5), math.nan), 0, 100),
+                                   QueryRegister(3, good, 0, 100)])
+        assert (report.errors, report.queries_ready) == (2, 1), mode
+        assert cluster.results() == {3: ns_search(positions, good)}, mode
+        report = cluster.run_tick([QueryMove(3, Circle(Point(0.5, 0.5), math.nan))])
+        assert (report.errors, report.queries_ready) == (1, 1), mode
+        assert cluster.results() == {3: ns_search(positions, good)}, mode
+        assert cluster.entrance.registry[3][0] == good, mode
+        cluster.close()
+
+
 def test_unknown_query_move_stays_in_its_tick():
     # a move of a query id that was never registered is rejected alone by
     # the entrance; the good events around it land in the same tick

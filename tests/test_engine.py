@@ -59,6 +59,14 @@ def test_duplicate_query_rejected():
         engine.submit_query(1, Circle(Point(0.5, 0.5), 0.1))
 
 
+def test_negative_or_nan_radius_registers_nothing():
+    engine = make_engine()
+    for r in (-0.2, math.nan):
+        with pytest.raises(OutOfDomainError):
+            engine.submit_query(1, Circle(Point(0.5, 0.5), r))
+    assert engine.queries == {} and engine.cells == {}
+
+
 def test_object_moves_update_results():
     # the loader takes moves as well as insertions: after every batch, a
     # fresh one-shot search of each circle sees the objects where they are,

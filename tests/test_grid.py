@@ -205,6 +205,15 @@ def test_candidate_cells_tangent_boundary():
     assert CellId(1, 5) in gr.partial  # row [0.1, 0.2) touched at its top edge
 
 
+def test_candidate_cells_rejects_a_negative_or_nan_radius():
+    g = GridIndex(10)
+    for r in (-0.2, -1e-300, math.nan, -math.inf):
+        with pytest.raises(OutOfDomainError):
+            g.candidate_cells(Circle(Point(0.5, 0.5), r))
+    # a zero radius is a point query: only the cells holding the centre
+    assert g.candidate_cells(Circle(Point(0.55, 0.55), 0.0)).all_cells() == {CellId(5, 5)}
+
+
 def test_assign_cells_balance_and_stability():
     g = GridIndex(100)
     workers = list(range(20))

@@ -10,7 +10,7 @@ from rangemon.errors import (
     OutOfDomainError,
 )
 from rangemon.geometry import Circle, Coverage, Point, Rect, UNIT_SQUARE, classify, contains
-from rangemon.mtree import MAX_DEPTH, MTree, SearchStats, SplitConfig, SubtreeCache
+from rangemon.mtree import MAX_DEPTH, MTree, SearchStats, SplitConfig, SubtreeCache, member_changes
 
 from conftest import brute_filter, check_tree_invariants
 
@@ -467,3 +467,33 @@ def test_one_walk_searches_registers_and_unregisters(seed, m):
             assert placement_of(t) == before
     check_tree_invariants(t)
     assert_same_tree(t, twin)
+
+
+def test_member_changes_is_the_set_algebra_of_its_two_sides():
+    # every (old, new) pair of True, False or a circle with at most one
+    # bool, checked against brute-force set differences: on a random id
+    # set beside ids the pass is not given, on the empty set, and with a
+    # point on a circle, which counts as inside
+    rng = random.Random(24)
+    pos = {i: Point(rng.random(), rng.random()) for i in range(300)}
+    pos[300] = Point(0.75, 0.5)
+    on_edge = Circle(Point(0.5, 0.5), 0.25)
+    circles = [on_edge, Circle(Point(0.6, 0.45), 0.2), Circle(Point(0.1, 0.9), 0.05)]
+    sides = [True, False, *circles]
+    subsets = [set(rng.sample(sorted(pos), 150)) | {300}, set()]
+
+    def inside(side, ids):
+        if isinstance(side, bool):
+            return set(ids) if side else set()
+        return brute_filter({i: pos[i] for i in ids}, side)
+
+    assert 300 in inside(on_edge, pos)
+    for ids in subsets:
+        for old in sides:
+            for new in sides:
+                if isinstance(old, bool) and isinstance(new, bool):
+                    continue
+                entered, left = {-1}, {-2}  # the pass adds to what the sets hold
+                member_changes(ids, pos, old, new, entered, left)
+                assert entered == inside(new, ids) - inside(old, ids) | {-1}, (old, new)
+                assert left == inside(old, ids) - inside(new, ids) | {-2}, (old, new)

@@ -127,3 +127,19 @@ def test_run_single_counts_are_pinned(engine):
     )
     assert (metrics.objects_examined, metrics.messages_sent) == PINNED[engine]
     assert metrics.result_hash == PINNED_HASH
+
+
+def test_count_diff_counts_the_package_source_lines(tmp_path):
+    count_diff = load("count_diff")
+    for side, files in (("parent", {"a.py": "x = 1\ny = 2\n", "b.py": "\n"}),
+                        ("change", {"a.py": "x = 1\n", "b.py": "", "c.py": "z = 3\nw = 4"})):
+        package = tmp_path / side / "src" / "rangemon"
+        package.mkdir(parents=True)
+        for name, text in files.items():
+            (package / name).write_text(text)
+        # neither a file of another kind nor a subpackage is counted
+        (package / "notes.txt").write_text("one\ntwo\n")
+        (package / "sub").mkdir()
+        (package / "sub" / "d.py").write_text("v = 5\n")
+    assert count_diff.src_lines(tmp_path / "parent") == 3
+    assert count_diff.src_lines(tmp_path / "change") == 2  # wc counts newlines, not a last unended line
