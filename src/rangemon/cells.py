@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import AbstractSet, Collection, Iterator
+from typing import AbstractSet, Collection
 
 from .baselines import ns_search
 from .errors import InconsistentUpdateError, RangemonError, StateMismatchError
@@ -319,12 +319,13 @@ class CellStore:
         return cell
 
     def move_object(self, obj_id: int, old: Point | None, old_cell: CellId | None,
-                    new: Point | None, new_cell: CellId | None) -> Iterator[CellDelta]:
+                    new: Point | None, new_cell: CellId | None, deltas: list[CellDelta]) -> None:
         """Apply one (old, new) report, whose points the caller has located
-        in old_cell and new_cell, and yield each touched cell's delta.
-        A move across cells is a removal from the old cell followed by an
-        insertion into the new one.  Deltas are yielded lazily, so the old
-        cell's delta reaches the caller even if the insertion then fails.
+        in old_cell and new_cell, and append each touched cell's delta to
+        ``deltas``.  A move across cells is a removal from the old cell
+        followed by an insertion into the new one.  If the insertion raises,
+        ``deltas`` already holds the removal's delta, so its changes still
+        reach the caller; if the removal raises, nothing is appended.
         An insertion of an id the store holds already raises
         :class:`InconsistentUpdateError` and changes nothing; only a report
         that adds an id to the store or drops one from it touches ``held``.
@@ -332,21 +333,19 @@ class CellStore:
         if old_cell is None and new_cell is None:
             raise InconsistentUpdateError(f"object {obj_id}: a report with neither point")
         if old_cell is not None and old_cell == new_cell:
-            yield self.cell(old_cell).apply_object_update(obj_id, old, new)
+            deltas.append(self.cell(old_cell).apply_object_update(obj_id, old, new))
             return
         if old_cell is not None:
-            delta = self.cell(old_cell).apply_object_update(obj_id, old, None)
+            deltas.append(self.cell(old_cell).apply_object_update(obj_id, old, None))
             if new_cell is None:
                 self.held.discard(obj_id)
-            yield delta
         if new_cell is not None:
             if old_cell is None and obj_id in self.held:
                 raise InconsistentUpdateError(f"object {obj_id} already held in another cell")
             try:
-                delta = self.cell(new_cell).apply_object_update(obj_id, None, new)
+                deltas.append(self.cell(new_cell).apply_object_update(obj_id, None, new))
             except RangemonError:
                 self.held.discard(obj_id)  # after the removal above, the store holds it no more
                 raise
             if old_cell is None:
                 self.held.add(obj_id)
-            yield delta

@@ -15,7 +15,12 @@ expiries, the searches and query moves, and the barriers.  An index
 worker sends a query worker the tick's result changes as one frame just
 before its barrier.  The entrance also keeps each live object's cell
 and rejects a report whose old side disagrees with it, so every engine
-sees only reports consistent with its state.
+sees only reports consistent with its state.  It keeps each live
+object's last point too, which settles most cells without
+:meth:`GridIndex.locate`: an old point equal to the recorded one is in
+the recorded cell, and a new point inside that cell's half-open edges
+stays in it.  A consistent client's move is located only when it
+leaves its cell or lands on the domain's maximum edge.
 
 Three engine modes share the scaffolding so that their message and work
 counts are comparable: "drqa" (trees, standing registrations, incremental
@@ -39,7 +44,7 @@ from dataclasses import asdict, dataclass
 from typing import AbstractSet
 
 from .baselines import GridStore, ns_search
-from .cells import CellStore
+from .cells import CellDelta, CellStore
 from .errors import OutOfDomainError, RangemonError, TransportError
 from .geometry import Circle, Coverage, Point
 from .grid import CandidateCells, CellId, GridIndex
@@ -215,6 +220,7 @@ class EntranceWorker(Node):
         # ObjectBatch at the head of the barrier wave
         self._parts: dict[int, list] = {iw: [] for iw in iw_ids}
         self.object_cells: dict[int, CellId] = {}  # live object id -> its cell
+        self.object_points: dict[int, Point] = {}  # live object id -> its last point
 
     def owner(self, cell: CellId) -> int:
         return self.assignment[cell]
@@ -223,8 +229,7 @@ class EntranceWorker(Node):
         body = msg.body
         try:
             if isinstance(body, ObjectReports):
-                for report in body.reports:
-                    self._dispatch_object(report)
+                self._on_reports(body.reports)
             elif isinstance(body, QueryRegister):
                 self._dispatch_register(body)
             elif isinstance(body, QueryMove):
@@ -242,35 +247,65 @@ class EntranceWorker(Node):
 
     # -- fan-out ---------------------------------------------------------
 
-    def _dispatch_object(self, body: ObjectUpdate) -> None:
-        """Record the report for the owners of its cells, with the cells.
-        A report with neither point, or whose old side disagrees with the
-        object's recorded cell (an insertion of a live id, a move or removal
-        of an unknown id, an old point in another cell), or with a point
-        outside the domain, is rejected alone."""
-        obj_id, old, new = body.obj_id, body.old, body.new
-        try:
-            old_cell = self.grid.locate(old) if old is not None else None
-            new_cell = self.grid.locate(new) if new is not None else None
-        except OutOfDomainError:
-            self.errors += 1
-            return
-        if (old is None and new is None) or self.object_cells.get(obj_id) != old_cell:
-            self.errors += 1
-            return
-        if new_cell is None:
-            self.object_cells.pop(obj_id, None)
-        else:
-            self.object_cells[obj_id] = new_cell
-        old_owner = self.assignment[old_cell] if old_cell is not None else None
-        new_owner = self.assignment[new_cell] if new_cell is not None else None
-        if old_owner is not None and old_owner == new_owner:
-            self._parts[old_owner].append((obj_id, old, old_cell, new, new_cell))
-            return
-        if old_owner is not None:
-            self._parts[old_owner].append((obj_id, old, old_cell, None, None))
-        if new_owner is not None:
-            self._parts[new_owner].append((obj_id, None, None, new, new_cell))
+    def _on_reports(self, reports: tuple[ObjectUpdate, ...]) -> None:
+        """Record each report of the client's frame for the owners of its
+        cells, with the cells.  A report with neither point, or whose old
+        side disagrees with the object's recorded cell (an insertion of a
+        live id, a move or removal of an unknown id, an old point in another
+        cell), or with a point outside the domain, is rejected alone.
+
+        Both shortcuts give the cell :meth:`GridIndex.locate` would: an old
+        point equal to the recorded one is in the recorded cell, and a new
+        point inside the old cell's half-open edges is in the old cell.
+        So only an insertion, a move that leaves its cell or an old point
+        other than the recorded one calls ``locate``; so does a new point
+        on the domain's maximum edge, which belongs to the last cell but
+        lies outside its half-open edges."""
+        locate = self.grid.locate
+        xs, ys = self.grid.xs, self.grid.ys
+        cells = self.object_cells
+        points = self.object_points
+        assignment = self.assignment
+        parts = self._parts
+        for report in reports:
+            obj_id, old, new = report.obj_id, report.old, report.new
+            cell = cells.get(obj_id)
+            try:
+                if old is None:
+                    if cell is not None or new is None:
+                        self.errors += 1
+                        continue
+                    new_cell = locate(new)
+                elif cell is None or old != points[obj_id] and locate(old) != cell:
+                    self.errors += 1
+                    continue
+                elif new is None:
+                    new_cell = None
+                else:
+                    row, col = cell
+                    x, y = new
+                    if xs[col] <= x < xs[col + 1] and ys[row] <= y < ys[row + 1]:
+                        new_cell = cell
+                    else:
+                        new_cell = locate(new)
+            except OutOfDomainError:
+                self.errors += 1
+                continue
+            # accepted: cell is the old point's cell, None for an insertion
+            if new_cell is None:
+                del cells[obj_id], points[obj_id]
+            else:
+                cells[obj_id] = new_cell
+                points[obj_id] = new
+            old_owner = assignment[cell] if cell is not None else None
+            new_owner = assignment[new_cell] if new_cell is not None else None
+            if old_owner is not None and old_owner == new_owner:
+                parts[old_owner].append((obj_id, old, cell, new, new_cell))
+                continue
+            if old_owner is not None:
+                parts[old_owner].append((obj_id, old, cell, None, None))
+            if new_owner is not None:
+                parts[new_owner].append((obj_id, None, None, new, new_cell))
 
     def _register_message(self, q_id: int, circle: Circle, gr: CandidateCells, qw: int) -> None:
         """CELL_SEARCH to every index worker owning a candidate cell (under
@@ -442,19 +477,23 @@ class IndexWorker(Node, CellStore):
         if self.mode == "drqa":
             outbox = self._outbox
             route_of = self.route_of
+            move = self.move_object
+            deltas: list[CellDelta] = []
             for part in parts:
+                try:
+                    move(*part, deltas)
+                except RangemonError:
+                    # if its insertion raised, the removal's LEAVEs still go out
+                    self.errors += 1
                 # the cells' delta sets are fresh or the shared empty ones,
                 # so a lone delta is taken as it is; only a move across
                 # cells unions two
                 entered: AbstractSet[int] = NO_IDS
                 left: AbstractSet[int] = NO_IDS
-                try:
-                    for delta in self.move_object(*part):
-                        entered = entered | delta.entered if entered else delta.entered
-                        left = left | delta.left if left else delta.left
-                except RangemonError:
-                    # if its insertion raised, the removal's LEAVEs still go out
-                    self.errors += 1
+                for delta in deltas:
+                    entered = entered | delta.entered if entered else delta.entered
+                    left = left | delta.left if left else delta.left
+                deltas.clear()
                 if entered or left:
                     # a query the object left in the old cell and entered
                     # in the new one keeps it in its result: it gets nothing.

@@ -75,9 +75,17 @@ class Config:
 
     def applied(self, spec: S, keys: dict[str, str]) -> S:
         """``spec`` with each field that ``keys`` maps a key of this file
-        to set from it, read as that field is typed in ``spec``."""
-        return replace(spec, **{name: _parse(key, self.values[key], getattr(spec, name))
-                                for key, name in keys.items() if key in self.values})
+        to set from it, read as that field is typed in ``spec``.  The fields
+        are set one at a time, so a value the spec's own check rejects
+        fails with the key that set it."""
+        for key, name in keys.items():
+            if key in self.values:
+                value = _parse(key, self.values[key], getattr(spec, name))
+                try:
+                    spec = replace(spec, **{name: value})
+                except ValueError as exc:
+                    raise ValueError(f"{key}: {exc}") from None
+        return spec
 
     def cluster_spec(self) -> ClusterSpec:
         return self.applied(ClusterSpec(), CLUSTER_KEYS)

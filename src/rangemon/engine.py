@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .cells import CellStore, Change
+from .cells import CellDelta, CellStore, Change
 from .geometry import Circle, Coverage, Point
 from .grid import CandidateCells, CellId, GridIndex
 from .mtree import SearchStats, SplitConfig
@@ -77,12 +77,13 @@ class Engine(CellStore):
         report cannot poison the batch."""
         errors: list[tuple[int, Exception]] = []
         locate = self.grid.locate
+        deltas: list[CellDelta] = []  # the cells' deltas have no result to update here
         for obj_id, old, new in updates:
             try:
                 old_cell = locate(old) if old is not None else None
                 new_cell = locate(new) if new is not None else None
-                for _ in self.move_object(obj_id, old, old_cell, new, new_cell):
-                    pass  # the cells' deltas have no result to update here
+                self.move_object(obj_id, old, old_cell, new, new_cell, deltas)
             except Exception as exc:  # noqa: BLE001 - per-item isolation is the contract
                 errors.append((obj_id, exc))
+            deltas.clear()
         return errors

@@ -50,14 +50,14 @@ class GridIndex:
         self.domain = domain
         w = domain.width / n
         h = domain.height / n
-        self._xs = [domain.x_lo + j * w for j in range(n)] + [domain.x_hi]
-        self._ys = [domain.y_lo + i * h for i in range(n)] + [domain.y_hi]
+        self.xs = [domain.x_lo + j * w for j in range(n)] + [domain.x_hi]
+        self.ys = [domain.y_lo + i * h for i in range(n)] + [domain.y_hi]
         self._scale = (n / domain.width, n / domain.height)
         self._interned: dict[int, CellId] = {}  # row * n + col -> the one CellId of that cell
 
     def cell_bounds(self, cell: CellId) -> Rect:
-        return Rect(self._xs[cell.col], self._ys[cell.row],
-                    self._xs[cell.col + 1], self._ys[cell.row + 1])
+        return Rect(self.xs[cell.col], self.ys[cell.row],
+                    self.xs[cell.col + 1], self.ys[cell.row + 1])
 
     def locate(self, p: Point) -> CellId:
         """Cell owning p; the domain's maximum edges belong to the last
@@ -72,7 +72,7 @@ class GridIndex:
         n = self.n
         last = n - 1
         sx, sy = self._scale
-        xs = self._xs
+        xs = self.xs
         col = int((x - d.x_lo) * sx)
         if col > last:
             col = last
@@ -80,7 +80,7 @@ class GridIndex:
             col += 1
         while col and xs[col] > x:
             col -= 1
-        ys = self._ys
+        ys = self.ys
         row = int((y - d.y_lo) * sy)
         if row > last:
             row = last
@@ -114,19 +114,19 @@ class GridIndex:
         n = self.n
         interned = self._interned
         out = CandidateCells()
-        col_lo = max(0, slot(self._xs, max(cx - r, self.domain.x_lo)) - 1)
-        col_hi = min(self.n - 1, slot(self._xs, min(cx + r, self.domain.x_hi)) + 1)
-        row_lo = max(0, slot(self._ys, max(cy - r, self.domain.y_lo)) - 1)
-        row_hi = min(self.n - 1, slot(self._ys, min(cy + r, self.domain.y_hi)) + 1)
+        col_lo = max(0, slot(self.xs, max(cx - r, self.domain.x_lo)) - 1)
+        col_hi = min(self.n - 1, slot(self.xs, min(cx + r, self.domain.x_hi)) + 1)
+        row_lo = max(0, slot(self.ys, max(cy - r, self.domain.y_lo)) - 1)
+        row_hi = min(self.n - 1, slot(self.ys, min(cy + r, self.domain.y_hi)) + 1)
         # (col, squared nearest gap, squared farthest reach); a column whose
         # gap alone exceeds the radius holds no candidate
         cols = []
         for col in range(col_lo, col_hi + 1):
-            near, far = _axis_terms(cx, self._xs[col], self._xs[col + 1])
+            near, far = _axis_terms(cx, self.xs[col], self.xs[col + 1])
             if near <= rr:
                 cols.append((col, near, far))
         for row in range(row_lo, row_hi + 1):
-            near_y, far_y = _axis_terms(cy, self._ys[row], self._ys[row + 1])
+            near_y, far_y = _axis_terms(cy, self.ys[row], self.ys[row + 1])
             if near_y > rr:
                 continue
             for col, near_x, far_x in cols:

@@ -63,14 +63,14 @@ def _cell_weights(spec: WorkloadSpec, grid: GridIndex) -> list[float]:
             # degenerate: all mass in the cell holding the mean
             hot = grid.locate(Point(min(max(mx, 0.0), 1.0), min(max(my, 0.0), 1.0)))
             return [1.0 if (i // n, i % n) == tuple(hot) else 0.0 for i in range(n * n)]
-        wx = [_norm_cdf(grid._xs[j + 1], mx, sx) - _norm_cdf(grid._xs[j], mx, sx) for j in range(n)]
-        wy = [_norm_cdf(grid._ys[i + 1], my, sy) - _norm_cdf(grid._ys[i], my, sy) for i in range(n)]
+        wx = [_norm_cdf(grid.xs[j + 1], mx, sx) - _norm_cdf(grid.xs[j], mx, sx) for j in range(n)]
+        wy = [_norm_cdf(grid.ys[i + 1], my, sy) - _norm_cdf(grid.ys[i], my, sy) for i in range(n)]
         return [wy[i] * wx[j] for i in range(n) for j in range(n)]
     if spec.distribution == "ZIPF":
         hx, hy = 0.5, 0.5  # hotspot: domain center
         def d2(i: int, j: int) -> float:
-            cx = (grid._xs[j] + grid._xs[j + 1]) / 2.0
-            cy = (grid._ys[i] + grid._ys[i + 1]) / 2.0
+            cx = (grid.xs[j] + grid.xs[j + 1]) / 2.0
+            cy = (grid.ys[i] + grid.ys[i + 1]) / 2.0
             return (cx - hx) ** 2 + (cy - hy) ** 2
         order = sorted(range(n * n), key=lambda k: (d2(k // n, k % n), k))
         weights = [0.0] * (n * n)
@@ -107,8 +107,8 @@ def generate_objects(spec: WorkloadSpec, rng) -> list[tuple[int, Point]]:
     for k, count in enumerate(counts):
         if count == 0:
             continue
-        x_lo, x_hi = grid._xs[k % n], grid._xs[k % n + 1]
-        y_lo, y_hi = grid._ys[k // n], grid._ys[k // n + 1]
+        x_lo, x_hi = grid.xs[k % n], grid.xs[k % n + 1]
+        y_lo, y_hi = grid.ys[k // n], grid.ys[k // n + 1]
         for _ in range(count):
             out.append((obj_id, Point(rng.uniform(x_lo, x_hi), rng.uniform(y_lo, y_hi))))
             obj_id += 1
@@ -135,8 +135,8 @@ def generate_queries(spec: WorkloadSpec, rng) -> list[tuple[int, Circle, int, in
         cells = rng.choices(range(n * n), weights=weights, k=spec.n_queries)
         for k in cells:
             centers.append(Point(
-                rng.uniform(grid._xs[k % n], grid._xs[k % n + 1]),
-                rng.uniform(grid._ys[k // n], grid._ys[k // n + 1]),
+                rng.uniform(grid.xs[k % n], grid.xs[k % n + 1]),
+                rng.uniform(grid.ys[k // n], grid.ys[k // n + 1]),
             ))
     # lifetimes outlive the run by one tick so results are still inspectable
     # after the last movement batch

@@ -175,7 +175,10 @@ def test_config_defaults_are_the_spec_defaults():
 def test_malformed_config_values_fail_by_key(tmp_path, capsys):
     for key, raw in (("workload.gauss_mean", "0.4"), ("workload.gauss_sigma", "0.1,0.2,0.3"),
                      ("tree.m", "6.5"), ("workload.radius", "wide"),
-                     ("measure.throughput", "maybe"), ("sweep.alpha", "5,ten")):
+                     ("measure.throughput", "maybe"), ("sweep.alpha", "5,ten"),
+                     # values of the right type that the spec's own check rejects
+                     ("experiment.engine", "dqra"), ("cluster.transport", "tcp"),
+                     ("workload.distribution", "XX"), ("cluster.index_workers", "0")):
         p = tmp_path / "e.conf"
         p.write_text(f"{key} = {raw}\n")
         with pytest.raises(ValueError, match=f"^{key}: "):

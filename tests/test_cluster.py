@@ -23,6 +23,7 @@ from rangemon.geometry import Circle, Coverage, Point
 from rangemon.grid import CandidateCells, CellId, GridIndex
 from rangemon.cluster import QueryWorker
 from rangemon.config import Config
+from rangemon.errors import OutOfDomainError
 from rangemon.transport import LoopbackTransport
 from rangemon.workload import Workload, WorkloadSpec
 from rangemon.wire import (
@@ -1129,9 +1130,12 @@ def test_move_between_fully_covered_cells_sends_nothing():
     store_move = iw.move_object
 
     def recording(*args):
-        for delta in store_move(*args):
-            seen.append(delta)
-            yield delta
+        deltas = args[-1]
+        start = len(deltas)
+        try:
+            store_move(*args)
+        finally:
+            seen.extend(deltas[start:])
 
     iw.move_object = recording
     trace = []
@@ -1605,8 +1609,10 @@ def test_bad_reports_in_the_client_frame_are_rejected_alone():
 
 
 def test_index_workers_never_locate(monkeypatch):
-    # the entrance locates each point of a report once; the index workers
-    # use the cells it sends
+    # the entrance locates each inserted point, and the new point of each
+    # move that leaves its cell; the old point of a report equal to the
+    # recorded one, and a new point in the old cell, take the recorded
+    # cell.  The index workers use the cells it sends
     handling = []
     calls = {"index": 0, "other": 0}
     handle = IndexWorker.handle
@@ -1633,13 +1639,136 @@ def test_index_workers_never_locate(monkeypatch):
         cluster.run_tick(events)
         circles = {q: Circle(Point(rng.random(), rng.random()), 0.15) for q in range(4)}
         cluster.run_tick([QueryRegister(q, c, 0, 100) for q, c in circles.items()])
+        crossing = 0
         for _ in range(2):
             circles[1] = Circle(Point(rng.random(), rng.random()), 0.15)
-            cluster.run_tick(random_moves(rng, positions, 200) + [QueryMove(1, circles[1])])
+            moves = random_moves(rng, positions, 200)
+            crossing += sum(locate(cluster.grid, m.old) != locate(cluster.grid, m.new) for m in moves)
+            cluster.run_tick(moves + [QueryMove(1, circles[1])])
         cluster.run_tick([ObjectUpdate(o, positions.pop(o), None) for o in range(50)])
-        assert calls == {"index": 0, "other": 600 + 2 * 2 * 200 + 50}, mode
+        assert 0 < crossing < 2 * 200
+        assert calls == {"index": 0, "other": 600 + crossing}, mode
         for q, c in circles.items():
             assert cluster.query_result(q) == ns_search(positions, c), (mode, q)
+
+
+def locate_both_points(grid, assignment, cells, report, parts):
+    """The entrance's verdict on one report, by locating both of its points
+    as :meth:`GridIndex.locate` places them: True and the report's parts
+    appended to ``parts`` (owner -> list), or False for a rejection.
+    ``cells`` is the live object id -> cell map, updated in place."""
+    obj_id, old, new = report.obj_id, report.old, report.new
+    try:
+        old_cell = grid.locate(old) if old is not None else None
+        new_cell = grid.locate(new) if new is not None else None
+    except OutOfDomainError:
+        return False
+    if (old is None and new is None) or cells.get(obj_id) != old_cell:
+        return False
+    if new_cell is None:
+        del cells[obj_id]
+    else:
+        cells[obj_id] = new_cell
+    old_owner = assignment[old_cell] if old_cell is not None else None
+    new_owner = assignment[new_cell] if new_cell is not None else None
+    if old_owner is not None and old_owner == new_owner:
+        parts.setdefault(old_owner, []).append((obj_id, old, old_cell, new, new_cell))
+        return True
+    if old_owner is not None:
+        parts.setdefault(old_owner, []).append((obj_id, old, old_cell, None, None))
+    if new_owner is not None:
+        parts.setdefault(new_owner, []).append((obj_id, None, None, new, new_cell))
+    return True
+
+
+REPORT_KINDS = ("insert", "insert live", "stay", "move", "old elsewhere in cell", "old anywhere",
+                "remove", "unknown id", "neither")
+
+
+@settings(max_examples=60, deadline=None)
+@given(mode=st.sampled_from(ENGINE_MODES), data=st.data())
+def test_entrance_verdicts_match_locating_both_points(mode, data):
+    # the entrance locates only what its recorded point and cell do not
+    # settle; every verdict, cell and part must be the ones that locating
+    # both points of every report gives, on both pumps
+    grid = GridIndex(4)
+    edges = sorted(set(grid.xs))
+    coord = st.one_of(
+        st.floats(0.0, 1.0, exclude_max=True),
+        st.sampled_from(edges + [-0.0, math.nan, 1.5, -0.25]),
+    )
+    anywhere = st.builds(Point, coord, coord)
+
+    def in_cell(cell):
+        # a point of the cell: its low edges (-0.0 for 0.0) or inside
+        def axis(lo, hi):
+            low = [lo, -0.0] if lo == 0.0 else [lo]
+            return st.one_of(st.sampled_from(low), st.floats(lo, hi, exclude_max=True))
+        b = grid.cell_bounds(cell)
+        return st.builds(Point, axis(b.x_lo, b.x_hi), axis(b.y_lo, b.y_hi))
+
+    def same_value(p):
+        # an equal point that is another object, with 0.0 and -0.0 swapped
+        return Point(*(-v if v == 0.0 else v for v in p))
+
+    clusters = {policy: make_cluster(grid_n=4, index_workers=3, engine=mode, loopback_policy=policy, seed=3)
+                for policy in ("fifo", "random")}
+    assignment = clusters["fifo"].entrance.assignment
+    cells: dict[int, CellId] = {}
+    points: dict[int, Point] = {}
+    next_id = 0
+    for _ in range(data.draw(st.integers(1, 4), label="ticks")):
+        reports, parts, errors = [], {}, 0
+        for _ in range(data.draw(st.integers(0, 12), label="reports")):
+            kind = data.draw(st.sampled_from(REPORT_KINDS), label="kind")
+            live = sorted(cells)
+            if not live and kind not in ("insert", "unknown id", "neither"):
+                kind = "insert"
+            if kind == "insert":
+                report = ObjectUpdate(next_id, None, data.draw(anywhere))
+                next_id += 1
+            elif kind == "unknown id":
+                old = data.draw(st.one_of(st.none(), anywhere))
+                report = ObjectUpdate(1000 + next_id, old, data.draw(st.one_of(st.none(), anywhere)))
+                next_id += 1
+            elif kind == "neither":
+                report = ObjectUpdate(data.draw(st.sampled_from(live + [next_id])), None, None)
+            else:
+                obj = data.draw(st.sampled_from(live), label="live id")
+                cell = cells[obj]
+                if kind == "insert live":
+                    report = ObjectUpdate(obj, None, data.draw(anywhere))
+                elif kind == "stay":
+                    report = ObjectUpdate(obj, same_value(points[obj]), data.draw(in_cell(cell)))
+                elif kind == "move":
+                    report = ObjectUpdate(obj, points[obj], data.draw(anywhere))
+                elif kind == "old elsewhere in cell":
+                    report = ObjectUpdate(obj, data.draw(in_cell(cell)), data.draw(anywhere))
+                elif kind == "old anywhere":
+                    report = ObjectUpdate(obj, data.draw(anywhere), data.draw(anywhere))
+                else:
+                    report = ObjectUpdate(obj, points[obj], None)
+            if locate_both_points(grid, assignment, cells, report, parts):
+                if report.new is None:
+                    del points[report.obj_id]
+                else:
+                    points[report.obj_id] = report.new
+            else:
+                errors += 1
+            reports.append(report)
+        expected = {iw: ObjectBatch(tuple(batch)) for iw, batch in parts.items()}
+        for policy, cluster in clusters.items():
+            trace = []
+            cluster._transport.trace = trace
+            report = cluster.run_tick(reports)
+            assert report.errors == errors, policy
+            assert cluster.entrance.object_cells == cells, policy
+            assert cluster.entrance.object_points == points, policy
+            sent = {m.receiver: m.body for m in trace if isinstance(m.body, ObjectBatch)}
+            assert len(sent) == sum(isinstance(m.body, ObjectBatch) for m in trace), policy
+            assert sent == expected, policy
+    for cluster in clusters.values():
+        cluster.close()
 
 
 def test_coverage_values_outside_the_classes_raise():

@@ -149,7 +149,7 @@ def test_insertion_of_an_id_held_in_another_cell_is_rejected():
         engine.on_objects_moved([(i, None, Point(0.861 + 0.001 * (i - 10), 0.861))])
     assert engine.cell(tree_cell).tree is not None
     with pytest.raises(OutOfDomainError):
-        list(engine.move_object(1, b, engine.grid.locate(b), a, tree_cell))
+        engine.move_object(1, b, engine.grid.locate(b), a, tree_cell, [])
     assert engine.on_objects_moved([(1, None, a)]) == []
 
 
@@ -180,6 +180,8 @@ def test_expired_queries_receive_no_deltas():
         old = positions[obj]
         new = Point(rng.random(), rng.random())
         positions[obj] = new
-        for delta in engine.move_object(obj, old, engine.grid.locate(old), new, engine.grid.locate(new)):
+        deltas = []
+        engine.move_object(obj, old, engine.grid.locate(old), new, engine.grid.locate(new), deltas)
+        for delta in deltas:
             notified |= delta.entered | delta.left
     assert notified == {2}  # no stale registration of the removed query

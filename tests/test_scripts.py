@@ -143,3 +143,19 @@ def test_count_diff_counts_the_package_source_lines(tmp_path):
         (package / "sub" / "d.py").write_text("v = 5\n")
     assert count_diff.src_lines(tmp_path / "parent") == 3
     assert count_diff.src_lines(tmp_path / "change") == 2  # wc counts newlines, not a last unended line
+
+
+def test_tick_roles_splits_the_tick_by_role_and_kind():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "tick_roles.py"),
+                           "--workload", "tiny", "--seeds", "1"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    rows = {}
+    for line in proc.stdout.splitlines():
+        if line.endswith("%"):
+            key, ms, share = line.split()
+            rows[key] = (float(ms), float(share.rstrip("%")))
+    assert "iw.ObjectBatch" in rows and "entrance.ObjectReports" in rows
+    assert all(ms >= 0 for ms, _ in rows.values())
+    assert 0 < sum(share for _, share in rows.values()) <= 100
