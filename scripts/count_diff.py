@@ -12,8 +12,9 @@ the incremental and the register phase) and the message and id counts.
 
 Then each checkout runs one fixed mixed workload (object reports,
 registrations, moves and expiries, shuffled each tick by a seeded RNG)
-under every engine, on the fifo loopback and on the random pump, and the
-script compares each tick's answers (the ``result_hash`` of every
+under every engine, on the fifo loopback, on the random pump and on the
+socket transport, where every frame is encoded and decoded again, and
+the script compares each tick's answers (the ``result_hash`` of every
 query's result, ``queries_ready`` and ``errors``) and, apart from them,
 its ``results_digest``, which also moves when queries move between query
 workers.  Last, each checkout runs every workload's first round (the
@@ -69,10 +70,11 @@ def circle(rng):
 
 rows = []
 for engine in ENGINE_MODES:
-    for policy in ("fifo", "random"):
+    for transport, policy in (("loopback", "fifo"), ("loopback", "random"), ("socket", "fifo")):
         rng = random.Random(7)
         cluster = Cluster(ClusterSpec(grid_n=20, index_workers=3, query_workers=2, alpha=8, m=4,
-                                      engine=engine, loopback_policy=policy, seed=7))
+                                      engine=engine, transport=transport, loopback_policy=policy,
+                                      seed=7))
         positions = {o: Point(rng.random(), rng.random()) for o in range(2000)}
         live, next_q = set(), 0
         events = [ObjectUpdate(o, None, p) for o, p in positions.items()]

@@ -27,15 +27,17 @@ def ns_search(positions: Mapping[int, Point], c: Circle, stats: SearchStats | No
 class GridStore:
     """Per-cell object maps without trees: full-cover cells contribute
     wholesale, partially covered cells are scanned object by object.  This
-    is the grid-only (``gi``) index, standalone and in the cluster.
+    is the grid-only (``gi``) index, standalone and in the cluster, whose
+    ``ns`` index workers scan its flat point map, ``positions``, whole.
     :meth:`insert` and :meth:`move` take the point's cell from a caller
     that located it already (the cluster's entrance), and locate it
-    otherwise."""
+    otherwise.  A rejected call raises before it changes any map."""
 
     def __init__(self, grid: GridIndex):
         self.grid = grid
         self.cells: dict[CellId, dict[int, Point]] = {}
         self.locations: dict[int, CellId] = {}
+        self.positions: dict[int, Point] = {}
 
     def _location(self, obj_id: int) -> CellId:
         cell_id = self.locations.get(obj_id)
@@ -50,21 +52,21 @@ class GridStore:
             cell_id = self.grid.locate(p)
         self.cells.setdefault(cell_id, {})[obj_id] = p
         self.locations[obj_id] = cell_id
+        self.positions[obj_id] = p
 
     def remove(self, obj_id: int) -> None:
         del self.cells[self._location(obj_id)][obj_id]
-        del self.locations[obj_id]
+        del self.locations[obj_id], self.positions[obj_id]
 
     def move(self, obj_id: int, p_new: Point, new_cell: CellId | None = None) -> None:
         old_cell = self._location(obj_id)
         if new_cell is None:
             new_cell = self.grid.locate(p_new)
-        if new_cell == old_cell:
-            self.cells[old_cell][obj_id] = p_new
-        else:
+        if new_cell != old_cell:
             del self.cells[old_cell][obj_id]
-            self.cells.setdefault(new_cell, {})[obj_id] = p_new
             self.locations[obj_id] = new_cell
+        self.cells.setdefault(new_cell, {})[obj_id] = p_new
+        self.positions[obj_id] = p_new
 
     def scan(self, cell_id: CellId, c: Circle, stats: SearchStats | None = None) -> set[int]:
         """Objects of one cell inside the circle, each one tested."""

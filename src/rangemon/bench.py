@@ -86,11 +86,16 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
+        # every point is built here, so a bad one fails by its key before
+        # any run
         for param, values in self.sweeps.items():
-            if param not in SWEEPABLE:
-                raise ValueError(f"cannot sweep {param!r}; one of {tuple(SWEEPABLE)}")
-            if any(v <= 0 for v in values):
-                raise ValueError(f"sweep values for {param} must be positive")
+            try:
+                if param not in SWEEPABLE:
+                    raise ValueError(f"cannot sweep {param!r}; one of {tuple(SWEEPABLE)}")
+                for value in values:
+                    _apply_point(self, param, value)
+            except ValueError as exc:
+                raise ValueError(f"sweep.{param}: {exc}") from None
 
 
 def parse_experiment(cfg: Config) -> ExperimentSpec:
@@ -117,7 +122,12 @@ def _apply_point(exp: ExperimentSpec, param: str | None, value: float) -> tuple[
     if param is not None:
         part, name = SWEEPABLE[param]
         spec = parts[part]
-        parts[part] = replace(spec, **{name: type(getattr(spec, name))(value)})
+        kind = type(getattr(spec, name))
+        if not value > 0:
+            raise ValueError(f"sweep values for {param} must be positive")
+        if kind is int and not float(value).is_integer():
+            raise ValueError(f"expected a whole number, got {value!r}")
+        parts[part] = replace(spec, **{name: kind(value)})
     cl = parts["cluster"]
     return replace(parts["workload"], grid_n=cl.grid_n), cl
 
@@ -183,10 +193,13 @@ def run_single(workload_spec: WorkloadSpec, cluster_spec: ClusterSpec) -> RunMet
 
 def run_replay(path: str, cluster_spec: ClusterSpec) -> RunMetrics:
     """Replay a JSONL workload file: tick 0 counts as build time, every
-    later tick as incremental time."""
+    later tick as incremental time.  A malformed record, or a move of a
+    query not registered, raises ``ValueError`` naming the file and tick."""
     by_tick: dict[int, list] = {}
     with open(path) as fp:
         for rec in read_events(fp):
+            if "tick" not in rec:
+                raise ValueError(f"{path}: a record has no field 'tick'")
             by_tick.setdefault(rec["tick"], []).append(rec)
     positions: dict[int, Point] = {}
     query_radius: dict[int, float] = {}
@@ -200,22 +213,29 @@ def run_replay(path: str, cluster_spec: ClusterSpec) -> RunMetrics:
                 del query_end[q_id]
                 del query_radius[q_id]
             for rec in by_tick[tick]:
-                if rec["kind"] == "object":
-                    p = Point(rec["x"], rec["y"])
-                    events.append(ObjectUpdate(rec["id"], positions.get(rec["id"]), p))
-                    positions[rec["id"]] = p
-                elif rec["kind"] == "query":
-                    query_radius[rec["id"]] = rec["r"]
-                    query_end[rec["id"]] = rec["t_end"]
-                    events.append(QueryRegister(
-                        rec["id"], Circle(Point(rec["x"], rec["y"]), rec["r"]),
-                        rec["tick"], rec["t_end"],
-                    ))
-                elif rec["kind"] == "query_move":
-                    circle = Circle(Point(rec["x"], rec["y"]), query_radius[rec["id"]])
-                    events.append(QueryMove(rec["id"], circle))
-                else:
-                    raise ValueError(f"unknown event kind {rec['kind']!r}")
+                try:
+                    if rec["kind"] == "object":
+                        p = Point(rec["x"], rec["y"])
+                        events.append(ObjectUpdate(rec["id"], positions.get(rec["id"]), p))
+                        positions[rec["id"]] = p
+                    elif rec["kind"] == "query":
+                        query_radius[rec["id"]] = rec["r"]
+                        query_end[rec["id"]] = rec["t_end"]
+                        events.append(QueryRegister(
+                            rec["id"], Circle(Point(rec["x"], rec["y"]), rec["r"]),
+                            rec["tick"], rec["t_end"],
+                        ))
+                    elif rec["kind"] == "query_move":
+                        if rec["id"] not in query_radius:  # never registered, or expired by its t_end
+                            raise ValueError(f"query_move of query {rec['id']}, which is not registered")
+                        circle = Circle(Point(rec["x"], rec["y"]), query_radius[rec["id"]])
+                        events.append(QueryMove(rec["id"], circle))
+                    else:
+                        raise ValueError(f"unknown event kind {rec['kind']!r}")
+                except KeyError as exc:  # only a record's own fields are looked up by key
+                    raise ValueError(f"{path}: tick {tick}: a record has no field {exc.args[0]!r}") from None
+                except ValueError as exc:
+                    raise ValueError(f"{path}: tick {tick}: {exc}") from None
             yield "build_time" if tick == 0 else "query_time_incremental", events
 
     metrics = _run(ticks(), cluster_spec)

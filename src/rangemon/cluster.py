@@ -25,8 +25,8 @@ leaves its cell or lands on the domain's maximum edge.
 Three engine modes share the scaffolding so that their message and work
 counts are comparable: "drqa" (trees, standing registrations, incremental
 deltas), "gi" (grid only: one :class:`GridStore` per index worker), and
-"ns" (each index worker keeps the objects of its own cells in one map and
-scans all of it per query).
+"ns" (the same :class:`GridStore`, whose flat point map of the worker's
+objects is scanned whole per query).
 The baselines search each query at most once per tick: a query that was
 registered or moved, or every query in a tick with object reports.
 In every mode, an index worker answers a search with one partial result
@@ -435,24 +435,16 @@ class IndexWorker(Node, CellStore):
         CellStore.__init__(self, grid, cfg)
         self.mode = mode
         self.qw_ids = qw_ids
-        self.owned: dict[int, Point] = {}  # ns mode only: objects in this worker's cells
-        self.store = GridStore(grid)  # gi mode only
+        self.store = GridStore(grid)  # gi and ns modes only
         self.stats = SearchStats()
         self.objects_processed = 0
         self.errors = 0  # object reports rejected this tick
         self.route_of: dict[int, int] = {}  # drqa: query id -> its query worker
         self.cells_of: dict[int, set[CellId]] = {}
-        # drqa: per query worker, query id -> the tick's (entered ids, left
-        # ids); sent as one RESULT_DELTA just before the tick barrier
-        self._outbox: dict[int, dict[int, tuple[list[int], list[int]]]] = {qw: {} for qw in qw_ids}
-
-    def _buffered(self, q_id: int) -> tuple[list[int], list[int]]:
-        """The outbox entry of a registered query."""
-        box = self._outbox[self.route_of[q_id]]
-        entry = box.get(q_id)
-        if entry is None:
-            entry = box[q_id] = ([], [])
-        return entry
+        # drqa: query id -> (its query worker, the tick's entered ids, left
+        # ids); sent as one RESULT_DELTA per query worker just before the
+        # tick barrier
+        self._outbox: dict[int, tuple[int, list[int], list[int]]] = {}
 
     def handle(self, msg: Message) -> None:
         body = msg.body
@@ -496,18 +488,15 @@ class IndexWorker(Node, CellStore):
                 deltas.clear()
                 if entered or left:
                     # a query the object left in the old cell and entered
-                    # in the new one keeps it in its result: it gets nothing.
-                    # The outbox lookup is _buffered's, inlined: it runs
-                    # once per (object, query) pair
+                    # in the new one keeps it in its result: it gets nothing
                     obj_id = part[0]
-                    for side, q_ids in ((0, entered - left), (1, left - entered)):
+                    for side, q_ids in ((1, entered - left), (2, left - entered)):
                         for q_id in q_ids:
-                            box = outbox[route_of[q_id]]
-                            entry = box.get(q_id)
+                            entry = outbox.get(q_id)
                             if entry is None:
-                                entry = box[q_id] = ([], [])
+                                entry = outbox[q_id] = (route_of[q_id], [], [])
                             entry[side].append(obj_id)
-        elif self.mode == "gi":
+        else:
             store = self.store
             for obj_id, old, _, new, new_cell in parts:
                 if old is None and new is None:
@@ -522,18 +511,6 @@ class IndexWorker(Node, CellStore):
                         store.move(obj_id, new, new_cell)
                 except RangemonError:
                     self.errors += 1
-        else:
-            owned = self.owned
-            for obj_id, old, _, new, _ in parts:
-                if (old is None) == (obj_id in owned) or old is None and new is None:
-                    # an insertion of a held id, a move or removal of one
-                    # not held, or a part with neither point, as the gi
-                    # branch rejects
-                    self.errors += 1
-                elif new is None:
-                    del owned[obj_id]
-                else:
-                    owned[obj_id] = new
 
     def _on_cell_search(self, body: CellSearch) -> None:
         """Search every listed cell (under ``ns``, every object this worker
@@ -542,7 +519,7 @@ class IndexWorker(Node, CellStore):
         # listed twice reaches the query worker's count check
         ids: list[int] = []
         if self.mode == "ns":
-            ids.extend(ns_search(self.owned, body.circle, self.stats))
+            ids.extend(ns_search(self.store.positions, body.circle, self.stats))
         elif self.mode == "gi":
             for cell_id, cov_value in body.entries:
                 if _COVERAGE[cov_value] is Coverage.FULL:
@@ -576,9 +553,9 @@ class IndexWorker(Node, CellStore):
             else:
                 owned.add(cell_id)
         if entered or left:
-            buffered_entered, buffered_left = self._buffered(q_id)
-            buffered_entered += entered
-            buffered_left += left
+            entry = self._outbox.setdefault(q_id, (body.query_worker, [], []))
+            entry[1].extend(entered)
+            entry[2].extend(left)
         if not owned:
             self.cells_of.pop(q_id, None)
             self.route_of.pop(q_id, None)
@@ -586,24 +563,23 @@ class IndexWorker(Node, CellStore):
     def _on_expire(self, body: QueryExpire) -> None:
         for cell_id in sorted(self.cells_of.pop(body.q_id, set())):
             self.cells[cell_id].unregister_query(body.q_id)
-        qw = self.route_of.pop(body.q_id, None)
-        if qw is not None:
-            # its query worker no longer holds it: its changes would be a fault
-            self._outbox[qw].pop(body.q_id, None)
+        self.route_of.pop(body.q_id, None)
+        # its query worker no longer holds it: its changes would be a fault
+        self._outbox.pop(body.q_id, None)
 
     def _on_barrier(self, body: TickBarrier) -> None:
-        for qw, box in self._outbox.items():
-            if box:
-                spans = []
-                add: list[int] = []
-                remove: list[int] = []
-                for q_id, (entered, left) in box.items():
-                    spans.append((q_id, len(entered), len(left)))
-                    add += entered
-                    remove += left
+        # per query worker, its queries' spans and ids in outbox order
+        frames = {qw: ([], [], []) for qw in self.qw_ids}
+        for q_id, (qw, entered, left) in self._outbox.items():
+            spans, add, remove = frames[qw]
+            spans.append((q_id, len(entered), len(left)))
+            add += entered
+            remove += left
+        for qw, (spans, add, remove) in frames.items():
+            if spans:
                 self.send(qw, ResultDelta(tuple(spans), tuple(add), tuple(remove)))
             self.send(qw, TickBarrier(body.tick))
-        self._outbox = {qw: {} for qw in self.qw_ids}
+        self._outbox = {}
         self.send(ENTRANCE, TickBarrier(
             body.tick,
             messages=self.sent_messages,
@@ -800,6 +776,7 @@ class ClusterSpec:
             raise ValueError("need at least one index worker and one query worker")
         if math.isnan(self.jaccard_threshold):
             raise ValueError("jaccard_threshold is NaN")
+        SplitConfig(self.alpha, self.m)  # the tree's own check of alpha and m
 
 
 class Cluster:

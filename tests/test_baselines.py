@@ -1,10 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rangemon.baselines import GridStore, gi_search, ns_search
 from rangemon.engine import Engine
-from rangemon.errors import InconsistentUpdateError
+from rangemon.errors import InconsistentUpdateError, RangemonError
 from rangemon.geometry import Circle, Point, contains
 from rangemon.grid import GridIndex
 from rangemon.mtree import SearchStats, SplitConfig
@@ -59,6 +60,49 @@ def test_gi_store_rejects_inconsistent_updates():
         store.move(2, Point(0.5, 0.5))
     # the rejected insert left no stale entry behind
     assert store.cells == {store.grid.locate(Point(0.05, 0.05)): {1: Point(0.05, 0.05)}}
+
+
+# a coordinate inside the unit domain, its maximum edge included, or outside it
+coords = st.one_of(st.floats(0.0, 1.0), st.sampled_from([1.0, -0.25, 1.5]))
+ops = st.lists(st.tuples(st.sampled_from(["insert", "move", "remove"]), st.integers(0, 5),
+                         coords, coords, st.booleans()), max_size=60)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ops)
+def test_gi_store_keeps_one_point_per_object(stream):
+    # insertions, moves and removals, each with or without its cell; the
+    # rejected ones (an insertion of a held id, a move or removal of an
+    # unheld one, a point outside the domain with no cell given) change
+    # none of the store's maps
+    grid = GridIndex(4)
+    store = GridStore(grid)
+    ref: dict[int, Point] = {}
+    for op, obj, x, y, given_cell in stream:
+        p = Point(x, y)
+        inside = 0.0 <= x <= 1.0 and 0.0 <= y <= 1.0
+        if given_cell and not inside:
+            continue  # a caller that gives the cell located the point
+        cell = grid.locate(p) if given_cell else None
+        if op == "insert":
+            rejected = obj in ref or not inside
+        else:
+            rejected = obj not in ref or op == "move" and not inside
+        call = {"insert": lambda: store.insert(obj, p, cell), "move": lambda: store.move(obj, p, cell),
+                "remove": lambda: store.remove(obj)}[op]
+        if rejected:
+            with pytest.raises(RangemonError):
+                call()
+        else:
+            call()
+            if op == "remove":
+                del ref[obj]
+            else:
+                ref[obj] = p
+        assert store.positions == ref
+        assert store.locations == {o: grid.locate(q) for o, q in ref.items()}
+        assert {o: q for objs in store.cells.values() for o, q in objs.items()} == ref
+        assert sum(len(objs) for objs in store.cells.values()) == len(ref)
 
 
 def test_three_engines_agree():

@@ -1,5 +1,6 @@
 import csv
 import io
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -178,7 +179,10 @@ def test_malformed_config_values_fail_by_key(tmp_path, capsys):
                      ("measure.throughput", "maybe"), ("sweep.alpha", "5,ten"),
                      # values of the right type that the spec's own check rejects
                      ("experiment.engine", "dqra"), ("cluster.transport", "tcp"),
-                     ("workload.distribution", "XX"), ("cluster.index_workers", "0")):
+                     ("workload.distribution", "XX"), ("cluster.index_workers", "0"),
+                     ("tree.alpha", "1"), ("tree.m", "1"),
+                     # sweep points, each built before any run
+                     ("sweep.m", "2.5"), ("sweep.alpha", "20,1")):
         p = tmp_path / "e.conf"
         p.write_text(f"{key} = {raw}\n")
         with pytest.raises(ValueError, match=f"^{key}: "):
@@ -186,6 +190,29 @@ def test_malformed_config_values_fail_by_key(tmp_path, capsys):
         assert main(["--experiment", str(p), "--out", str(tmp_path / "out.csv")]) == 1
         assert f"rangemon: {key}: " in capsys.readouterr().err
         assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("records, named", [
+    # a move of a query whose registration expired at its t_end
+    ([{"tick": 0, "kind": "object", "id": 1, "x": 0.5, "y": 0.5},
+      {"tick": 0, "kind": "query", "id": 5, "x": 0.5, "y": 0.5, "r": 0.1, "t_end": 1},
+      {"tick": 1, "kind": "query_move", "id": 5, "x": 0.4, "y": 0.5}],
+     "tick 1: query_move of query 5, which is not registered"),
+    ([{"tick": 0, "kind": "object", "id": 1, "x": 0.5, "y": 0.5},
+      {"tick": 2, "kind": "query", "id": 3, "x": 0.5, "y": 0.5, "t_end": 9}],
+     "tick 2: a record has no field 'r'"),
+])
+def test_malformed_replay_names_its_fault(tmp_path, capsys, records, named):
+    wl_path = tmp_path / "events.jsonl"
+    with open(wl_path, "w") as fp:
+        write_events(fp, records)
+    with pytest.raises(ValueError, match=re.escape(f"{wl_path}: {named}")):
+        run_experiment(small_experiment(workload_file=str(wl_path)), tmp_path / "out.csv")
+    conf = tmp_path / "e.conf"
+    conf.write_text(f"workload.file = {wl_path}\n")
+    assert main(["--experiment", str(conf), "--out", str(tmp_path / "cli.csv")]) == 1
+    assert f"rangemon: {wl_path}: {named}" in capsys.readouterr().err
+    assert not (tmp_path / "cli.csv").exists()
 
 
 def test_each_sweep_parameter_sets_its_field():

@@ -727,10 +727,10 @@ def test_ns_index_workers_hold_only_their_objects():
     circle = Circle(Point(0.5, 0.5), 0.2)
 
     def check_ownership():
-        held = [obj for iw in cluster.index_workers for obj in iw.owned]
+        held = [obj for iw in cluster.index_workers for obj in iw.store.positions]
         assert sorted(held) == sorted(positions)
         for iw in cluster.index_workers:
-            for obj, p in iw.owned.items():
+            for obj, p in iw.store.positions.items():
                 assert p == positions[obj]
                 assert cluster.entrance.owner(cluster.grid.locate(p)) == iw.id
 
@@ -1110,6 +1110,41 @@ def test_expired_query_ships_no_buffered_changes():
     assert cluster.query_result(1) is None
     for q, c in circles.items():
         assert cluster.query_result(q) == ns_search(positions, c), q
+
+
+def test_query_leaving_every_cell_of_a_worker_gets_its_leaves_that_tick():
+    # query 1 moves from cells of the first index worker only (rows 0-4)
+    # to cells of the second only (rows 5-9); the first worker forgets the
+    # query in that tick's wave, and still sends its LEAVEs before its
+    # barrier
+    rng = random.Random(28)
+    cluster = make_cluster(index_workers=2, query_workers=2)
+    positions, events = seed_events(rng, 1000)
+    cluster.run_tick(events)
+    before, after = Circle(Point(0.5, 0.2), 0.1), Circle(Point(0.5, 0.8), 0.1)
+    low, high = cluster.index_workers
+    for circle, iw in ((before, low), (after, high)):
+        owners = {cluster.entrance.owner(c) for c in cluster.grid.candidate_cells(circle).all_cells()}
+        assert owners == {iw.id}
+    cluster.run_tick([QueryRegister(1, before, 0, 100)])
+    old_result = cluster.query_result(1)
+    assert 1 in low.route_of and 1 in low.cells_of
+    updates = random_moves(rng, positions, 200)
+    unmoved = old_result - {u.obj_id for u in updates}
+    assert unmoved
+    trace = []
+    cluster._transport.trace = trace
+    report = cluster.run_tick(updates + [QueryMove(1, after)])
+    assert report.queries_ready == 1 and report.errors == 0
+    (frame,) = [m for m in trace if m.sender == low.id and isinstance(m.body, ResultDelta)]
+    (left,) = [remove for q, _, remove in frame.body.per_query() if q == 1]
+    assert unmoved <= set(left)  # every object still in its old cells left the result
+    qw = frame.receiver
+    to_qw = [type(m.body) for m in trace if m.sender == low.id and m.receiver == qw]
+    assert to_qw == [ResultDelta, TickBarrier]
+    assert cluster.query_result(1) == ns_search(positions, after)
+    assert 1 not in low.route_of and 1 not in low.cells_of
+    assert high.route_of[1] == qw and high.cells_of[1]
 
 
 def test_move_between_fully_covered_cells_sends_nothing():
